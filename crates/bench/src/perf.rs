@@ -839,14 +839,15 @@ pub fn profile_report(o: &PerfOpts) -> Report {
 // ---- JSON baseline ---------------------------------------------------------
 
 /// Recording protocol embedded in every committed `BENCH_*.json`, so a
-/// baseline is interpretable without the commit that recorded it. Absolute
-/// events/s are host-dependent (the `--check` gate compares ratios and
-/// annotates pipeline/host_cpus mismatches); within one file all scenarios
-/// share one host, one build and the settings in the header.
-const METHODOLOGY: &str = "median of --samples runs after --warmup warmup runs, one process, \
-workers/pipeline as recorded per scenario; fig7a memoizes the software-baseline simulation per \
-(scheme, workload, seed, insts) exactly like the process-wide bare-core baseline cache; \
-absolute events/s are host-dependent - gate on ratios, not raw numbers";
+/// baseline is interpretable without the commit that recorded it: what
+/// [`best_of`] keeps and what [`check_against`] compares. Within one file
+/// all scenarios share one host, one build and the settings in the header.
+const METHODOLOGY: &str = "fastest of --samples runs (best-of, not a median) after --warmup \
+warmup runs, all in one process, so every run after the first sees warm process-wide memo \
+caches; workers/pipeline as recorded per scenario; fig7a memoizes the software-baseline \
+simulation per (scheme, workload, seed, insts) exactly like the process-wide bare-core baseline \
+cache; --check gates this run's raw events/s against this file's under a fixed noise \
+tolerance, so it is only meaningful on the host that recorded the file";
 
 /// Serialises results as the committed `BENCH_*.json` format (one scenario
 /// object per line, so line-oriented tools and [`parse_baseline`] stay

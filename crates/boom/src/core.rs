@@ -96,6 +96,9 @@ pub struct Core<T> {
     /// issues, and in-place compaction keeps program order, so issue
     /// decisions are identical to a full scan.
     waiting_q: Vec<WaitEntry>,
+    /// No waiting entry can issue before this cycle, so `issue` returns
+    /// at once while `now` is below it (see `issue`).
+    issue_wake: u64,
     ldq_used: usize,
     stq_used: usize,
 
@@ -147,6 +150,7 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
             iq_len: 0,
             pops: 0,
             waiting_q: Vec::new(),
+            issue_wake: 0,
             ldq_used: 0,
             stq_used: 0,
             stats: CoreStats::default(),
@@ -223,6 +227,53 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
             self.step(sink);
         }
         self.stats.clone()
+    }
+
+    /// The frozen-core bound. Assuming the sink refuses every offer from
+    /// now on, returns the first cycle at which a step could differ from
+    /// the current one, or `None` if the next step may already differ.
+    ///
+    /// Frozen means: a finished head waits at commit (so each step offers
+    /// it once and stalls), nothing can issue before `issue_wake`,
+    /// dispatch is blocked by something only a commit or an issue can
+    /// clear, and fetch is either idle for good (redirect pending, buffer
+    /// full) or blocked until a known cycle. The frozen steps can then be
+    /// taken in bulk with [`Core::skip_frozen`].
+    pub fn frozen_until(&self) -> Option<u64> {
+        let head = self.rob.front()?;
+        if head.state != EntryState::Executing || head.ready_at > self.now {
+            return None;
+        }
+        if self.now >= self.issue_wake {
+            return None;
+        }
+        // Every dispatch block but an empty fetch buffer is held by a
+        // commit or an issue; that one is held by fetch, checked next.
+        self.dispatch_block()?;
+        let fetch_wake =
+            if self.redirect_wait.is_some() || self.fetch_buf.len() >= self.cfg.fetch_buffer {
+                u64::MAX
+            } else if self.now < self.fetch_blocked_until {
+                self.fetch_blocked_until
+            } else {
+                return None;
+            };
+        Some(self.issue_wake.min(fetch_wake))
+    }
+
+    /// Takes the frozen steps up to (not including) cycle `until` in
+    /// bulk: each would have offered the head, been refused and charged a
+    /// commit-backpressure stall plus the dispatch stall. The caller must
+    /// have checked `until` against [`Core::frozen_until`] and accounted
+    /// the refused offers on the sink's side.
+    pub fn skip_frozen(&mut self, until: u64) {
+        debug_assert!(self.frozen_until().is_some_and(|wake| until <= wake));
+        let cycles = until - self.now;
+        let kind = self.dispatch_block().expect("dispatch is blocked");
+        self.stats.stall_cycles[StallKind::CommitBackpressure.index()] += cycles;
+        self.stats.stall_cycles[kind.index()] += cycles;
+        self.stats.cycles += cycles;
+        self.now = until;
     }
 
     // ---- commit -------------------------------------------------------------
@@ -304,7 +355,36 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
         }
     }
 
+    /// The cycle at which an entry with sources `srcs` becomes
+    /// operand-ready: the latest of its sources' ready times (`NOT_READY`
+    /// while a producer has not issued).
+    fn operands_ready_at(&self, srcs: [Option<(bool, u16)>; 2]) -> u64 {
+        srcs.iter()
+            .flatten()
+            .map(|&(fp, p)| {
+                if fp {
+                    self.ready_fp[p as usize]
+                } else {
+                    self.ready_int[p as usize]
+                }
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The issue stage. A scan also records `issue_wake`, the earliest
+    /// cycle at which the next scan can issue anything: the minimum over
+    /// waiting entries of their operand-ready cycles, or `now + 1` if a
+    /// ready entry was held back by units, ports or the issue width. An
+    /// entry whose producer has not issued is covered by that producer's
+    /// own (earlier) bound; a producer's ready time is written only when
+    /// it issues, which needs a scan. Dispatch lowers the bound for the
+    /// entries it adds, so skipping the scans before it is exact.
     fn issue(&mut self, ports_stolen: usize) {
+        if self.now < self.issue_wake {
+            return;
+        }
+        let mut wake = u64::MAX;
         let mut issued = 0;
         let mut alu = self.cfg.int_alus;
         let mut fpu = self.cfg.fp_units;
@@ -336,16 +416,14 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                     self.waiting_q.copy_within(cursor.., kept);
                 }
                 kept += self.waiting_q.len() - cursor;
+                wake = self.now + 1;
                 break;
             }
             let w = self.waiting_q[cursor];
             // Operand readiness.
-            let src_ready = |s: Option<(bool, u16)>| match s {
-                None => true,
-                Some((true, p)) => self.ready_fp[p as usize] <= self.now,
-                Some((false, p)) => self.ready_int[p as usize] <= self.now,
-            };
-            if !(src_ready(w.srcs[0]) && src_ready(w.srcs[1])) {
+            let operands_at = self.operands_ready_at(w.srcs);
+            if operands_at > self.now {
+                wake = wake.min(operands_at);
                 keep!(w, cursor);
             }
             // Functional-unit availability.
@@ -362,6 +440,7 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                 InstClass::Fence | InstClass::System => &mut alu,
             };
             if *unit == 0 {
+                wake = self.now + 1;
                 keep!(w, cursor);
             }
             let idx = (w.abs - self.pops) as usize;
@@ -380,6 +459,7 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                     self.stats.prf_port_conflicts += 1;
                     port_conflict_seen = true;
                 }
+                wake = self.now + 1;
                 keep!(w, cursor);
             }
             *unit -= 1;
@@ -409,75 +489,50 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
             }
         }
         self.waiting_q.truncate(kept);
+        self.issue_wake = wake;
     }
 
     // ---- dispatch / rename -------------------------------------------------------
 
-    fn dispatch(&mut self) {
-        let mut dispatched = 0;
-        while dispatched < self.cfg.decode_width {
-            if self.fetch_buf.is_empty() {
-                if dispatched == 0 {
-                    self.stats.add_stall(StallKind::FrontendEmpty);
-                }
-                break;
-            }
-            if self.rob.len() == self.cfg.rob_entries {
-                if dispatched == 0 {
-                    self.stats.add_stall(StallKind::RobFull);
-                }
-                break;
-            }
-            if self.iq_len == self.cfg.iq_entries {
-                if dispatched == 0 {
-                    self.stats.add_stall(StallKind::IqFull);
-                }
-                break;
-            }
-            let t = *self.fetch_buf.front().expect("checked non-empty");
-            match t.class {
-                InstClass::Load if self.ldq_used == self.cfg.ldq_entries => {
-                    if dispatched == 0 {
-                        self.stats.add_stall(StallKind::LdqFull);
-                    }
-                    break;
-                }
-                InstClass::Store if self.stq_used == self.cfg.stq_entries => {
-                    if dispatched == 0 {
-                        self.stats.add_stall(StallKind::StqFull);
-                    }
-                    break;
-                }
-                InstClass::Amo
-                    if self.ldq_used == self.cfg.ldq_entries
-                        || self.stq_used == self.cfg.stq_entries =>
-                {
-                    if dispatched == 0 {
-                        self.stats.add_stall(StallKind::LdqFull);
-                    }
-                    break;
-                }
-                _ => {}
-            }
-            let is_fp_op = t.class == InstClass::FpAlu;
-            let needs_dest = t.inst.dest().is_some();
-            if needs_dest {
-                let free = if is_fp_op {
-                    &self.free_fp
-                } else {
-                    &self.free_int
-                };
-                if free.is_empty() {
-                    if dispatched == 0 {
-                        self.stats.add_stall(StallKind::PrfFull);
-                    }
-                    break;
-                }
-            }
+    /// Why dispatch cannot take the next instruction this cycle, checked
+    /// in the order the stall is charged; `None` when it can.
+    fn dispatch_block(&self) -> Option<StallKind> {
+        let Some(t) = self.fetch_buf.front() else {
+            return Some(StallKind::FrontendEmpty);
+        };
+        if self.rob.len() == self.cfg.rob_entries {
+            return Some(StallKind::RobFull);
+        }
+        if self.iq_len == self.cfg.iq_entries {
+            return Some(StallKind::IqFull);
+        }
+        let ldq_full = self.ldq_used == self.cfg.ldq_entries;
+        let stq_full = self.stq_used == self.cfg.stq_entries;
+        match t.class {
+            InstClass::Load if ldq_full => return Some(StallKind::LdqFull),
+            InstClass::Store if stq_full => return Some(StallKind::StqFull),
+            InstClass::Amo if ldq_full || stq_full => return Some(StallKind::LdqFull),
+            _ => {}
+        }
+        let free = if t.class == InstClass::FpAlu {
+            &self.free_fp
+        } else {
+            &self.free_int
+        };
+        (t.inst.dest().is_some() && free.is_empty()).then_some(StallKind::PrfFull)
+    }
 
-            // All structural checks passed: consume and rename (reusing
-            // the copy peeked for the structural checks above).
-            self.fetch_buf.pop_front().expect("checked non-empty");
+    fn dispatch(&mut self) {
+        for dispatched in 0..self.cfg.decode_width {
+            if let Some(kind) = self.dispatch_block() {
+                if dispatched == 0 {
+                    self.stats.add_stall(kind);
+                }
+                break;
+            }
+            // All structural checks passed: consume and rename.
+            let t = self.fetch_buf.pop_front().expect("checked non-empty");
+            let is_fp_op = t.class == InstClass::FpAlu;
             let mut srcs: [Option<(bool, u16)>; 2] = [None, None];
             for (i, s) in t.inst.sources().into_iter().enumerate() {
                 if let Some(a) = s {
@@ -528,8 +583,8 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                 srcs,
                 class: t.class,
             });
+            self.issue_wake = self.issue_wake.min(self.operands_ready_at(srcs));
             self.iq_len += 1;
-            dispatched += 1;
         }
     }
 
@@ -714,6 +769,39 @@ mod tests {
             base.cycles
         );
         assert!(steal.prf_port_conflicts > 0);
+    }
+
+    #[test]
+    fn issue_wake_skips_only_fruitless_scans() {
+        // Refuses every third offer and steals half the PRF read ports
+        // every other cycle, so the window fills and port conflicts occur.
+        struct Mixed(u64);
+        impl CommitSink for Mixed {
+            fn offer(&mut self, _now: u64, _slot: usize, _inst: &TraceInst) -> bool {
+                self.0 += 1;
+                self.0 % 3 != 0
+            }
+            fn prf_ports_stolen(&mut self, now: u64) -> usize {
+                if now % 2 == 0 {
+                    4
+                } else {
+                    0
+                }
+            }
+        }
+        for w in ["x264", "dedup", "freqmine"] {
+            let mut gated = core_for(w, 5);
+            let mut scanning = core_for(w, 5);
+            let (mut a, mut b) = (Mixed(0), Mixed(0));
+            for _ in 0..30_000 {
+                gated.step(&mut a);
+                scanning.issue_wake = 0;
+                scanning.step(&mut b);
+            }
+            assert!(scanning.stats.committed > 10_000, "{w}");
+            assert!(scanning.stats.prf_port_conflicts > 0, "{w}");
+            assert_eq!(gated.stats, scanning.stats, "{w}");
+        }
     }
 
     #[test]

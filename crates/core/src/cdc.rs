@@ -103,6 +103,11 @@ impl<T> CdcQueue<T> {
         }
     }
 
+    /// The slow cycle from which the head can be popped, if any.
+    pub fn head_visible_at(&self) -> Option<u64> {
+        self.items.front().map(|&(_, visible)| visible)
+    }
+
     /// Occupancy.
     pub fn len(&self) -> usize {
         self.items.len()

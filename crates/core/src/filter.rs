@@ -10,44 +10,56 @@ use crate::packet::{layout, Gid, Packet};
 use fireguard_isa::InstClass;
 use fireguard_trace::TraceInst;
 
-/// A fixed-capacity power-of-two ring buffer of [`Packet`]s.
+/// The event filter's packet storage: one fixed-capacity power-of-two
+/// ring in commit order, standing in for the W per-slot FIFOs.
 ///
-/// The filter FIFOs are small (16 entries) and extremely hot — one push
-/// per commit slot, one pop per arbiter cycle — so the storage is a flat
-/// boxed slice indexed with a mask: no reallocation ever, no branchy
-/// wrap-around arithmetic, and the whole queue lives in two cache lines.
-/// A running count of *valid* packets makes `arbiter_has_packet` O(width)
-/// instead of an element scan.
+/// The FIFOs are filled in commit order — offers arrive slot by slot
+/// within a cycle and cycle by cycle — so the arbiter's minimum-order
+/// merge of their heads always returns push order. One commit-ordered
+/// ring therefore re-serialises exactly as the merge did, with O(1) peek,
+/// squash and pop; the per-FIFO capacity survives as a per-slot
+/// occupancy count (`slot_len`), which is all a refusal ever compared.
 #[derive(Debug, Clone)]
 struct PacketRing {
     buf: Box<[Packet]>,
+    /// The FIFO each buffered entry occupies (parallel to `buf`).
+    fifo_of: Box<[usize]>,
     mask: usize,
     head: usize,
     len: usize,
+    /// Entries per FIFO (valid + placeholders).
+    slot_len: Box<[usize]>,
+    /// FIFOs at `depth` entries (the refusal / Fig. 9 bottleneck signal).
+    full_slots: usize,
+    depth: usize,
     /// Valid (non-placeholder) packets currently buffered.
     valid: usize,
     /// Offset (from `head`) of the oldest valid packet, or `usize::MAX`
-    /// when none is buffered. Maintained incrementally so the arbiter's
-    /// per-cycle merge never rescans ring contents.
+    /// when none is buffered. Maintained incrementally so a peek never
+    /// rescans ring contents.
     first_valid_off: usize,
 }
 
 impl PacketRing {
-    fn new(depth: usize) -> Self {
-        let cap = depth.next_power_of_two();
+    fn new(width: usize, depth: usize) -> Self {
+        let cap = (width * depth).next_power_of_two();
         PacketRing {
             buf: vec![Packet::placeholder(0, 0); cap].into_boxed_slice(),
+            fifo_of: vec![0; cap].into_boxed_slice(),
             mask: cap - 1,
             head: 0,
             len: 0,
+            slot_len: vec![0; width].into_boxed_slice(),
+            full_slots: 0,
+            depth,
             valid: 0,
             first_valid_off: usize::MAX,
         }
     }
 
     #[inline]
-    fn len(&self) -> usize {
-        self.len
+    fn is_full(&self, fifo: usize) -> bool {
+        self.slot_len[fifo] >= self.depth
     }
 
     #[inline]
@@ -56,9 +68,19 @@ impl PacketRing {
     }
 
     #[inline]
-    fn push_back(&mut self, p: Packet) {
-        debug_assert!(self.len <= self.mask, "ring capacity enforced by caller");
-        self.buf[(self.head + self.len) & self.mask] = p;
+    fn push_back(&mut self, fifo: usize, p: Packet) {
+        debug_assert!(!self.is_full(fifo), "FIFO depth enforced by caller");
+        debug_assert!(
+            self.len == 0 || self.buf[(self.head + self.len - 1) & self.mask].order < p.order,
+            "offers arrive in commit order"
+        );
+        let ix = (self.head + self.len) & self.mask;
+        self.buf[ix] = p;
+        self.fifo_of[ix] = fifo;
+        self.slot_len[fifo] += 1;
+        if self.slot_len[fifo] == self.depth {
+            self.full_slots += 1;
+        }
         if p.valid {
             self.valid += 1;
             if self.first_valid_off == usize::MAX {
@@ -70,16 +92,18 @@ impl PacketRing {
 
     #[inline]
     fn pop_front(&mut self) -> Option<Packet> {
-        if self.len == 0 {
-            return None;
+        let p = *self.front()?;
+        let fifo = self.fifo_of[self.head & self.mask];
+        if self.slot_len[fifo] == self.depth {
+            self.full_slots -= 1;
         }
-        let p = self.buf[self.head & self.mask];
+        self.slot_len[fifo] -= 1;
         self.head = self.head.wrapping_add(1);
         self.len -= 1;
         if p.valid {
             self.valid -= 1;
             // The popped packet was the oldest valid one; rescan for the
-            // next (amortised O(1): each slot is scanned at most once
+            // next (amortised O(1): each entry is scanned at most once
             // over its lifetime).
             self.first_valid_off = (0..self.len)
                 .find(|&i| self.buf[(self.head + i) & self.mask].valid)
@@ -90,8 +114,7 @@ impl PacketRing {
         Some(p)
     }
 
-    /// The oldest *valid* packet (the ring is commit-ordered, so this is
-    /// also its minimum-order valid packet), without consuming anything.
+    /// The oldest *valid* packet, without consuming anything.
     #[inline]
     fn first_valid(&self) -> Option<&Packet> {
         (self.first_valid_off != usize::MAX)
@@ -144,7 +167,8 @@ pub struct EventFilter {
     /// The SRAM tables are programmed identically across mini-filters; the
     /// paper replicates one table per commit path so lookups are parallel.
     minifilter: MiniFilter,
-    fifos: Vec<PacketRing>,
+    /// The W FIFOs, as one commit-ordered ring with per-slot counts.
+    fifos: PacketRing,
     /// Offers accepted in the current cycle (reset by [`EventFilter::step`]).
     offers_this_cycle: usize,
     /// PRF-selected commits in the previous cycle → ports preempted now.
@@ -164,9 +188,7 @@ impl EventFilter {
         assert!(cfg.width > 0 && cfg.fifo_depth > 0);
         EventFilter {
             minifilter: MiniFilter::new(),
-            fifos: (0..cfg.width)
-                .map(|_| PacketRing::new(cfg.fifo_depth))
-                .collect(),
+            fifos: PacketRing::new(cfg.width, cfg.fifo_depth),
             cfg,
             offers_this_cycle: 0,
             prf_selected_last_cycle: 0,
@@ -202,6 +224,10 @@ impl EventFilter {
     /// Offers the instruction retiring on commit path `slot` at fast cycle
     /// `now`. Returns `false` (stall commit) when the filter is narrower
     /// than the commit burst or the slot's FIFO is full.
+    ///
+    /// Offers arrive in commit order, as a commit stage makes them: cycle
+    /// by cycle, and slot by slot within a cycle. The arbiter returns the
+    /// valid packets in that order.
     pub fn offer(&mut self, now: u64, slot: usize, inst: &TraceInst) -> bool {
         self.offer_judged(now, slot, inst, 0)
     }
@@ -224,7 +250,7 @@ impl EventFilter {
         // commit retries the same offer every cycle — skipping the lookup
         // and packet construction on each refused retry keeps the stall
         // loop at a couple of compares.
-        if self.fifos[fifo_idx].len() >= self.cfg.fifo_depth {
+        if self.fifos.is_full(fifo_idx) {
             self.stats.refusals += 1;
             self.stats.refusals_fifo += 1;
             return false;
@@ -242,7 +268,7 @@ impl EventFilter {
             }
             None => Packet::placeholder(now, slot as u8),
         };
-        self.fifos[fifo_idx].push_back(packet);
+        self.fifos.push_back(fifo_idx, packet);
         self.offers_this_cycle += 1;
         if packet.valid {
             self.stats.packets += 1;
@@ -261,7 +287,7 @@ impl EventFilter {
             self.offers_this_cycle = 0;
             self.prf_selected_last_cycle = self.prf_selected_this_cycle;
             self.prf_selected_this_cycle = 0;
-            if self.fifos.iter().any(|f| f.len() >= self.cfg.fifo_depth) {
+            if self.any_fifo_full() {
                 self.stats.fifo_full_cycles += 1;
             }
         }
@@ -272,30 +298,32 @@ impl EventFilter {
     /// The mapper calls this once per arbiter cycle *before* peeking
     /// (historically the squash lived inside a `&mut self` peek; keeping
     /// it a separate mapper-clocked step lets peek be read-only without
-    /// changing when placeholders leave the FIFOs).
+    /// changing when placeholders leave the FIFOs). The ring is in commit
+    /// order, so that set is its placeholder prefix.
     pub fn squash_placeholders(&mut self) {
-        // Nothing buffered (the common case on quiet cycles): skip the
-        // per-FIFO merge entirely.
-        if self.fifos.iter().all(|f| f.len == 0) {
-            return;
+        while self.fifos.front().is_some_and(|p| !p.valid) {
+            self.fifos.pop_front();
         }
-        // The squashable set is every placeholder ordered before the
-        // globally oldest valid packet (all of them, if none is valid).
-        // Each FIFO is commit-ordered, so that is a prefix per FIFO.
-        let min_valid = self
-            .fifos
-            .iter()
-            .filter_map(|f| f.first_valid().map(|p| p.order))
-            .min();
-        for f in &mut self.fifos {
-            while let Some(front) = f.front() {
-                debug_assert!(front.valid || min_valid != Some(front.order));
-                if front.valid || min_valid.is_some_and(|mv| front.order > mv) {
-                    break;
-                }
-                f.pop_front();
-            }
+    }
+
+    /// Accounts the commit stage's offers over fast cycles `from..to` in
+    /// bulk, for a frozen core: each cycle rolls over and its one offer,
+    /// on slot 0, is refused because that slot's FIFO is full. Records
+    /// exactly what `prf_ports_stolen(c)` followed by a refused
+    /// `offer(c, 0, _)` would for every cycle `c` in the range.
+    pub fn refuse_frozen_cycles(&mut self, from: u64, to: u64) {
+        debug_assert!(from < to && self.fifo_full(0));
+        let cycles = to - from;
+        self.roll_cycle(from);
+        if cycles > 1 {
+            // The cycles between roll over cycles that accepted nothing;
+            // rolling into the last one leaves the same state they would.
+            self.roll_cycle(to - 1);
+            self.stats.fifo_full_cycles += cycles - 2;
         }
+        self.stats.offers += cycles;
+        self.stats.refusals += cycles;
+        self.stats.refusals_fifo += cycles;
     }
 
     /// PRF read ports the forwarding channel preempts at cycle `now` —
@@ -309,50 +337,40 @@ impl EventFilter {
     /// placeholders are skipped without consuming output cycles; at most
     /// one *valid* packet is returned per call (one per fast cycle).
     pub fn arbiter_pop(&mut self) -> Option<Packet> {
-        // Equivalent to repeatedly popping the minimum-order head and
-        // discarding placeholders: squash everything ordered before the
-        // oldest valid packet, which leaves that packet at the head of
-        // its FIFO, then pop it.
+        // Squashing leaves the oldest valid packet (if any) at the front.
         self.squash_placeholders();
-        let idx = self
-            .fifos
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.first_valid().map(|p| (i, p.order)))
-            .min_by_key(|&(_, order)| order)?
-            .0;
-        let p = self.fifos[idx].pop_front().expect("first_valid at head");
+        let p = self.fifos.pop_front()?;
         debug_assert!(p.valid);
         Some(p)
     }
 
-    /// Peeks the next in-order valid packet without consuming it. Each
-    /// FIFO is commit-ordered, so the answer is the minimum-order head
-    /// among the per-FIFO first valid packets — a read-only index merge
-    /// (placeholder squashing happens in `roll_cycle`/`arbiter_pop`).
-    /// Pair with [`EventFilter::arbiter_pop`] once downstream space is
-    /// confirmed.
+    /// Peeks the next in-order valid packet without consuming it: the
+    /// ring's first valid entry (placeholder squashing happens in
+    /// `squash_placeholders`/`arbiter_pop`). Pair with
+    /// [`EventFilter::arbiter_pop`] once downstream space is confirmed.
     pub fn arbiter_peek(&self) -> Option<Packet> {
-        self.fifos
-            .iter()
-            .filter_map(PacketRing::first_valid)
-            .min_by_key(|p| p.order)
-            .copied()
+        self.fifos.first_valid().copied()
     }
 
     /// Peeks whether a valid packet is available to the arbiter.
     pub fn arbiter_has_packet(&self) -> bool {
-        self.fifos.iter().any(|f| f.valid > 0)
+        self.fifos.valid > 0
     }
 
     /// True if any FIFO is at capacity (the Fig. 9 filter-bottleneck signal).
     pub fn any_fifo_full(&self) -> bool {
-        self.fifos.iter().any(|f| f.len() >= self.cfg.fifo_depth)
+        self.fifos.full_slots > 0
+    }
+
+    /// True if commit path `slot`'s FIFO is at capacity, so an offer on
+    /// that slot is refused whatever the width allows.
+    pub fn fifo_full(&self, slot: usize) -> bool {
+        self.fifos.is_full(slot % self.cfg.width)
     }
 
     /// Total buffered packets (valid + placeholders).
     pub fn buffered(&self) -> usize {
-        self.fifos.iter().map(|f| f.len()).sum()
+        self.fifos.len
     }
 
     /// Counters.

@@ -10,6 +10,7 @@ use fireguard_core::{
 use fireguard_isa::{InstClass, Instruction, MemWidth};
 use fireguard_trace::TraceInst;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn mem_inst(seq: u64, load: bool) -> TraceInst {
     let inst = if load {
@@ -43,8 +44,184 @@ fn alu_inst(seq: u64) -> TraceInst {
     }
 }
 
+/// One entry of the reference model's FIFOs.
+#[derive(Debug, Clone, Copy)]
+struct RefEntry {
+    order: (u64, usize),
+    valid: bool,
+    seq: u64,
+}
+
+/// The event filter as Fig. 4 draws it: one FIFO per commit path, and an
+/// arbiter that merges the FIFO heads by commit order.
+struct RefFilter {
+    width: usize,
+    depth: usize,
+    fifos: Vec<VecDeque<RefEntry>>,
+    cycle: u64,
+    offers_this_cycle: usize,
+    refusals: u64,
+}
+
+impl RefFilter {
+    fn new(width: usize, depth: usize) -> Self {
+        RefFilter {
+            width,
+            depth,
+            fifos: vec![VecDeque::new(); width],
+            cycle: 0,
+            offers_this_cycle: 0,
+            refusals: 0,
+        }
+    }
+
+    fn offer(&mut self, now: u64, slot: usize, valid: bool, seq: u64) -> bool {
+        if now != self.cycle {
+            self.cycle = now;
+            self.offers_this_cycle = 0;
+        }
+        let fifo = &mut self.fifos[slot % self.width];
+        if self.offers_this_cycle == self.width || fifo.len() >= self.depth {
+            self.refusals += 1;
+            return false;
+        }
+        fifo.push_back(RefEntry {
+            order: (now, slot),
+            valid,
+            seq,
+        });
+        self.offers_this_cycle += 1;
+        true
+    }
+
+    /// The FIFO holding the oldest valid entry, and that entry's order.
+    fn oldest_valid(&self) -> Option<(usize, (u64, usize))> {
+        self.fifos
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.iter().find(|e| e.valid).map(|e| (i, e.order)))
+            .min_by_key(|&(_, order)| order)
+    }
+
+    fn squash(&mut self) {
+        let min_valid = self.oldest_valid().map(|(_, order)| order);
+        for f in &mut self.fifos {
+            while f
+                .front()
+                .is_some_and(|e| !e.valid && min_valid.map_or(true, |mv| e.order < mv))
+            {
+                f.pop_front();
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u64> {
+        let (i, _) = self.oldest_valid()?;
+        self.fifos[i].iter().find(|e| e.valid).map(|e| e.seq)
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        self.squash();
+        let (i, _) = self.oldest_valid()?;
+        self.fifos[i].pop_front().map(|e| e.seq)
+    }
+
+    fn buffered(&self) -> usize {
+        self.fifos.iter().map(VecDeque::len).sum()
+    }
+
+    fn any_full(&self) -> bool {
+        self.fifos.iter().any(|f| f.len() >= self.depth)
+    }
+
+    fn has_packet(&self) -> bool {
+        self.fifos.iter().any(|f| f.iter().any(|e| e.valid))
+    }
+}
+
+/// One step of a commit-stage/mapper interleaving.
+#[derive(Debug, Clone)]
+enum FilterOp {
+    /// A new cycle offering `burst` commits in slot order; bit `i` of
+    /// `monitored` makes slot `i` a load (else a placeholder). With
+    /// `stop`, the burst ends at the first refusal, as commit does.
+    Commit {
+        burst: usize,
+        monitored: u8,
+        stop: bool,
+    },
+    Peek,
+    Squash,
+    Pop,
+}
+
+fn filter_op() -> impl Strategy<Value = FilterOp> {
+    // Weighted 3:1:1:2 over commit, peek, squash and pop.
+    (0u8..7, 0usize..6, any::<u8>(), any::<bool>()).prop_map(|(pick, burst, monitored, stop)| {
+        match pick {
+            0..=2 => FilterOp::Commit {
+                burst,
+                monitored,
+                stop,
+            },
+            3 => FilterOp::Peek,
+            4 => FilterOp::Squash,
+            _ => FilterOp::Pop,
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The commit-ordered ring with per-slot counts behaves exactly like
+    /// per-slot FIFOs merged by commit order: the same refusals, pop
+    /// order, occupancy and full/has-packet signals after every step.
+    #[test]
+    fn filter_matches_per_slot_fifo_model(
+        width in prop_oneof![Just(1usize), Just(2), Just(4)],
+        depth in 1usize..9,
+        ops in proptest::collection::vec(filter_op(), 1..300),
+    ) {
+        let mut f = EventFilter::new(FilterConfig { width, fifo_depth: depth });
+        f.subscribe(InstClass::Load, groups::MEM, DpSel::LSQ);
+        let mut model = RefFilter::new(width, depth);
+        let (mut now, mut seq) = (0u64, 0u64);
+        for op in ops {
+            match op {
+                FilterOp::Commit { burst, monitored, stop } => {
+                    now += 1;
+                    for slot in 0..burst {
+                        let valid = monitored & (1 << slot) != 0;
+                        let t = if valid { mem_inst(seq, true) } else { alu_inst(seq) };
+                        let ok = f.offer(now, slot, &t);
+                        prop_assert_eq!(ok, model.offer(now, slot, valid, seq), "offer {}", seq);
+                        seq += u64::from(ok);
+                        if !ok && stop {
+                            break;
+                        }
+                    }
+                }
+                FilterOp::Peek => {
+                    prop_assert_eq!(f.arbiter_peek().map(|p| p.meta.seq), model.peek());
+                }
+                FilterOp::Squash => {
+                    f.squash_placeholders();
+                    model.squash();
+                }
+                FilterOp::Pop => {
+                    prop_assert_eq!(f.arbiter_pop().map(|p| p.meta.seq), model.pop());
+                }
+            }
+            prop_assert_eq!(f.buffered(), model.buffered());
+            prop_assert_eq!(f.any_fifo_full(), model.any_full());
+            prop_assert_eq!(f.arbiter_has_packet(), model.has_packet());
+            for slot in 0..width {
+                prop_assert_eq!(f.fifo_full(slot), model.fifos[slot].len() >= depth);
+            }
+            prop_assert_eq!(f.stats().refusals, model.refusals);
+        }
+    }
 
     /// Commit order in = packet order out, no matter how commits burst
     /// across slots and cycles, and no matter how pops interleave.

@@ -10,6 +10,7 @@ use fireguard_server::{
     RouterOptions, ServeOptions, SessionConfig,
 };
 use fireguard_soc::{baseline_cycles, capture_events, run_fireguard, ExperimentConfig, KernelId};
+use fireguard_trace::codec::EventEncoder;
 use fireguard_trace::{AttackKind, AttackPlan};
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -260,7 +261,9 @@ fn duplicate_session_ids_are_refused() {
     let router = route(router_opts()).expect("router starts");
     let addr = router.local_addr();
 
-    // Register id 5 and keep the connection open (no events yet).
+    // Register id 5 and keep the connection open. The router ACKs a
+    // ticketed session's events only once its id is registered, so
+    // waiting for that ACK orders the two registrations.
     let cfg = attack_experiment("ferret", 3_000);
     let session = SessionConfig::from_experiment(&cfg, 0);
     let hello = session.encode().expect("valid config");
@@ -273,8 +276,18 @@ fn duplicate_session_ids_are_refused() {
     let mut w = first.try_clone().expect("clone");
     proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
     proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let events = EventEncoder::new().encode_batch(&capture_events(&cfg)[..64]);
+    proto::write_frame(&mut w, proto::EVENTS, &events).expect("events");
     use std::io::Write as _;
     w.flush().expect("flush");
+    let mut r1 = BufReader::new(first.try_clone().expect("clone"));
+    loop {
+        match proto::read_frame(&mut r1).expect("frames until ACK") {
+            Some((proto::ACK, _)) => break,
+            Some(_) => continue,
+            None => panic!("first session closed before its ACK"),
+        }
+    }
 
     // Second connection, same id.
     let second = TcpStream::connect(addr).expect("connect");

@@ -218,14 +218,8 @@ impl Frontend {
         let Some(p) = self.filter.arbiter_peek() else {
             return;
         };
-        // Conservative space check over every candidate engine.
-        let mut candidates = self.allocator.candidate_engines(p.gid);
-        while candidates != 0 {
-            let e = candidates.trailing_zeros() as usize;
-            if self.cdcs[e].is_full() {
-                return; // CDC back-pressure: leave the packet buffered
-            }
-            candidates &= candidates - 1;
+        if self.cdc_blocks(p) {
+            return; // CDC back-pressure: leave the packet buffered
         }
         let engine_full = &self.engine_full;
         let mut dest = self.allocator.route(p.gid, &|e| !engine_full[e]);
@@ -236,6 +230,41 @@ impl Frontend {
                 .push(p, now)
                 .unwrap_or_else(|_| unreachable!("space checked above"));
             dest &= dest - 1;
+        }
+    }
+
+    /// The mapper's conservative space check: true if any engine that
+    /// could receive `p` has a full CDC queue.
+    fn cdc_blocks(&self, p: Packet) -> bool {
+        let mut candidates = self.allocator.candidate_engines(p.gid);
+        while candidates != 0 {
+            let e = candidates.trailing_zeros() as usize;
+            if self.cdcs[e].is_full() {
+                return true;
+            }
+            candidates &= candidates - 1;
+        }
+        false
+    }
+
+    /// True if the mapper's next step can do nothing but squash: the
+    /// arbiter's next packet waits on a full CDC queue.
+    fn mapper_blocked(&self) -> bool {
+        self.filter
+            .arbiter_peek()
+            .is_some_and(|p| self.cdc_blocks(p))
+    }
+
+    /// Charges `count` commit refusals not caused by the filter's width
+    /// to the deepest blocked stage (Fig. 9's decomposition).
+    fn charge_backpressure(&mut self, count: u64) {
+        let b = &mut self.breakdown;
+        if self.engine_full.iter().any(|&f| f) {
+            b.ucore += count;
+        } else if self.cdcs.iter().any(|c| c.is_full()) {
+            b.cdc += count;
+        } else {
+            b.mapper += count;
         }
     }
 
@@ -273,12 +302,8 @@ impl Frontend {
         if !ok {
             if self.filter.stats().refusals_width > before.refusals_width {
                 self.breakdown.filter += 1;
-            } else if self.engine_full.iter().any(|&f| f) {
-                self.breakdown.ucore += 1;
-            } else if self.cdcs.iter().any(|c| c.is_full()) {
-                self.breakdown.cdc += 1;
             } else {
-                self.breakdown.mapper += 1;
+                self.charge_backpressure(1);
             }
         }
         ok
@@ -534,14 +559,7 @@ impl FireGuardSystem {
     /// mapper steps, and (on slow-domain edges) fabric + engines. Skipped
     /// wholesale while the system is provably idle.
     fn tick_fireguard(&mut self, now: u64) {
-        // Apply the occupancy mirror refresh scheduled by the previous
-        // slow edge (equivalent to the original end-of-cycle refresh).
-        if self.refresh_pending {
-            self.refresh_pending = false;
-            for (i, e) in self.engines.iter().enumerate() {
-                self.frontend.engine_full[i] = e.queue_full();
-            }
-        }
+        self.apply_refresh();
         if self.fg_idle {
             // Placeholders still stream in from unmonitored commits; the
             // arbiter keeps discarding them (as the mapper's peek always
@@ -559,6 +577,17 @@ impl FireGuardSystem {
         if self.divider.is_slow_edge(now) {
             let slow = self.divider.slow_cycle(now);
             self.slow_edge(slow);
+        }
+    }
+
+    /// Applies the occupancy mirror refresh scheduled by the previous slow
+    /// edge (equivalent to the original end-of-cycle refresh).
+    fn apply_refresh(&mut self) {
+        if self.refresh_pending {
+            self.refresh_pending = false;
+            for (i, e) in self.engines.iter().enumerate() {
+                self.frontend.engine_full[i] = e.queue_full();
+            }
         }
     }
 
@@ -582,10 +611,14 @@ impl FireGuardSystem {
         self.route_noc(slow);
         self.refresh_pending = true;
         self.fg_idle = self.all_quiet();
-        if cfg!(feature = "telemetry") {
-            // Occupancy sampling at the slow edge: reads only, after all
-            // state transitions of this edge are done, so the samples can
-            // never influence them.
+        self.sample_occupancy(1);
+    }
+
+    /// Occupancy sampling for `edges` slow edges over which the filter and
+    /// CDC occupancy held still: reads only, after all state transitions
+    /// of the edge are done, so the samples can never influence them.
+    fn sample_occupancy(&mut self, edges: u64) {
+        if cfg!(feature = "telemetry") && edges > 0 {
             let buffered = self.frontend.filter.buffered() as u64;
             let mut cdc_total = 0u64;
             let mut cdc_max = 0u64;
@@ -595,11 +628,82 @@ impl FireGuardSystem {
                 cdc_max = cdc_max.max(len);
             }
             let c = &mut self.frontend.counters;
-            c.slow_edges += 1;
+            c.slow_edges += edges;
             c.filter_ring_hwm = c.filter_ring_hwm.max(buffered);
             c.cdc_hwm = c.cdc_hwm.max(cdc_max);
-            c.mapper_occupancy_sum += cdc_total;
+            c.mapper_occupancy_sum += edges * cdc_total;
         }
+    }
+
+    /// The frozen-cycle fast-forward: if the next cycles provably repeat
+    /// one another, takes up to `max_cycles` of them in bulk and returns
+    /// how many (0 when the next cycle may change something).
+    ///
+    /// A frozen cycle has the core stalled behind a finished head that
+    /// the slot-0 FIFO refuses (see [`Core::frozen_until`]), the mapper
+    /// blocked on a full CDC queue, and a slow edge, if any, with nothing
+    /// to do (see `fabric_wake`). Such a cycle changes counters only, so a
+    /// run of them is bulk-accounted: core cycles and stalls, filter
+    /// offers and refusals, the bottleneck breakdown and the per-edge
+    /// occupancy samples. Engines change only at processed edges, so the
+    /// occupancy mirror stays exact without a refresh, and parked µcores
+    /// catch the skipped edges up through the `last_slow_processed` gap
+    /// rule, as after an idle stretch.
+    fn skip_frozen(&mut self, max_cycles: u64) -> u64 {
+        if self.fg_idle || !self.frontend.filter.fifo_full(0) {
+            return 0;
+        }
+        let Some(core_wake) = self.core.frozen_until() else {
+            return 0;
+        };
+        // What the next cycle would begin with; both are idempotent.
+        self.apply_refresh();
+        self.frontend.filter.squash_placeholders();
+        if !self.frontend.filter.fifo_full(0) || !self.frontend.mapper_blocked() {
+            return 0;
+        }
+        let now = self.core.now();
+        // Finite: the engine behind the full CDC queue either runs or has
+        // a visible head to take.
+        let wake = core_wake
+            .min(self.fabric_wake(now))
+            .min(now.saturating_add(max_cycles));
+        if wake <= now {
+            return 0;
+        }
+        self.core.skip_frozen(wake);
+        self.frontend.filter.refuse_frozen_cycles(now, wake);
+        self.frontend.charge_backpressure(wake - now);
+        let ratio = self.divider.ratio();
+        self.sample_occupancy(wake.div_ceil(ratio) - now.div_ceil(ratio));
+        wake - now
+    }
+
+    /// The first fast cycle at or after `now` whose slow edge has work: a
+    /// µcore instruction due (a busy µcore runs at the edge of its local
+    /// cycle), an HA holding packets, a CDC head visible to an engine with
+    /// queue space, or a NoC packet maturing; `u64::MAX` if none is due.
+    /// µcore output queues need no check: every edge that runs a µcore
+    /// also routes them empty.
+    fn fabric_wake(&self, now: u64) -> u64 {
+        let ratio = self.divider.ratio();
+        let first = now.div_ceil(ratio);
+        let mut slow = self
+            .pending_noc
+            .peek()
+            .map_or(u64::MAX, |&Reverse((t, _, _))| t);
+        for (engine, cdc) in self.engines.iter().zip(&self.frontend.cdcs) {
+            let due = match engine {
+                Engine::Ucore(e) if !e.u.parked_on_empty_input() => e.u.now(),
+                Engine::Ha(h) if h.occupancy() > 0 => first,
+                _ => u64::MAX,
+            };
+            slow = slow.min(due);
+            if engine.queue_free() {
+                slow = slow.min(cdc.head_visible_at().unwrap_or(u64::MAX));
+            }
+        }
+        slow.max(first).saturating_mul(ratio)
     }
 
     /// True when no packet is buffered anywhere in the FireGuard side and
@@ -729,8 +833,16 @@ impl FireGuardSystem {
         let observing = observe_every != u64::MAX;
         let mut tick = 0u64;
         while self.core.stats().committed < target && !self.core.is_drained() {
-            self.step();
-            tick += 1;
+            // Frozen stretches never cross an observe boundary, so alarms
+            // are drained at the same cycles as without the fast-forward.
+            let room = observe_every.saturating_sub(tick);
+            tick += match self.skip_frozen(room) {
+                0 => {
+                    self.step();
+                    1
+                }
+                skipped => skipped,
+            };
             if observing && tick >= observe_every {
                 tick = 0;
                 let new = self.drain_detections();
@@ -891,5 +1003,67 @@ impl FireGuardSystem {
             .iter()
             .map(|&(id, vbit, _)| (vbit, id))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::{build_system_auto, ExperimentConfig};
+    use fireguard_trace::{AttackKind, AttackPlan};
+    use fireguard_ucore::IsaxMode;
+
+    /// Steps `sys` until `n` instructions commit, fast-forwarding frozen
+    /// stretches when `skip` is set, then drains it like `run_insts`.
+    /// Returns the result and the number of cycles fast-forwarded.
+    fn drive(sys: &mut FireGuardSystem, n: u64, skip: bool) -> (RunResult, u64) {
+        let mut skipped = 0;
+        while sys.core.stats().committed < n {
+            let k = if skip { sys.skip_frozen(u64::MAX) } else { 0 };
+            if k == 0 {
+                sys.step();
+            }
+            skipped += k;
+        }
+        (sys.run_insts(0, 0), skipped)
+    }
+
+    #[test]
+    fn fast_forward_matches_stepping_every_cycle() {
+        let oob = AttackPlan::campaign(&[AttackKind::OutOfBounds], 8, 400, 11_600, 7);
+        let cases = [
+            ExperimentConfig::new("dedup")
+                .kernel(KernelId::ASAN, 4)
+                .seed(21)
+                .attacks(oob),
+            ExperimentConfig::new("swaptions")
+                .kernel(KernelId::ASAN, 4)
+                .filter_width(1),
+            ExperimentConfig::new("x264")
+                .kernel(KernelId::ASAN, 2)
+                .kernel(KernelId::UAF, 2)
+                .mapper_width(2),
+            ExperimentConfig::new("bodytrack")
+                .kernel(KernelId::UAF, 4)
+                .isax(IsaxMode::PostCommit),
+            ExperimentConfig::new("ferret")
+                .kernel_ha(KernelId::SHADOW_STACK)
+                .kernel(KernelId::TAINT, 1),
+        ];
+        for cfg in cases {
+            let cfg = cfg.insts(12_000);
+            let mut stepped = build_system_auto(&cfg);
+            let mut skipping = build_system_auto(&cfg);
+            let (want, _) = drive(&mut stepped, cfg.insts, false);
+            let (got, skipped) = drive(&mut skipping, cfg.insts, true);
+            assert!(skipped > 0, "{}: nothing was fast-forwarded", cfg.workload);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", cfg.workload);
+            assert_eq!(skipping.core_stats(), stepped.core_stats());
+            assert_eq!(skipping.telemetry(), stepped.telemetry());
+            assert_eq!(
+                skipping.frontend.filter.stats(),
+                stepped.frontend.filter.stats()
+            );
+        }
     }
 }

@@ -10,7 +10,10 @@
 //! the same commit and call the change out in the PR description.
 
 use fireguard::kernels::KernelId;
-use fireguard::soc::{run_fireguard, ExperimentConfig, RunResult};
+use fireguard::soc::{
+    baseline_cycles, build_system_auto, run_fireguard, EngineCounters, ExperimentConfig, RunResult,
+};
+use fireguard::trace::{AttackKind, AttackPlan};
 
 /// 10k instructions of swaptions, kernel on 4 µcores, trace seed 42.
 fn run(kind: KernelId) -> RunResult {
@@ -110,6 +113,129 @@ fn golden_per_kernel_runs_are_pinned() {
             r.unclaimed_packets, 0,
             "{:?}: packets lost their subscriber",
             g.kind
+        );
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV digests of the run's `CoreStats` and `EngineCounters` (their
+/// `Debug` renderings, so every field counts). The `pipeline_*` counters
+/// are wall-clock artifacts of the threaded stages and are zeroed first.
+fn stats_digests(cfg: &ExperimentConfig) -> (u64, u64) {
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let mut sys = build_system_auto(cfg);
+    sys.run_insts(cfg.insts, base);
+    let counters = EngineCounters {
+        pipeline_width: 0,
+        pipeline_gen_stalls: 0,
+        pipeline_judge_stalls: 0,
+        pipeline_core_waits: 0,
+        pipeline_batches: 0,
+        ..sys.telemetry()
+    };
+    (
+        fnv1a(format!("{:?}", sys.core_stats()).as_bytes()),
+        fnv1a(format!("{counters:?}").as_bytes()),
+    )
+}
+
+/// The stats-digest rows: the six per-kernel runs above, a saturated
+/// system (dedup, ASan on 4 µcores, an out-of-bounds campaign — most
+/// commit offers refused) and a 1-wide filter. Captured before the
+/// cycle loop's frozen-cycle fast-forward existed, so they pin every
+/// counter it bulk-accounts: stall cycles, filter offers and refusals,
+/// slow edges, mapper occupancy, µcore idle cycles.
+fn stats_rows() -> Vec<(&'static str, ExperimentConfig, u64, u64)> {
+    let per_kernel = |kind| {
+        ExperimentConfig::new("swaptions")
+            .kernel(kind, 4)
+            .insts(10_000)
+            .seed(42)
+    };
+    vec![
+        (
+            "pmc",
+            per_kernel(KernelId::PMC),
+            0xe90a_8f86_7c2a_a8df,
+            0xf0d3_4ca6_14de_9a1b,
+        ),
+        (
+            "shadow-stack",
+            per_kernel(KernelId::SHADOW_STACK),
+            0xa878_e44a_a893_2e48,
+            0xeb5f_d770_4173_6bee,
+        ),
+        (
+            "asan",
+            per_kernel(KernelId::ASAN),
+            0x1085_3ba7_b990_9d33,
+            0x43a9_ff2e_d21e_c934,
+        ),
+        (
+            "uaf",
+            per_kernel(KernelId::UAF),
+            0xe633_a743_5472_8575,
+            0xa7be_3790_105c_f1d4,
+        ),
+        (
+            "taint",
+            per_kernel(KernelId::TAINT),
+            0x7cda_07b7_3276_d6d1,
+            0xdb05_bba7_93aa_f6c1,
+        ),
+        (
+            "mte",
+            per_kernel(KernelId::MTE),
+            0x18cb_763f_e9a2_a9a5,
+            0xe5d3_295b_bb0c_afcd,
+        ),
+        (
+            "asan-saturated",
+            ExperimentConfig::new("dedup")
+                .kernel(KernelId::ASAN, 4)
+                .insts(20_000)
+                .seed(21)
+                .attacks(AttackPlan::campaign(
+                    &[AttackKind::OutOfBounds],
+                    8,
+                    400,
+                    19_600,
+                    7,
+                )),
+            0x7f62_dab4_f737_bf33,
+            0x3e50_d7d0_f3d8_7cca,
+        ),
+        (
+            "asan-filter-w1",
+            per_kernel(KernelId::ASAN).filter_width(1),
+            0x3313_04e2_d018_fc1d,
+            0x4f39_dfa2_2337_a7ac,
+        ),
+    ]
+}
+
+#[test]
+fn golden_stats_digests_are_pinned() {
+    // Digest every row before asserting, so a deliberate re-pin sees all
+    // the new values in one run (`-- --nocapture`).
+    let rows: Vec<_> = stats_rows()
+        .into_iter()
+        .map(|(name, cfg, core, engine)| (name, stats_digests(&cfg), (core, engine)))
+        .collect();
+    for (name, (core, engine), _) in &rows {
+        println!("{name}: core {core:#018x} engine {engine:#018x}");
+    }
+    for (name, got, want) in rows {
+        assert_eq!(got.0, want.0, "{name}: CoreStats drifted ({:#018x})", got.0);
+        assert_eq!(
+            got.1, want.1,
+            "{name}: EngineCounters drifted ({:#018x})",
+            got.1
         );
     }
 }
