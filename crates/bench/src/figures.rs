@@ -3,11 +3,10 @@
 //!
 //! Each driver expands its experiment grid into independent [`JobSpec`]s,
 //! shards them across the [`fireguard_soc::sweep`] worker pool, and
-//! assembles the results into a structured report. The legacy per-figure
-//! binaries (`fig7a` … `mapper_ablation`) and the unified `fireguard` CLI
-//! both dispatch through the [`FIGURES`] registry, so their output is
-//! byte-identical by construction — and independent of the worker count,
-//! because the sweep engine re-orders results by job index.
+//! assembles the results into a structured report. The `fireguard` CLI
+//! dispatches through the [`FIGURES`] registry; a figure's output is
+//! independent of the worker count, because the sweep engine re-orders
+//! results by job index.
 
 use fireguard_boom::BoomConfig;
 use fireguard_core::FilterConfig;
@@ -35,29 +34,16 @@ pub struct FigOpts {
     pub seed: u64,
     /// Worker threads for the sweep engine.
     pub workers: usize,
-    /// In-session stage-pipeline width (1 = serial, 0 = auto-size to the
-    /// host). Results are bit-identical at every width.
-    pub pipeline: u32,
 }
 
 impl FigOpts {
     /// Reads the environment configuration (`FG_INSTS`, `FG_QUICK`,
-    /// `FG_JOBS`, `FG_PIPELINE`) exactly as the legacy binaries do.
+    /// `FG_JOBS`); the CLI's flags override it.
     pub fn from_env() -> FigOpts {
         FigOpts {
             insts: crate::insts(),
             seed: crate::SEED,
             workers: fireguard_soc::default_workers(),
-            pipeline: std::env::var("FG_PIPELINE")
-                .ok()
-                .and_then(|v| {
-                    if v.eq_ignore_ascii_case("auto") {
-                        Some(0)
-                    } else {
-                        v.parse().ok()
-                    }
-                })
-                .unwrap_or(1),
         }
     }
 }
@@ -66,7 +52,8 @@ impl FigOpts {
 pub struct Figure {
     /// Canonical CLI subcommand name (kebab-case).
     pub name: &'static str,
-    /// Legacy binary name (snake_case; equals `name` for most figures).
+    /// Snake_case alias the CLI also resolves (`fireguard isax_ablation`;
+    /// equals `name` for most figures).
     pub bin: &'static str,
     /// One-line description for `fireguard list`.
     pub summary: &'static str,
@@ -144,23 +131,9 @@ pub const FIGURES: &[Figure] = &[
     },
 ];
 
-/// Looks a figure up by CLI name or legacy binary name.
+/// Looks a figure up by CLI name or its snake_case alias.
 pub fn find(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name || f.bin == name)
-}
-
-/// Entry point for the legacy per-figure binaries: read the environment,
-/// run the named figure, and print it human-formatted to stdout.
-///
-/// # Panics
-///
-/// Panics if `bin` is not in the registry or stdout writing fails.
-pub fn run_bin(bin: &str) {
-    let fig = find(bin).unwrap_or_else(|| panic!("unknown figure binary {bin:?}"));
-    let report = (fig.run)(&FigOpts::from_env());
-    let stdout = std::io::stdout();
-    fireguard_soc::render(&report, fireguard_soc::Format::Human, &mut stdout.lock())
-        .expect("writing the report to stdout failed");
 }
 
 fn fg(o: &FigOpts, w: &str, kind: KernelId, ucores: usize) -> JobSpec {
@@ -168,8 +141,7 @@ fn fg(o: &FigOpts, w: &str, kind: KernelId, ucores: usize) -> JobSpec {
         ExperimentConfig::new(w)
             .kernel(kind, ucores)
             .insts(o.insts)
-            .seed(o.seed)
-            .pipeline(o.pipeline),
+            .seed(o.seed),
     )
 }
 
@@ -178,8 +150,7 @@ fn ha(o: &FigOpts, w: &str, kind: KernelId) -> JobSpec {
         ExperimentConfig::new(w)
             .kernel_ha(kind)
             .insts(o.insts)
-            .seed(o.seed)
-            .pipeline(o.pipeline),
+            .seed(o.seed),
     )
 }
 
@@ -270,10 +241,7 @@ fn fig7b(o: &FigOpts) -> Report {
     let mut jobs = Vec::new();
     for (_, kernels) in COMBOS {
         for &w in &ws {
-            let mut cfg = ExperimentConfig::new(w)
-                .insts(o.insts)
-                .seed(o.seed)
-                .pipeline(o.pipeline);
+            let mut cfg = ExperimentConfig::new(w).insts(o.insts).seed(o.seed);
             for (kind, as_ha) in *kernels {
                 cfg = if *as_ha {
                     cfg.kernel_ha(*kind)
@@ -321,7 +289,6 @@ fn fig8(o: &FigOpts) -> Report {
                     .kernel(kind, 4)
                     .insts(n)
                     .seed(o.seed)
-                    .pipeline(o.pipeline)
                     .attacks(plan),
             ));
         }
@@ -384,8 +351,7 @@ fn fig9(o: &FigOpts) -> Report {
                     .kernel(ASAN, 4)
                     .filter_width(width)
                     .insts(o.insts)
-                    .seed(o.seed)
-                    .pipeline(o.pipeline),
+                    .seed(o.seed),
             ));
         }
     }
@@ -516,8 +482,7 @@ fn fig11(o: &FigOpts) -> Report {
                     .kernel(PMC, 4)
                     .model(m)
                     .insts(o.insts)
-                    .seed(o.seed)
-                    .pipeline(o.pipeline),
+                    .seed(o.seed),
             ));
         }
     }
@@ -693,8 +658,7 @@ fn isax_ablation(o: &FigOpts) -> Report {
                     .kernel(ASAN, 4)
                     .isax(mode)
                     .insts(o.insts)
-                    .seed(o.seed)
-                    .pipeline(o.pipeline),
+                    .seed(o.seed),
             ));
         }
     }
@@ -727,8 +691,7 @@ fn mapper_ablation(o: &FigOpts) -> Report {
                     .kernel_ha(PMC)
                     .mapper_width(width)
                     .insts(o.insts)
-                    .seed(o.seed)
-                    .pipeline(o.pipeline),
+                    .seed(o.seed),
             ));
         }
     }
@@ -768,7 +731,6 @@ mod tests {
             insts: 2_000,
             seed: crate::SEED,
             workers: 4,
-            pipeline: 1,
         }
     }
 
@@ -777,7 +739,7 @@ mod tests {
         assert_eq!(FIGURES.len(), 11);
         assert!(find("fig7a").is_some());
         assert!(find("isax-ablation").is_some(), "kebab CLI name resolves");
-        assert!(find("isax_ablation").is_some(), "legacy bin name resolves");
+        assert!(find("isax_ablation").is_some(), "snake_case alias resolves");
         assert!(find("fig99").is_none());
     }
 

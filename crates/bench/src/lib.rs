@@ -1,6 +1,6 @@
 //! Shared harness for the figure/table reproduction: environment-variable
-//! configuration plus the [`figures`] drivers that both the legacy
-//! per-figure binaries and the unified `fireguard` CLI dispatch into.
+//! configuration plus the [`figures`] drivers the `fireguard` CLI
+//! dispatches into, and the [`perf`] scenarios behind `fireguard bench`.
 //!
 //! Every entry point honours three environment variables:
 //!

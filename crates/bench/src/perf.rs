@@ -84,10 +84,6 @@ pub struct PerfOpts {
     pub warmup: usize,
     /// Timed samples (the best one is reported).
     pub samples: usize,
-    /// In-session stage-pipeline width (1 = serial, 0 = auto-size to the
-    /// host). Event counts and cycles are bit-identical at every width;
-    /// only wall clock moves.
-    pub pipeline: u32,
 }
 
 impl PerfOpts {
@@ -101,14 +97,13 @@ impl PerfOpts {
             workers: f.workers,
             warmup: 1,
             samples: 3,
-            pipeline: f.pipeline,
         }
     }
 }
 
-/// The host CPU count recorded in baselines: a 1-CPU container cannot
-/// show stage-parallel speedups, so every `BENCH_*.json` carries the
-/// parallelism the numbers were measured under.
+/// The host CPU count recorded in baselines: wall-clock numbers from
+/// hosts of different sizes are not comparable, so every `BENCH_*.json`
+/// carries the parallelism the numbers were measured under.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -264,7 +259,6 @@ fn bench_fig7a(o: &PerfOpts) -> ScenarioResult {
         insts: o.insts,
         seed: o.seed,
         workers: o.workers,
-        pipeline: o.pipeline,
     };
     let (events, cycles, secs, allocs) = best_of(o, || {
         let report = (fig.run)(&opts);
@@ -281,7 +275,6 @@ fn bench_fig7a(o: &PerfOpts) -> ScenarioResult {
 }
 
 fn e2e(name: &'static str, o: &PerfOpts, cfg: ExperimentConfig) -> ScenarioResult {
-    let cfg = cfg.pipeline(o.pipeline);
     let (events, cycles, secs, allocs) = best_of(o, || {
         let mut sys = build_system_auto(&cfg);
         let r = sys.run_insts(cfg.insts, 0);
@@ -358,8 +351,7 @@ fn bench_steady_state(o: &PerfOpts) -> ScenarioResult {
     let cfg = ExperimentConfig::new("swaptions")
         .kernel(KernelId::PMC, 4)
         .insts(o.insts)
-        .seed(o.seed)
-        .pipeline(o.pipeline);
+        .seed(o.seed);
     let mut sys = build_system_auto(&cfg);
     let warm = (o.insts / 2).max(1);
     let _ = sys.run_insts(warm, 0);
@@ -583,14 +575,13 @@ pub fn report(
 ) -> Report {
     let mut r = Report::new();
     r.text(format!(
-        "fireguard bench: {} insts, seed {}, {} warmup + {} samples (best), {} workers, \
-         pipeline {} on {} host cpus",
+        "fireguard bench: {} insts, seed {}, {} warmup + {} samples (best), {} workers \
+         on {} host cpus",
         opts.insts,
         opts.seed,
         opts.warmup,
         opts.samples,
         opts.workers,
-        opts.pipeline,
         host_cpus()
     ));
     r.blank();
@@ -844,7 +835,7 @@ pub fn profile_report(o: &PerfOpts) -> Report {
 /// all scenarios share one host, one build and the settings in the header.
 const METHODOLOGY: &str = "fastest of --samples runs (best-of, not a median) after --warmup \
 warmup runs, all in one process, so every run after the first sees warm process-wide memo \
-caches; workers/pipeline as recorded per scenario; fig7a memoizes the software-baseline \
+caches; workers as recorded in the header; fig7a memoizes the software-baseline \
 simulation per (scheme, workload, seed, insts) exactly like the process-wide bare-core baseline \
 cache; --check gates this run's raw events/s against this file's under a fixed noise \
 tolerance, so it is only meaningful on the host that recorded the file";
@@ -862,20 +853,19 @@ pub fn to_json(
     s.push_str("{\n");
     s.push_str(&format!("  \"methodology\": \"{METHODOLOGY}\",\n"));
     s.push_str(&format!(
-        "  \"schema\": 1,\n  \"insts\": {},\n  \"seed\": {},\n  \"warmup\": {},\n  \"samples\": {},\n  \"workers\": {},\n  \"pipeline\": {},\n  \"host_cpus\": {},\n",
+        "  \"schema\": 1,\n  \"insts\": {},\n  \"seed\": {},\n  \"warmup\": {},\n  \"samples\": {},\n  \"workers\": {},\n  \"host_cpus\": {},\n",
         opts.insts,
         opts.seed,
         opts.warmup,
         opts.samples,
         opts.workers,
-        opts.pipeline,
         host_cpus()
     ));
     s.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
         let base = baseline.and_then(|b| b.iter().find(|(n, _)| n == r.name));
         s.push_str(&format!(
-            "    {{\"name\":\"{}\",\"events\":{},\"cycles\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.1},\"cycles_per_sec\":{:.1},\"ns_per_event\":{:.2},\"allocs\":{},\"allocs_per_event\":{:.5},\"pipeline\":{},\"host_cpus\":{}",
+            "    {{\"name\":\"{}\",\"events\":{},\"cycles\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.1},\"cycles_per_sec\":{:.1},\"ns_per_event\":{:.2},\"allocs\":{},\"allocs_per_event\":{:.5},\"host_cpus\":{}",
             r.name,
             r.events,
             r.cycles,
@@ -885,7 +875,6 @@ pub fn to_json(
             r.ns_per_event(),
             r.allocs,
             r.allocs_per_event(),
-            opts.pipeline,
             host_cpus(),
         ));
         if let Some((_, eps)) = base {
@@ -931,24 +920,20 @@ pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Extracts the `(pipeline, host_cpus)` a `BENCH_*.json` baseline was
-/// recorded under, or `None` for baselines that predate the fields.
-/// Comparing wall-clock numbers across hosts or pipeline widths is
-/// legitimate but must be *visible*, never silent — the caller prints a
-/// note when these differ from the current run's.
-pub fn parse_host_meta(json: &str) -> Option<(u32, usize)> {
-    let field = |name: &str| -> Option<u64> {
-        let key = format!("\"{name}\":");
-        let at = json.find(&key)?;
-        let rest = &json[at + key.len()..];
-        let num: String = rest
-            .chars()
-            .skip_while(|c| *c == ' ')
-            .take_while(char::is_ascii_digit)
-            .collect();
-        num.parse().ok()
-    };
-    Some((field("pipeline")? as u32, field("host_cpus")? as usize))
+/// Extracts the `host_cpus` a `BENCH_*.json` baseline was recorded
+/// under, or `None` for baselines that predate the field. Comparing
+/// wall-clock numbers across hosts is legitimate but must be *visible*,
+/// never silent — the caller prints a note when it differs from the
+/// current run's.
+pub fn parse_host_meta(json: &str) -> Option<usize> {
+    let key = "\"host_cpus\":";
+    let at = json.find(key)?;
+    let num: String = json[at + key.len()..]
+        .chars()
+        .skip_while(|c| *c == ' ')
+        .take_while(char::is_ascii_digit)
+        .collect();
+    num.parse().ok()
 }
 
 /// The fractional events/s regression the CI gate tolerates (noise floor).
@@ -1015,7 +1000,6 @@ mod tests {
             workers: 1,
             warmup: 0,
             samples: 1,
-            pipeline: 1,
         }
     }
 

@@ -130,8 +130,6 @@ pub struct Parsed {
     pub trace_out: Option<String>,
     /// `--profile` (bench): stage-level cycle-attribution profile.
     pub profile: bool,
-    /// `--pipeline auto|N`: in-session stage-parallelism width (0 = auto).
-    pub pipeline: Option<u32>,
     /// Canonical names of every flag that was actually set.
     used: Vec<&'static str>,
 }
@@ -229,12 +227,6 @@ const FLAG_SCOPES: &[(&str, &[&str])] = &[
     ("--baseline", &["bench"]),
     ("--check", &["bench"]),
     ("--profile", &["bench"]),
-    // Results are bit-identical at every width, so the flag is a pure
-    // wall-clock knob on every path that runs an engine locally.
-    (
-        "--pipeline",
-        &[FIG, "sweep", "trace replay", "serve", "bench"],
-    ),
     // --format applies everywhere.
 ];
 
@@ -551,17 +543,6 @@ fn apply_flag(p: &mut Parsed, name: &str, value: &str) -> Result<(), ArgError> {
             p.metrics_addr = Some(value.to_owned());
             "--metrics-addr"
         }
-        "--pipeline" => {
-            // `auto` (or 0) sizes the stage pipeline to the host CPU
-            // count; N pins the width. Parity holds at every width, so
-            // any spelling is safe.
-            p.pipeline = Some(if value.eq_ignore_ascii_case("auto") {
-                0
-            } else {
-                num(name, value)?
-            });
-            "--pipeline"
-        }
         "--trace-out" => {
             p.trace_out = Some(value.to_owned());
             "--trace-out"
@@ -770,29 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_flag_parses_and_has_scopes() {
-        let p = parse(&args("fig7a --pipeline 4")).unwrap();
-        assert_eq!(p.pipeline, Some(4));
-        assert!(p.out_of_scope_flags().is_empty());
-        let p = parse(&args("trace replay --trace t.fgt --pipeline auto")).unwrap();
-        assert_eq!(p.pipeline, Some(0));
-        assert!(p.out_of_scope_flags().is_empty());
-        let p = parse(&args("serve --pipeline 1")).unwrap();
-        assert!(p.out_of_scope_flags().is_empty());
-        let p = parse(&args("bench --pipeline=2 --quick")).unwrap();
-        assert_eq!(p.pipeline, Some(2));
-        assert!(p.out_of_scope_flags().is_empty());
-        // Sessions negotiate their own config over the wire; the client
-        // side has no local engine, so the flag does not apply there.
-        let p = parse(&args("client --trace t.fgt --pipeline 2")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--pipeline"]);
-        assert!(matches!(
-            parse(&args("fig7a --pipeline banana")),
-            Err(ArgError::Bad(_))
-        ));
-    }
-
-    #[test]
     fn scope_violations_are_reported() {
         let p = parse(&args("fig10 --ucores 8,12 --insts 2000")).unwrap();
         assert_eq!(p.out_of_scope_flags(), vec!["--ucores"]);
@@ -821,6 +779,10 @@ mod tests {
         assert!(matches!(
             parse(&args("fig7a --wat 1")),
             Err(ArgError::Bad(_))
+        ));
+        assert!(matches!(
+            parse(&args("fig7a --pipeline 2")),
+            Err(ArgError::Bad(m)) if m == "unknown flag --pipeline"
         ));
         assert!(matches!(parse(&args("a b")), Err(ArgError::Bad(_))));
         assert!(matches!(

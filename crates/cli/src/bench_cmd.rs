@@ -19,7 +19,6 @@ pub fn bench_cmd(p: &Parsed) -> i32 {
         workers: p.jobs.unwrap_or(env.workers),
         warmup: p.warmup.unwrap_or(env.warmup),
         samples: p.samples.unwrap_or(env.samples),
-        pipeline: p.pipeline.unwrap_or(env.pipeline),
     };
     if p.profile {
         // The profile is a focused stage-attribution report, not a scenario
@@ -102,16 +101,14 @@ pub fn bench_cmd(p: &Parsed) -> i32 {
         // when a different --baseline was embedded in the report above.
         let gate = match std::fs::read_to_string(path) {
             Ok(json) => {
-                // A baseline recorded at a different pipeline width or on
-                // a host with a different CPU count is still a legal gate
-                // (events/s tolerates 10% noise), but the comparison must
-                // be visible, never silent.
-                if let Some((bp, bc)) = perf::parse_host_meta(&json) {
-                    if bp != opts.pipeline || bc != perf::host_cpus() {
+                // A baseline recorded on a host with a different CPU count
+                // is still a legal gate (events/s tolerates 10% noise), but
+                // the comparison must be visible, never silent.
+                if let Some(bc) = perf::parse_host_meta(&json) {
+                    if bc != perf::host_cpus() {
                         eprintln!(
-                            "fireguard: note: {path} was recorded at pipeline {bp} on \
-                             {bc} host cpus; this run is pipeline {} on {}",
-                            opts.pipeline,
+                            "fireguard: note: {path} was recorded on {bc} host cpus; \
+                             this run is on {}",
                             perf::host_cpus()
                         );
                     }

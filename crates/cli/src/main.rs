@@ -16,9 +16,8 @@
 //! ```
 //!
 //! Flags override the `FG_INSTS` / `FG_QUICK` / `FG_JOBS` environment
-//! variables (which keep working for CI and the legacy binaries). Output
-//! is byte-identical across `--jobs` values: the sweep engine re-orders
-//! results by job index before anything is printed.
+//! variables. Output is byte-identical across `--jobs` values: the sweep
+//! engine re-orders results by job index before anything is printed.
 
 use fireguard_bench::figures::{find, FigOpts, FIGURES};
 use fireguard_soc::sweep::SweepGrid;
@@ -137,7 +136,6 @@ fn fig_opts(p: &Parsed) -> FigOpts {
         }),
         seed: p.seed.unwrap_or(env.seed),
         workers: p.jobs.unwrap_or(env.workers),
-        pipeline: p.pipeline.unwrap_or(env.pipeline),
     }
 }
 
@@ -353,15 +351,6 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
             }
         }
     }
-    // `--pipeline` applies uniformly across the grid (results are
-    // bit-identical at any width, so this only shifts wall-clock time).
-    if opts.pipeline != 1 {
-        for (_, job) in &mut expanded {
-            if let fireguard_soc::JobSpec::FireGuard(cfg) = job {
-                cfg.pipeline = opts.pipeline;
-            }
-        }
-    }
     // Pre-flight every deployment against the fabric/packet ceilings so a
     // combined grid that doesn't fit is a clean error, not a panic mid-sweep.
     for (pt, job) in &expanded {
@@ -478,10 +467,6 @@ fn usage() -> String {
          \x20   --seed <N>       trace seed (default 42)\n\
          \x20   --jobs <N>       sweep workers / loadgen concurrency (overrides FG_JOBS)\n\
          \x20   --format <F>     human (default), jsonl, or csv\n\
-         \x20   --pipeline <W>   in-session stage parallelism: 1 = serial (default),\n\
-         \x20                    N = gen/judge worker stages, auto = size to the host\n\
-         \x20                    (figures, sweep, trace replay, serve, bench; output\n\
-         \x20                    is bit-identical at every width)\n\
          \n\
          SWEEP FLAGS:\n\
          \x20   --workloads <csv|all>   PARSEC workloads (default all)\n",

@@ -90,7 +90,8 @@ pub(crate) fn attack_plan(p: &Parsed, insts: u64) -> Result<Option<AttackPlan>, 
 
 /// The analysis configuration shared by `trace replay`, `client` and
 /// `loadgen`: one or more kernels (comma-separated; `all` = every
-/// registered kernel) on µcores or HAs, plus the pipeline knobs.
+/// registered kernel) on µcores or HAs, plus the filter, model and
+/// mapper knobs.
 /// Defaults mirror `sweep` (ASan on 4 µcores, hybrid µ-programs, 4-wide
 /// filter, scalar mapper).
 fn session_experiment(p: &Parsed, meta: &TraceMeta) -> Result<ExperimentConfig, String> {
@@ -138,8 +139,7 @@ fn session_experiment(p: &Parsed, meta: &TraceMeta) -> Result<ExperimentConfig, 
         .insts(meta.insts)
         .model(model)
         .filter_width(filter_width)
-        .mapper_width(p.mapper_width.unwrap_or(1))
-        .pipeline(p.pipeline.unwrap_or(1));
+        .mapper_width(p.mapper_width.unwrap_or(1));
     cfg.kernels = kinds.into_iter().map(|k| (k, engine)).collect();
     // Capacity and structural limits fail here as a clean CLI error — the
     // same validation a served HELLO goes through — never a panic inside
@@ -475,10 +475,6 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         // sweep's workers= line) so throughput numbers are
         // self-documenting.
         r.text(format!("workers={}", agg.workers));
-        r.text(format!(
-            "pipeline_width={} gen_stalls={} judge_stalls={} core_waits={}",
-            agg.pipeline_width, agg.gen_stalls, agg.judge_stalls, agg.core_waits
-        ));
         if opts.routed.is_some() {
             r.text(format!("reconnects={}", agg.reconnects));
             r.text(format!(
@@ -540,13 +536,6 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         },
     ]);
     r.table(t);
-    if agg.pipeline_width > 1 {
-        r.text(format!(
-            "pipeline width {}: {} gen stalls, {} judge stalls, {} core waits \
-             (ring-full/empty spin cycles, wall-clock only)",
-            agg.pipeline_width, agg.gen_stalls, agg.judge_stalls, agg.core_waits
-        ));
-    }
     if agg.buckets.len() > 1 {
         r.blank();
         r.text(format!(
@@ -561,9 +550,7 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
 /// The soak histogram: one row per completion-time window. Reconnect
 /// latency (client-observed disconnect → resumed-ACK) rides along per
 /// bucket so a soak under churn shows *when* resumes got slow, not just
-/// how many happened. Pipeline backpressure stalls (from the SUMMARY
-/// tail) ride along the same way: a window whose sessions spent cycles
-/// on full rings shows *where* the stage pipeline saturated.
+/// how many happened.
 fn bucket_table(buckets: &[fireguard_server::LatencyBucket]) -> Table {
     let mut t = Table::new(&[
         ("bucket_s", 9),
@@ -576,9 +563,6 @@ fn bucket_table(buckets: &[fireguard_server::LatencyBucket]) -> Table {
         ("reconnects", 11),
         ("p50_rec_ms", 11),
         ("p99_rec_ms", 11),
-        ("gen_stall", 10),
-        ("jdg_stall", 10),
-        ("core_wait", 10),
     ]);
     for b in buckets {
         let lat = |v: f64| {
@@ -616,9 +600,6 @@ fn bucket_table(buckets: &[fireguard_server::LatencyBucket]) -> Table {
             Cell::Int(b.reconnects as i64),
             rec(b.p50_reconnect_ms),
             rec(b.p99_reconnect_ms),
-            Cell::Int(b.gen_stalls as i64),
-            Cell::Int(b.judge_stalls as i64),
-            Cell::Int(b.core_waits as i64),
         ]);
     }
     t
@@ -772,7 +753,6 @@ pub fn serve_cmd(p: &Parsed) -> i32 {
         observe_every: fireguard_server::OBSERVE_EVERY,
         metrics_addr: p.metrics_addr.clone(),
         idle_timeout: idle_timeout(p),
-        pipeline: p.pipeline.unwrap_or(1),
         trace,
     };
     let workers = opts.workers;

@@ -1,9 +1,10 @@
 //! End-to-end tests for the `fireguard` binary.
 //!
-//! The golden anchor is shared with `crates/bench/tests/smoke.rs`: both
-//! the legacy per-figure binaries and `fireguard <figure>` must print
-//! exactly what the in-process figure driver renders, so the two suites
-//! together prove CLI output == legacy-binary output, byte for byte.
+//! The golden anchor is shared with `tests/smoke.rs`: `fireguard <figure>`
+//! must print exactly what the in-process figure driver renders, byte for
+//! byte. This suite checks it through the `--insts`/`--jobs` flags; the
+//! smoke suite checks every figure through its snake_case alias and
+//! `FG_INSTS`.
 
 use fireguard_bench::figures::{find, FigOpts};
 use fireguard_bench::SEED;
@@ -55,13 +56,12 @@ fn list_names_every_figure() {
 
 #[test]
 fn figure_subcommand_matches_registry_driver() {
-    // The same golden anchor smoke.rs holds the legacy binaries to.
+    // The same golden anchor smoke.rs holds every figure to.
     let out = stdout_of(&fireguard(&["fig7a", "--insts", "2000", "--jobs", "4"]));
     let opts = FigOpts {
         insts: SMOKE_INSTS,
         seed: SEED,
         workers: 2,
-        pipeline: 1,
     };
     let expected = render_to_string(&(find("fig7a").unwrap().run)(&opts), Format::Human);
     assert_eq!(out, expected, "CLI fig7a diverged from the figure driver");

@@ -30,6 +30,7 @@
 //! assert!(filter.is_monitored(InstClass::Load));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocator;
@@ -38,7 +39,6 @@ pub mod dfc;
 pub mod filter;
 pub mod minifilter;
 pub mod packet;
-pub mod spsc;
 
 pub use allocator::{Allocator, Policy, SchedulingEngine, MAX_ENGINES, MAX_GIDS};
 pub use cdc::{CdcQueue, ClockDivider};

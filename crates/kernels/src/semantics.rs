@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 /// stream**: no wall-clock, no OS randomness — the determinism contract
 /// every golden test and `.fgt` replay is built on.
 ///
-/// `Send` is a supertrait so a judging stage can run on a pipeline worker
-/// thread ahead of the core; state machines are plain owned data, never
-/// shared handles.
+/// `Send` is a supertrait: state machines are plain owned data, never
+/// shared handles, so a deployment's judges may be built on one thread
+/// and run on another.
 pub trait Semantics: std::fmt::Debug + Send {
     /// Judges one committed instruction in program order; returns `true`
     /// when it violates this kernel's policy.

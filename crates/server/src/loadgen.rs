@@ -84,12 +84,6 @@ pub struct LatencyBucket {
     pub p50_reconnect_ms: f64,
     /// 99th-percentile router reconnect latency (ms).
     pub p99_reconnect_ms: f64,
-    /// Generator ring-full stalls reported by sessions in this window.
-    pub gen_stalls: u64,
-    /// Judge ring-full stalls reported by sessions in this window.
-    pub judge_stalls: u64,
-    /// Core empty-ring waits reported by sessions in this window.
-    pub core_waits: u64,
 }
 
 /// Aggregate outcome of a load-generation run.
@@ -121,14 +115,6 @@ pub struct LoadgenOutcome {
     pub p50_reconnect_ms: f64,
     /// 99th-percentile router reconnect latency (ms).
     pub p99_reconnect_ms: f64,
-    /// Widest in-session pipeline any server reported (1 = all serial).
-    pub pipeline_width: u64,
-    /// Total generator ring-full stalls across successful sessions.
-    pub gen_stalls: u64,
-    /// Total judge ring-full stalls across successful sessions.
-    pub judge_stalls: u64,
-    /// Total core empty-ring waits across successful sessions.
-    pub core_waits: u64,
     /// Per-completion-window latency histogram (empty windows included,
     /// so the series is contiguous from the first to the last completion).
     pub buckets: Vec<LatencyBucket>,
@@ -212,10 +198,6 @@ pub fn run_loadgen(
     let mut latencies: Vec<f64> = Vec::new();
     let mut reconnect_lats_all: Vec<f64> = Vec::new();
     let mut first_error = None;
-    let mut pipeline_width = 1u64;
-    let mut gen_stalls = 0u64;
-    let mut judge_stalls = 0u64;
-    let mut core_waits = 0u64;
     // Per-window accumulators, indexed by completion offset / bucket.
     struct Acc {
         sessions: usize,
@@ -223,9 +205,6 @@ pub fn run_loadgen(
         walls: Vec<f64>,
         reconnects: u64,
         reconnect_lats: Vec<f64>,
-        gen_stalls: u64,
-        judge_stalls: u64,
-        core_waits: u64,
     }
     let bucket = opts.bucket.max(Duration::from_millis(1));
     let mut accs: Vec<Acc> = Vec::new();
@@ -265,9 +244,6 @@ pub fn run_loadgen(
                         walls: Vec::new(),
                         reconnects: 0,
                         reconnect_lats: Vec::new(),
-                        gen_stalls: 0,
-                        judge_stalls: 0,
-                        core_waits: 0,
                     });
                 }
                 accs[idx].sessions += 1;
@@ -275,16 +251,6 @@ pub fn run_loadgen(
                 accs[idx].lats.extend_from_slice(&lats);
                 accs[idx].reconnects += u64::from(rc);
                 accs[idx].reconnect_lats.extend_from_slice(&rc_lats);
-                // Backpressure tail from the SUMMARY frame: wall-clock
-                // scheduling artifacts, attributed to the completion
-                // window like everything else about the session.
-                pipeline_width = pipeline_width.max(o.summary.pipeline_width.max(1));
-                accs[idx].gen_stalls += o.summary.pipeline_gen_stalls;
-                accs[idx].judge_stalls += o.summary.pipeline_judge_stalls;
-                accs[idx].core_waits += o.summary.pipeline_core_waits;
-                gen_stalls += o.summary.pipeline_gen_stalls;
-                judge_stalls += o.summary.pipeline_judge_stalls;
-                core_waits += o.summary.pipeline_core_waits;
                 latencies.extend_from_slice(&lats);
                 reconnect_lats_all.extend_from_slice(&rc_lats);
             }
@@ -315,9 +281,6 @@ pub fn run_loadgen(
             reconnects: a.reconnects,
             p50_reconnect_ms: percentile_select(&mut a.reconnect_lats, 50.0),
             p99_reconnect_ms: percentile_select(&mut a.reconnect_lats, 99.0),
-            gen_stalls: a.gen_stalls,
-            judge_stalls: a.judge_stalls,
-            core_waits: a.core_waits,
         })
         .collect();
     let wall = started.elapsed();
@@ -340,10 +303,6 @@ pub fn run_loadgen(
         reconnects,
         p50_reconnect_ms: percentile_select(&mut reconnect_lats_all, 50.0),
         p99_reconnect_ms: percentile_select(&mut reconnect_lats_all, 99.0),
-        pipeline_width,
-        gen_stalls,
-        judge_stalls,
-        core_waits,
         buckets,
         first_error,
     }

@@ -768,18 +768,20 @@ pub struct Summary {
     pub bottlenecks: BottleneckBreakdown,
     /// Total detections raised over the session.
     pub detections: u64,
-    /// Stage-pipeline width the server ran this session at (1 = serial).
+    /// Wire tail, 1 of 4: the judging width. Peers that ran threaded
+    /// judging stages reported their width and three stall totals in
+    /// these four trailing varints. This build judges serially and always
+    /// sends width 1 and zero stalls; the decoder still accepts any values
+    /// an older peer sends, or a payload that ends at `detections`.
     pub pipeline_width: u64,
-    /// Generator ring-full stalls (spins with the raw ring full).
+    /// Wire tail, 2 of 4: generation-stage stalls (always 0 here).
     pub pipeline_gen_stalls: u64,
-    /// Judge ring-full stalls (spins with the judged ring full).
+    /// Wire tail, 3 of 4: judging-stage stalls (always 0 here).
     pub pipeline_judge_stalls: u64,
-    /// Core waits on an empty judged ring.
+    /// Wire tail, 4 of 4: core waits on judged batches (always 0 here).
     ///
-    /// These four ride as an optional SUMMARY tail: they are wall-clock
-    /// artifacts of thread scheduling, so parity suites must never
-    /// compare them — everything above this line stays bit-identical at
-    /// every width.
+    /// None of the four is a simulation output, so parity checks never
+    /// compare them.
     pub pipeline_core_waits: u64,
 }
 
@@ -802,17 +804,6 @@ impl Summary {
         }
     }
 
-    /// Attaches the engine's pipeline backpressure counters, so load
-    /// generators can report per-stage ring-full stalls without scraping
-    /// the metrics endpoint.
-    pub fn with_pipeline_counters(mut self, c: &fireguard_soc::EngineCounters) -> Self {
-        self.pipeline_width = c.pipeline_width.max(1);
-        self.pipeline_gen_stalls = c.pipeline_gen_stalls;
-        self.pipeline_judge_stalls = c.pipeline_judge_stalls;
-        self.pipeline_core_waits = c.pipeline_core_waits;
-        self
-    }
-
     /// Encodes the SUMMARY payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
@@ -827,9 +818,9 @@ impl Summary {
         put_uvarint(&mut b, self.bottlenecks.cdc);
         put_uvarint(&mut b, self.bottlenecks.ucore);
         put_uvarint(&mut b, self.detections);
-        // Optional tail (PR10): pipeline width + per-stage backpressure.
-        // Decoders accept payloads that end at `detections`, so pre-tail
-        // recordings remain readable.
+        // The optional wire tail (see `pipeline_width`). Decoders accept
+        // payloads that end at `detections`, so pre-tail recordings remain
+        // readable.
         put_uvarint(&mut b, self.pipeline_width);
         put_uvarint(&mut b, self.pipeline_gen_stalls);
         put_uvarint(&mut b, self.pipeline_judge_stalls);
@@ -1174,7 +1165,8 @@ mod tests {
             pipeline_core_waits: 0,
         };
         let mut bytes = s.encode();
-        // The all-default tail is four zero varints: one byte each.
+        // The serial tail is four one-byte varints: width 1 (0x01), then
+        // three zero stalls.
         bytes.truncate(bytes.len() - 4);
         assert_eq!(Summary::decode(&bytes).unwrap(), s);
     }

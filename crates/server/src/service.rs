@@ -68,10 +68,6 @@ pub struct ServeOptions {
     /// transport goes this long without producing a byte is reaped with
     /// an ERROR frame — a slowloris client pins no worker.
     pub idle_timeout: Duration,
-    /// In-session stage-pipeline width (`--pipeline`; 1 = serial, 0 =
-    /// auto-size to the host). Detections, summaries, and counters are
-    /// bit-identical at every width — this is a wall-clock knob only.
-    pub pipeline: u32,
 }
 
 impl Default for ServeOptions {
@@ -84,7 +80,6 @@ impl Default for ServeOptions {
             metrics_addr: None,
             trace: None,
             idle_timeout: Duration::from_secs(30),
-            pipeline: 1,
         }
     }
 }
@@ -253,7 +248,6 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
             let fleet = Arc::clone(&fleet);
             let trace = opts.trace.clone();
             let idle_timeout = opts.idle_timeout.max(Duration::from_millis(10));
-            let pipeline = opts.pipeline;
             std::thread::spawn(move || loop {
                 let conn = { lock_unpoisoned(&rx).recv() };
                 match conn {
@@ -269,7 +263,6 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
                             observe_every,
                             idle_timeout,
                             id,
-                            pipeline,
                             &fleet,
                             trace.as_deref(),
                         );
@@ -384,7 +377,6 @@ fn handle_session(
     observe_every: u64,
     idle_timeout: Duration,
     session_id: u64,
-    pipeline: u32,
     fleet: &FleetCounters,
     trace: Option<&TraceSink>,
 ) {
@@ -399,15 +391,7 @@ fn handle_session(
     };
     let drain = stream.try_clone();
     let mut writer = FrameWriter::new(BufWriter::new(stream), false);
-    session_inner(
-        reader,
-        &mut writer,
-        observe_every,
-        session_id,
-        pipeline,
-        fleet,
-        trace,
-    );
+    session_inner(reader, &mut writer, observe_every, session_id, fleet, trace);
     let _ = writer.flush();
     // The session may not have consumed the client's whole stream (the
     // capture margin past the commit target stays unread). Closing with
@@ -443,7 +427,6 @@ fn session_inner(
     writer: &mut FrameWriter<BufWriter<TcpStream>>,
     observe_every: u64,
     session_id: u64,
-    pipeline: u32,
     fleet: &FleetCounters,
     trace: Option<&TraceSink>,
 ) {
@@ -501,18 +484,10 @@ fn session_inner(
         error: Arc::clone(&error),
     };
 
-    let exp = cfg.to_experiment().pipeline(pipeline);
     // validate() already bounds the config, but the constructor's own
     // capacity check is the final authority — surface its refusal as an
-    // ERROR frame too, never a worker panic. The socket source is Send,
-    // so a `--pipeline` width beyond 1 runs this session's gen/judge
-    // stages on worker threads — same bytes out either way.
-    let built = if exp.pipeline == 1 {
-        try_build_system(&exp, Box::new(events))
-    } else {
-        fireguard_soc::try_build_system_send(&exp, Box::new(events))
-    };
-    let mut sys = match built {
+    // ERROR frame too, never a worker panic.
+    let mut sys = match try_build_system(&cfg.to_experiment(), Box::new(events)) {
         Ok(sys) => sys,
         Err(e) => {
             let msg = format!("refused session: {e}");
@@ -554,11 +529,8 @@ fn session_inner(
         .iter()
         .map(|&(slot, id)| (slot, id.wire()))
         .collect();
-    let counters = sys.telemetry();
-    fleet.fold_session(&counters, &slot_wire);
-    // Every SUMMARY (clean, partial, or broken) carries the session's
-    // pipeline backpressure tail so loadgen can histogram stage stalls.
-    let summary = Summary::from_result(&result).with_pipeline_counters(&counters);
+    fleet.fold_session(&sys.telemetry(), &slot_wire);
+    let summary = Summary::from_result(&result);
 
     let stream_error = lock_unpoisoned(&error).take();
     if let Some(msg) = stream_error {

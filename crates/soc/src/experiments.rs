@@ -29,11 +29,6 @@ pub struct ExperimentConfig {
     /// Mapper width (1 = the paper's scalar mapper; >1 = footnote 5's
     /// superscalar extension).
     pub mapper_width: usize,
-    /// Requested in-session pipeline width: 1 = serial (judge inline with
-    /// the core's trace pull), ≥2 = worker stages ahead of the core, 0 =
-    /// auto from the host's parallelism. Results are bit-identical at
-    /// every width.
-    pub pipeline: u32,
 }
 
 impl ExperimentConfig {
@@ -50,7 +45,6 @@ impl ExperimentConfig {
             isax: IsaxMode::MaStage,
             attacks: None,
             mapper_width: 1,
-            pipeline: 1,
         }
     }
 
@@ -108,12 +102,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the in-session pipeline width (0 = auto).
-    pub fn pipeline(mut self, w: u32) -> Self {
-        self.pipeline = w;
-        self
-    }
-
     fn profile(&self) -> WorkloadProfile {
         WorkloadProfile::parsec(&self.workload)
             .unwrap_or_else(|| panic!("unknown workload {}", self.workload))
@@ -127,17 +115,6 @@ impl ExperimentConfig {
     ///
     /// Panics if the workload name is unknown.
     pub fn trace(&self) -> Box<dyn Iterator<Item = fireguard_trace::TraceInst>> {
-        let g = TraceGenerator::new(self.profile(), self.seed);
-        match &self.attacks {
-            Some(plan) => Box::new(AttackingTrace::new(g, plan.clone())),
-            None => Box::new(g),
-        }
-    }
-
-    /// [`ExperimentConfig::trace`] with a `Send` bound, so the stream can
-    /// move onto a pipeline generation worker. Same generator, same seed,
-    /// same events.
-    pub fn trace_send(&self) -> Box<dyn Iterator<Item = fireguard_trace::TraceInst> + Send> {
         let g = TraceGenerator::new(self.profile(), self.seed);
         match &self.attacks {
             Some(plan) => Box::new(AttackingTrace::new(g, plan.clone())),
@@ -191,35 +168,14 @@ pub fn try_build_system(
     FireGuardSystem::try_new(soc_config(cfg), trace, &cfg.kernels)
 }
 
-/// [`try_build_system`] over a `Send` commit stream, honoring
-/// `cfg.pipeline`: the judging stage (and at width ≥ 3, generation) runs
-/// on worker threads ahead of the core. Results are bit-identical to the
-/// serial build at every width.
-///
-/// # Errors
-///
-/// The same capacity errors as [`try_build_system`].
-pub fn try_build_system_send(
-    cfg: &ExperimentConfig,
-    trace: Box<dyn Iterator<Item = fireguard_trace::TraceInst> + Send>,
-) -> Result<FireGuardSystem, CapacityError> {
-    FireGuardSystem::try_new_pipelined(soc_config(cfg), trace, &cfg.kernels, cfg.pipeline)
-}
-
-/// Builds the system for `cfg` from its own generator, routing through
-/// the pipelined constructor whenever `cfg.pipeline` asks for more than
-/// the serial stage.
+/// Builds the system for `cfg` over its own commit stream
+/// ([`ExperimentConfig::trace`]).
 ///
 /// # Panics
 ///
 /// Panics on a capacity violation, like [`build_system`].
 pub fn build_system_auto(cfg: &ExperimentConfig) -> FireGuardSystem {
-    let r = if cfg.pipeline == 1 {
-        try_build_system(cfg, cfg.trace())
-    } else {
-        try_build_system_send(cfg, cfg.trace_send())
-    };
-    r.unwrap_or_else(|e| panic!("{e}"))
+    build_system(cfg, cfg.trace())
 }
 
 fn soc_config(cfg: &ExperimentConfig) -> SocConfig {
@@ -247,13 +203,7 @@ pub fn run_fireguard_events(
     events: Vec<fireguard_trace::TraceInst>,
     baseline_cycles: u64,
 ) -> RunResult {
-    // A captured event vector is `Send`, so replay honors `cfg.pipeline`
-    // exactly like a generated run — replay parity holds at every width.
-    let mut sys = if cfg.pipeline == 1 {
-        build_system(cfg, Box::new(events.into_iter()))
-    } else {
-        try_build_system_send(cfg, Box::new(events.into_iter())).unwrap_or_else(|e| panic!("{e}"))
-    };
+    let mut sys = build_system(cfg, Box::new(events.into_iter()));
     sys.run_insts(cfg.insts, baseline_cycles)
 }
 

@@ -33,10 +33,11 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod pipeline;
+pub mod judging;
 pub mod report;
 pub mod reporter;
 pub mod sweep;
@@ -45,11 +46,9 @@ pub mod system;
 pub use experiments::{
     baseline_cycles, build_system, build_system_auto, capture_events, run_fireguard,
     run_fireguard_events, run_fireguard_telemetry, run_software, try_build_system,
-    try_build_system_send, ExperimentConfig, REPLAY_MARGIN,
+    ExperimentConfig, REPLAY_MARGIN,
 };
-pub use pipeline::{
-    resolve_pipeline_width, JudgedTrace, PipelineStats, PipelinedTrace, VerdictWindow,
-};
+pub use judging::{JudgedTrace, VerdictWindow};
 pub use report::{BottleneckBreakdown, Detection, RunResult};
 pub use reporter::{render, render_to_string, Block, Cell, Format, Report, Table};
 pub use sweep::{default_workers, run_jobs, JobOutput, JobSpec, SweepGrid, SweepPoint};

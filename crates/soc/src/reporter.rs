@@ -4,8 +4,7 @@
 //! [`Table`]s with typed [`Cell`]s — instead of `println!`-ing ad hoc.
 //! A [`Format`] then renders the report:
 //!
-//! * [`Format::Human`] — the fixed-width ASCII tables the legacy figure
-//!   binaries have always printed;
+//! * [`Format::Human`] — fixed-width ASCII tables (the default);
 //! * [`Format::Jsonl`] — one JSON object per line (notes and table rows),
 //!   for piping into `jq`/pandas;
 //! * [`Format::Csv`] — RFC-4180-style CSV per table, notes as `#` comments.
@@ -159,7 +158,7 @@ impl Report {
 /// An output format for [`render`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Format {
-    /// Fixed-width ASCII tables (the legacy binaries' output).
+    /// Fixed-width ASCII tables.
     #[default]
     Human,
     /// One JSON object per line.

@@ -8,7 +8,7 @@
 //! Manhattan-grid NoC. Any full queue back-pressures upstream all the way
 //! to commit, which is where slowdown comes from.
 
-use crate::pipeline::{JudgedTrace, PipelineStats, PipelinedTrace, VerdictWindow};
+use crate::judging::{JudgedTrace, VerdictWindow};
 use crate::report::{BottleneckBreakdown, Detection, RunResult};
 use fireguard_boom::{BoomConfig, CommitSink, Core};
 use fireguard_core::{
@@ -25,7 +25,6 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// How a kernel's analysis capacity is provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,8 +189,8 @@ impl Engine {
 struct Frontend {
     filter: EventFilter,
     allocator: Allocator,
-    /// Seq-ordered verdicts deposited by the judging stage (inline or a
-    /// pipeline worker) before each event reaches the core.
+    /// Seq-ordered verdicts deposited by the judging stage before each
+    /// event reaches the core.
     window: Rc<RefCell<VerdictWindow>>,
     cdcs: Vec<CdcQueue<Packet>>,
     engine_full: Vec<bool>,
@@ -353,11 +352,6 @@ pub struct FireGuardSystem {
     mesh: Mesh,
     pending_noc: BinaryHeap<Reverse<(u64, usize, u64)>>, // (deliver_at, engine, payload-lo)
     divider: ClockDivider,
-    /// Effective pipeline width (1 = serial judging inline with the
-    /// core's trace pull; ≥2 = worker stages ahead of the core).
-    pipeline_width: u32,
-    /// Stage backpressure counters when worker stages are live.
-    pipeline_stats: Option<Arc<PipelineStats>>,
     /// True while the whole FireGuard side is provably quiescent — no
     /// packet buffered anywhere and every engine parked — so per-cycle
     /// mapper/fabric/engine work can be skipped without changing any
@@ -399,9 +393,8 @@ impl FireGuardSystem {
     /// panicking, so hostile or oversized session configs surface as
     /// clean errors.
     ///
-    /// The trace is judged serially (batched, inline with the core's
-    /// trace pull); see [`FireGuardSystem::try_new_pipelined`] for the
-    /// threaded stages.
+    /// The trace is judged in batches on the core's own trace pull (see
+    /// [`JudgedTrace`]).
     pub fn try_new(
         cfg: SocConfig,
         trace: Box<dyn Iterator<Item = TraceInst>>,
@@ -412,62 +405,15 @@ impl FireGuardSystem {
         let window = Rc::new(RefCell::new(VerdictWindow::new()));
         let judged: Box<dyn Iterator<Item = TraceInst>> =
             Box::new(JudgedTrace::new(trace, &ids, Rc::clone(&window)));
-        Ok(Self::assemble(cfg, judged, window, 1, None, kernels))
-    }
-
-    /// Like [`FireGuardSystem::try_new`], but the judging stage may run
-    /// ahead of the core on worker threads. `pipeline` is the requested
-    /// width (0 = auto from `available_parallelism()`); the effective
-    /// width is clamped to the three real stages and a width ≤ 1 —
-    /// including auto on a 1-CPU host — degrades to the serial path.
-    /// Results are bit-identical at every width: verdicts are pure
-    /// functions of the seq-ordered event stream, and batch boundaries
-    /// and batch order are preserved across all shapes.
-    ///
-    /// # Errors
-    ///
-    /// The same capacity errors as [`FireGuardSystem::try_new`].
-    pub fn try_new_pipelined(
-        cfg: SocConfig,
-        trace: Box<dyn Iterator<Item = TraceInst> + Send>,
-        kernels: &[(KernelId, EngineConfig)],
-        pipeline: u32,
-    ) -> Result<Self, CapacityError> {
-        validate_capacity(kernels)?;
-        let width = crate::pipeline::resolve_pipeline_width(pipeline);
-        let ids: Vec<KernelId> = kernels.iter().map(|&(id, _)| id).collect();
-        let window = Rc::new(RefCell::new(VerdictWindow::new()));
-        if width <= 1 {
-            let judged: Box<dyn Iterator<Item = TraceInst>> =
-                Box::new(JudgedTrace::new(trace, &ids, Rc::clone(&window)));
-            return Ok(Self::assemble(cfg, judged, window, 1, None, kernels));
-        }
-        let stats = Arc::new(PipelineStats::default());
-        let judged: Box<dyn Iterator<Item = TraceInst>> = Box::new(PipelinedTrace::new(
-            trace,
-            &ids,
-            Rc::clone(&window),
-            width,
-            Arc::clone(&stats),
-        ));
-        Ok(Self::assemble(
-            cfg,
-            judged,
-            window,
-            width,
-            Some(stats),
-            kernels,
-        ))
+        Ok(Self::assemble(cfg, judged, window, kernels))
     }
 
     /// Builds the SoC around an already-judged trace stream (capacity
-    /// pre-validated by the public constructors).
+    /// pre-validated by [`FireGuardSystem::try_new`]).
     fn assemble(
         cfg: SocConfig,
         trace: Box<dyn Iterator<Item = TraceInst>>,
         window: Rc<RefCell<VerdictWindow>>,
-        pipeline_width: u32,
-        pipeline_stats: Option<Arc<PipelineStats>>,
         kernels: &[(KernelId, EngineConfig)],
     ) -> Self {
         let mut filter = EventFilter::new(cfg.filter);
@@ -533,8 +479,6 @@ impl FireGuardSystem {
             mesh,
             pending_noc: BinaryHeap::new(),
             divider,
-            pipeline_width,
-            pipeline_stats,
             fg_idle: false,
             last_slow_processed: u64::MAX,
             refresh_pending: false,
@@ -980,20 +924,7 @@ impl FireGuardSystem {
         c.noc_flits = ms.packets;
         c.noc_hops = ms.hops;
         c.noc_queue_cycles = ms.queueing;
-        c.pipeline_width = u64::from(self.pipeline_width);
-        if let Some(ps) = &self.pipeline_stats {
-            let (gen_full, judge_full, core_empty, batches) = ps.snapshot();
-            c.pipeline_gen_stalls = gen_full;
-            c.pipeline_judge_stalls = judge_full;
-            c.pipeline_core_waits = core_empty;
-            c.pipeline_batches = batches;
-        }
         c
-    }
-
-    /// The effective in-session pipeline width (1 = serial judging).
-    pub fn pipeline_width(&self) -> u32 {
-        self.pipeline_width
     }
 
     /// The deployment's `(verdict slot, kernel)` map, in slot order —

@@ -77,16 +77,6 @@ pub struct EngineCounters {
     pub tlb_hits: u64,
     /// µcore data-TLB misses.
     pub tlb_misses: u64,
-    /// Effective in-session pipeline width (1 = serial judging).
-    pub pipeline_width: u64,
-    /// Generation-stage stalls: gen→judge ring full (spin iterations).
-    pub pipeline_gen_stalls: u64,
-    /// Judging-stage stalls: judge→core ring full (spin iterations).
-    pub pipeline_judge_stalls: u64,
-    /// Core-side waits: judged-batch ring empty (spin iterations).
-    pub pipeline_core_waits: u64,
-    /// Judged batches handed across the final ring.
-    pub pipeline_batches: u64,
 }
 
 impl EngineCounters {
@@ -125,11 +115,6 @@ impl EngineCounters {
         self.cache_misses += other.cache_misses;
         self.tlb_hits += other.tlb_hits;
         self.tlb_misses += other.tlb_misses;
-        self.pipeline_width = self.pipeline_width.max(other.pipeline_width);
-        self.pipeline_gen_stalls += other.pipeline_gen_stalls;
-        self.pipeline_judge_stalls += other.pipeline_judge_stalls;
-        self.pipeline_core_waits += other.pipeline_core_waits;
-        self.pipeline_batches += other.pipeline_batches;
     }
 
     /// Renders the counters as named samples. `kernels` maps occupied
@@ -163,20 +148,6 @@ impl EngineCounters {
             Sample::new("fireguard_cache_misses_total", self.cache_misses),
             Sample::new("fireguard_tlb_hits_total", self.tlb_hits),
             Sample::new("fireguard_tlb_misses_total", self.tlb_misses),
-            Sample::new("fireguard_pipeline_width", self.pipeline_width),
-            Sample::new(
-                "fireguard_pipeline_gen_stalls_total",
-                self.pipeline_gen_stalls,
-            ),
-            Sample::new(
-                "fireguard_pipeline_judge_stalls_total",
-                self.pipeline_judge_stalls,
-            ),
-            Sample::new(
-                "fireguard_pipeline_core_waits_total",
-                self.pipeline_core_waits,
-            ),
-            Sample::new("fireguard_pipeline_batches_total", self.pipeline_batches),
         ];
         for (i, name) in classes.iter().enumerate().take(MAX_CLASSES) {
             if self.class_packets[i] != 0 {

@@ -1,7 +1,7 @@
 //! Structure-of-arrays event batches for the data-oriented hot path.
 //!
-//! The commit-stream consumers (verdict judging, the pipeline stages) are
-//! throughput-bound loops over a handful of per-event fields. Pulling those
+//! The commit-stream consumer (the judging stage ahead of commit) is a
+//! set of throughput-bound loops over a handful of per-event fields. Pulling those
 //! fields out of [`TraceInst`] into parallel columns lets the hot loops scan
 //! contiguous `u64`/`u8` arrays — branchless compares over `addr[]` instead
 //! of an `Option<u64>` match per event — while the full authoritative
@@ -13,12 +13,12 @@
 
 use crate::event::TraceInst;
 
-/// Default number of events per batch on the batched/pipelined paths.
+/// Default number of events per batch on the batched judging path.
 ///
-/// Large enough to amortise per-batch overhead (refill, ring handoff) to
-/// noise and give the column loops real vector width; small enough that a
-/// few in-flight batches stay cache-resident and the pipeline's look-ahead
-/// window stays tiny relative to a session.
+/// Large enough to amortise per-batch overhead (refill, per-kernel judge
+/// dispatch) to noise and give the column loops real vector width; small
+/// enough that a batch stays cache-resident and the judging look-ahead
+/// stays tiny relative to a session.
 pub const BATCH_EVENTS: usize = 256;
 
 /// Column value in [`EventBatch::addr`] for events without a memory access.

@@ -25,8 +25,8 @@
 //! A sixth axis pins the data-oriented hot path: every registered
 //! kernel's `Semantics::judge_batch` (the batched, possibly column-scan
 //! override) must be bit-identical to per-event `judge` over an attacked
-//! commit stream — the contract the pipeline's width-parity guarantee
-//! rests on.
+//! commit stream — the contract that lets the judging stage judge whole
+//! batches ahead of commit.
 
 use fireguard::kernels::registry;
 use fireguard::soc::{

@@ -11,7 +11,7 @@
 
 use fireguard::kernels::KernelId;
 use fireguard::soc::{
-    baseline_cycles, build_system_auto, run_fireguard, EngineCounters, ExperimentConfig, RunResult,
+    baseline_cycles, build_system_auto, run_fireguard, ExperimentConfig, RunResult,
 };
 use fireguard::trace::{AttackKind, AttackPlan};
 
@@ -124,23 +124,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV digests of the run's `CoreStats` and `EngineCounters` (their
-/// `Debug` renderings, so every field counts). The `pipeline_*` counters
-/// are wall-clock artifacts of the threaded stages and are zeroed first.
+/// `Debug` renderings, so every field counts).
 fn stats_digests(cfg: &ExperimentConfig) -> (u64, u64) {
     let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
     let mut sys = build_system_auto(cfg);
     sys.run_insts(cfg.insts, base);
-    let counters = EngineCounters {
-        pipeline_width: 0,
-        pipeline_gen_stalls: 0,
-        pipeline_judge_stalls: 0,
-        pipeline_core_waits: 0,
-        pipeline_batches: 0,
-        ..sys.telemetry()
-    };
     (
         fnv1a(format!("{:?}", sys.core_stats()).as_bytes()),
-        fnv1a(format!("{counters:?}").as_bytes()),
+        fnv1a(format!("{:?}", sys.telemetry()).as_bytes()),
     )
 }
 
@@ -162,37 +153,37 @@ fn stats_rows() -> Vec<(&'static str, ExperimentConfig, u64, u64)> {
             "pmc",
             per_kernel(KernelId::PMC),
             0xe90a_8f86_7c2a_a8df,
-            0xf0d3_4ca6_14de_9a1b,
+            0xe191_75d4_3816_9ab5,
         ),
         (
             "shadow-stack",
             per_kernel(KernelId::SHADOW_STACK),
             0xa878_e44a_a893_2e48,
-            0xeb5f_d770_4173_6bee,
+            0x8c96_16aa_5afe_c18c,
         ),
         (
             "asan",
             per_kernel(KernelId::ASAN),
             0x1085_3ba7_b990_9d33,
-            0x43a9_ff2e_d21e_c934,
+            0x29d2_926a_174b_5406,
         ),
         (
             "uaf",
             per_kernel(KernelId::UAF),
             0xe633_a743_5472_8575,
-            0xa7be_3790_105c_f1d4,
+            0x1ca5_7474_4559_efa6,
         ),
         (
             "taint",
             per_kernel(KernelId::TAINT),
             0x7cda_07b7_3276_d6d1,
-            0xdb05_bba7_93aa_f6c1,
+            0x88b3_5e1d_9dd8_81cf,
         ),
         (
             "mte",
             per_kernel(KernelId::MTE),
             0x18cb_763f_e9a2_a9a5,
-            0xe5d3_295b_bb0c_afcd,
+            0x7959_f6ad_00e4_5623,
         ),
         (
             "asan-saturated",
@@ -208,13 +199,13 @@ fn stats_rows() -> Vec<(&'static str, ExperimentConfig, u64, u64)> {
                     7,
                 )),
             0x7f62_dab4_f737_bf33,
-            0x3e50_d7d0_f3d8_7cca,
+            0xac7d_39a0_91df_8dd0,
         ),
         (
             "asan-filter-w1",
             per_kernel(KernelId::ASAN).filter_width(1),
             0x3313_04e2_d018_fc1d,
-            0x4f39_dfa2_2337_a7ac,
+            0x2937_fc72_f7dc_bece,
         ),
     ]
 }
