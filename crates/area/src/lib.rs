@@ -19,6 +19,8 @@
 //! assert_eq!(rows.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// §IV-F component areas at 14 nm, in mm².
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentAreas {

@@ -1,6 +1,6 @@
 //! Shared harness for the figure/table reproduction: environment-variable
 //! configuration plus the [`figures`] drivers the `fireguard` CLI
-//! dispatches into, and the [`perf`] scenarios behind `fireguard bench`.
+//! dispatches into.
 //!
 //! Every entry point honours three environment variables:
 //!
@@ -12,11 +12,14 @@
 //!   parallelism; see [`fireguard_soc::sweep::default_workers`]).
 //!
 //! The CLI's `--insts`, `--quick`, and `--jobs` flags override all three.
+//!
+//! The crate's `tests/alloc_contract.rs` enforces the simulator's
+//! zero-allocation cycle loop.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod perf;
 
 /// Instructions for a smoke (`FG_QUICK`) run.
 pub const QUICK_INSTS: u64 = 30_000;

@@ -26,6 +26,8 @@
 //! assert!(stats.ipc() > 0.5 && stats.ipc() <= 4.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod core;
 pub mod predictor;

@@ -93,16 +93,6 @@ pub struct Parsed {
     pub backend_workers: Option<usize>,
     /// `--kills N` (loadgen --chaos): scheduled backend kills.
     pub kills: Option<usize>,
-    /// `--warmup N` untimed runs per bench scenario (bench).
-    pub warmup: Option<usize>,
-    /// `--samples N` timed runs per bench scenario (bench).
-    pub samples: Option<usize>,
-    /// `--scenario csv` bench scenario filter (bench).
-    pub scenarios: Option<String>,
-    /// `--baseline FILE`: embed this `BENCH_*.json`'s events/s (bench).
-    pub baseline: Option<String>,
-    /// `--check FILE`: fail on >10% events/s regression vs FILE (bench).
-    pub check: Option<String>,
     /// `--idle-timeout SECS` (serve / router): reap silent connections.
     pub idle_timeout_secs: Option<f64>,
     /// `--journal-dir DIR` (router): durable session journals.
@@ -128,8 +118,6 @@ pub struct Parsed {
     pub metrics_addr: Option<String>,
     /// `--trace-out FILE` (serve / router / client / loadgen): span jsonl.
     pub trace_out: Option<String>,
-    /// `--profile` (bench): stage-level cycle-attribution profile.
-    pub profile: bool,
     /// Canonical names of every flag that was actually set.
     used: Vec<&'static str>,
 }
@@ -146,7 +134,6 @@ const NAMED_COMMANDS: &[&str] = &[
     "client",
     "loadgen",
     "chaos-net",
-    "bench",
     "stats",
     "trace record",
     "trace replay",
@@ -154,22 +141,15 @@ const NAMED_COMMANDS: &[&str] = &[
 
 /// Flag → the subcommands it applies to.
 const FLAG_SCOPES: &[(&str, &[&str])] = &[
-    ("--insts", &[FIG, "sweep", "trace record", "bench"]),
+    ("--insts", &[FIG, "sweep", "trace record"]),
     // loadgen: session-id / chaos-schedule seed (routed modes).
     // chaos-net: the per-connection fault-schedule seed.
     (
         "--seed",
-        &[
-            FIG,
-            "sweep",
-            "trace record",
-            "bench",
-            "loadgen",
-            "chaos-net",
-        ],
+        &[FIG, "sweep", "trace record", "loadgen", "chaos-net"],
     ),
-    ("--quick", &[FIG, "sweep", "trace record", "bench"]),
-    ("--jobs", &[FIG, "sweep", "loadgen", "bench"]),
+    ("--quick", &[FIG, "sweep", "trace record"]),
+    ("--jobs", &[FIG, "sweep", "loadgen"]),
     ("--workloads", &["sweep"]),
     ("--kernel", &["sweep", "trace replay", "client", "loadgen"]),
     ("--ucores", &["sweep", "trace replay", "client", "loadgen"]),
@@ -210,7 +190,7 @@ const FLAG_SCOPES: &[(&str, &[&str])] = &[
     ("--backend-addrs", &["router"]),
     ("--backend-workers", &["router", "loadgen"]),
     ("--kills", &["loadgen"]),
-    ("--out", &["trace record", "bench"]),
+    ("--out", &["trace record"]),
     ("--trace", &["trace replay", "client", "loadgen"]),
     ("--workload", &["trace record"]),
     // sweep: an attack campaign per grid point, so silent workloads are
@@ -221,12 +201,6 @@ const FLAG_SCOPES: &[(&str, &[&str])] = &[
     ("--attack-end", &["trace record", "sweep"]),
     ("--attack-seed", &["trace record", "sweep"]),
     ("--batch", &["client", "loadgen"]),
-    ("--warmup", &["bench"]),
-    ("--samples", &["bench"]),
-    ("--scenario", &["bench"]),
-    ("--baseline", &["bench"]),
-    ("--check", &["bench"]),
-    ("--profile", &["bench"]),
     // --format applies everywhere.
 ];
 
@@ -281,10 +255,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
             "--routed" => {
                 p.routed = true;
                 p.used.push("--routed");
-            }
-            "--profile" => {
-                p.profile = true;
-                p.used.push("--profile");
             }
             s if s.starts_with("--") => {
                 let (name, value) = match s.split_once('=') {
@@ -471,26 +441,6 @@ fn apply_flag(p: &mut Parsed, name: &str, value: &str) -> Result<(), ArgError> {
             p.kills = Some(num(name, value)?);
             "--kills"
         }
-        "--warmup" => {
-            p.warmup = Some(num(name, value)?);
-            "--warmup"
-        }
-        "--samples" => {
-            p.samples = Some(positive(name, value)?);
-            "--samples"
-        }
-        "--scenario" | "--scenarios" => {
-            p.scenarios = Some(value.to_owned());
-            "--scenario"
-        }
-        "--baseline" => {
-            p.baseline = Some(value.to_owned());
-            "--baseline"
-        }
-        "--check" => {
-            p.check = Some(value.to_owned());
-            "--check"
-        }
         "--idle-timeout" => {
             let secs: f64 = num(name, value)?;
             if secs <= 0.0 || !secs.is_finite() {
@@ -659,15 +609,9 @@ mod tests {
         assert_eq!(p.command, "stats");
         assert!(p.out_of_scope_flags().is_empty());
 
-        let p = parse(&args("bench --profile --quick")).unwrap();
-        assert!(p.profile);
-        assert!(p.out_of_scope_flags().is_empty());
-
-        // --metrics-addr is a serve/router flag; --profile is bench-only.
+        // --metrics-addr is a serve/router flag.
         let p = parse(&args("client --trace t.fgt --metrics-addr 127.0.0.1:9")).unwrap();
         assert_eq!(p.out_of_scope_flags(), vec!["--metrics-addr"]);
-        let p = parse(&args("serve --profile")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--profile"]);
 
         // sweep accepts an attack campaign now; trace-out does not apply.
         let p = parse(&args("sweep --attacks ret-hijack --attack-count 6")).unwrap();
@@ -780,10 +724,21 @@ mod tests {
             parse(&args("fig7a --wat 1")),
             Err(ArgError::Bad(_))
         ));
-        assert!(matches!(
-            parse(&args("fig7a --pipeline 2")),
-            Err(ArgError::Bad(m)) if m == "unknown flag --pipeline"
-        ));
+        // Flags of removed features are unknown, not silently accepted.
+        for flag in [
+            "--pipeline",
+            "--warmup",
+            "--samples",
+            "--scenario",
+            "--baseline",
+            "--check",
+            "--profile",
+        ] {
+            assert!(matches!(
+                parse(&args(&format!("fig7a {flag} 2"))),
+                Err(ArgError::Bad(m)) if m == format!("unknown flag {flag}")
+            ));
+        }
         assert!(matches!(parse(&args("a b")), Err(ArgError::Bad(_))));
         assert!(matches!(
             parse(&args("loadgen --sessions 0")),

@@ -19,6 +19,8 @@
 //! variables. Output is byte-identical across `--jobs` values: the sweep
 //! engine re-orders results by job index before anything is printed.
 
+#![forbid(unsafe_code)]
+
 use fireguard_bench::figures::{find, FigOpts, FIGURES};
 use fireguard_soc::sweep::SweepGrid;
 use fireguard_soc::{
@@ -26,17 +28,10 @@ use fireguard_soc::{
 };
 
 mod args;
-mod bench_cmd;
 mod service_cmds;
 
 use args::{ArgError, Parsed};
 use service_cmds::{parse_kernel, parse_model};
-
-/// Count heap allocations binary-wide so `fireguard bench` can report
-/// allocs/event (one relaxed atomic add per allocation; see
-/// [`fireguard_bench::perf::CountingAllocator`]).
-#[global_allocator]
-static ALLOC: fireguard_bench::perf::CountingAllocator = fireguard_bench::perf::CountingAllocator;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -80,11 +75,6 @@ fn run(argv: &[String]) -> i32 {
     }
     if parsed.command == "chaos-net" {
         return service_cmds::chaos_net_cmd(&parsed);
-    }
-    if parsed.command == "bench" {
-        // bench renders its own report: it has side outputs (--out JSON)
-        // and a gate (--check) that must set the exit code after printing.
-        return bench_cmd::bench_cmd(&parsed);
     }
 
     let report = match parsed.command.as_str() {
@@ -163,10 +153,6 @@ const EXTRA_COMMANDS: &[(&str, &str)] = &[
     (
         "chaos-net",
         "seeded wire-fault proxy: interpose lies between client and fleet",
-    ),
-    (
-        "bench",
-        "performance scenarios: events/s, allocs/event, regression gate",
     ),
     (
         "stats",
@@ -456,7 +442,6 @@ fn usage() -> String {
          \x20   client           stream a .fgt recording to a running service\n\
          \x20   loadgen          open N concurrent sessions, report throughput/latency\n\
          \x20   chaos-net        seeded wire-fault proxy between clients and the fleet\n\
-         \x20   bench            performance scenarios: events/s, allocs/event, regression gate\n\
          \x20   stats            scrape live --metrics-addr endpoints, aggregate fleet counters\n\
          \x20   list             list subcommands as a table (--format jsonl for tooling)\n\
          \x20   help             this message\n\
@@ -522,15 +507,6 @@ fn usage() -> String {
          \x20   --metrics-addr <h:p>    serve/router: live metrics endpoint (exposition + STATS)\n\
          \x20   --trace-out <file>      serve/router/client/loadgen: span-event jsonl sink\n\
          \x20   stats --addr <csv>      scrape endpoints, aggregate per-kernel fleet counters\n\
-         \x20   bench --profile         stage-level cycle attribution (gen/core/filter/kernel/codec)\n\
-         \n\
-         BENCH FLAGS:\n\
-         \x20   --scenario <csv>        scenario filter (default: all; see bench output)\n\
-         \x20   --warmup <N>            untimed runs per scenario (default 1)\n\
-         \x20   --samples <N>           timed runs per scenario, best reported (default 3)\n\
-         \x20   --out <file>            write a BENCH_*.json machine-readable baseline\n\
-         \x20   --baseline <file>       embed a prior BENCH_*.json's events/s for speedups\n\
-         \x20   --check <file>          fail on >10% events/s regression vs <file>\n\
          \n\
          Replay/client/loadgen take --kernel <csv|all> with --ucores <N> or --ha\n\
          (each kernel gets its own engines; `all` deploys every registered kernel).\n\

@@ -484,16 +484,6 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         }
     }
     r.blank();
-    // Throughput cells shared with `fireguard bench` (same precision and
-    // units), so service and simulator numbers read identically.
-    let [eps, nspe] = fireguard_bench::perf::throughput_cells(
-        agg.events_per_sec,
-        if agg.events_per_sec > 0.0 {
-            1e9 / agg.events_per_sec
-        } else {
-            0.0
-        },
-    );
     let mut t = Table::new(&[
         ("sessions", 9),
         ("failed", 7),
@@ -515,8 +505,18 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
             v: agg.wall.as_secs_f64() * 1e3,
             prec: 1,
         },
-        eps,
-        nspe,
+        Cell::Float {
+            v: agg.events_per_sec,
+            prec: 0,
+        },
+        Cell::Float {
+            v: if agg.events_per_sec > 0.0 {
+                1e9 / agg.events_per_sec
+            } else {
+                0.0
+            },
+            prec: 1,
+        },
         Cell::Int(agg.detections as i64),
         if agg.detections == 0 {
             Cell::Missing

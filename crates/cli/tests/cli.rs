@@ -52,6 +52,10 @@ fn list_names_every_figure() {
     ] {
         assert!(out.contains(name), "list output is missing {name}:\n{out}");
     }
+    assert!(
+        !out.contains("bench"),
+        "list names a removed subcommand:\n{out}"
+    );
 }
 
 #[test]
@@ -246,6 +250,11 @@ fn errors_exit_2_with_a_message() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 
+    // The performance-scenario harness is gone; perfbench replaced it.
+    let out = fireguard(&["bench"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand \"bench\""));
+
     let out = fireguard(&["sweep", "--kernel", "rowhammer", "--insts", "2000"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown kernel"));
@@ -273,6 +282,7 @@ fn list_jsonl_is_a_machine_readable_registry() {
     // trace record/replay appear as rows too.
     assert!(out.contains("\"name\":\"trace record\""));
     assert!(out.contains("\"name\":\"trace replay\""));
+    assert!(!out.contains("\"name\":\"bench\""));
 }
 
 #[test]
@@ -487,7 +497,9 @@ fn trace_subcommand_errors_are_actionable() {
 fn help_and_version_exit_0() {
     let help = fireguard(&["--help"]);
     assert_eq!(help.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&help.stdout).contains("SUBCOMMANDS"));
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(usage.contains("SUBCOMMANDS"));
+    assert!(!usage.contains("bench") && !usage.contains("BENCH FLAGS"));
     let version = fireguard(&["--version"]);
     assert_eq!(version.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&version.stdout).starts_with("fireguard "));

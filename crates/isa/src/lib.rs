@@ -19,6 +19,7 @@
 //! assert_eq!(inst.class(), InstClass::Load);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod inst;

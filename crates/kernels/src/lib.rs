@@ -27,6 +27,8 @@
 //! cycle-accurate costs — including the shadow-memory misses behind the
 //! paper's ASan tail latencies.
 
+#![forbid(unsafe_code)]
+
 pub mod ha;
 pub mod kernel;
 pub mod plugins;

@@ -20,6 +20,8 @@
 //! assert!(second.latency < first.latency);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod hierarchy;
 pub mod mshr;

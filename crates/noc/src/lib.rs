@@ -23,6 +23,8 @@
 //! assert!(t > 100);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Identifies a mesh node (an attached analysis engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u16);

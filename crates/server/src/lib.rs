@@ -37,6 +37,7 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -246,10 +246,10 @@ pub fn run_fireguard(cfg: &ExperimentConfig) -> RunResult {
 }
 
 /// [`run_fireguard`] with the engine-counter snapshot and its
-/// `(slot, kernel)` labeling attached — the instrumented entry point the
-/// metrics plane and `bench --profile` share. The [`RunResult`] is
+/// `(slot, kernel)` labeling attached. The [`RunResult`] is
 /// byte-identical to the uninstrumented call: the snapshot is read after
-/// the run completes and reading mutates nothing.
+/// the run completes and reading mutates nothing (`tests/telemetry.rs`
+/// holds the two calls equal).
 pub fn run_fireguard_telemetry(
     cfg: &ExperimentConfig,
 ) -> (

@@ -53,8 +53,8 @@ pub use report::{BottleneckBreakdown, Detection, RunResult};
 pub use reporter::{render, render_to_string, Block, Cell, Format, Report, Table};
 pub use sweep::{default_workers, run_jobs, JobOutput, JobSpec, SweepGrid, SweepPoint};
 pub use system::{
-    validate_capacity, CapacityError, EngineConfig, FireGuardSystem, SocConfig, MAX_ENGINES,
-    MAX_KERNELS,
+    validate_capacity, CapacityError, EngineConfig, FireGuardSystem, HostWork, SocConfig,
+    MAX_ENGINES, MAX_KERNELS,
 };
 
 // Re-exported so downstream layers (server, bench, CLI, tests) consume

@@ -339,6 +339,26 @@ impl CommitSink for Frontend {
     }
 }
 
+/// The host work a run cost, in exact units that the seed and the
+/// configuration fix. Each count falls when a cycle-loop fast path
+/// takes work away, so pinning them pins that the fast paths fire.
+/// None of it is simulated state, so it stays out of [`CoreStats`] and
+/// [`EngineCounters`] and can change without moving a simulated count.
+///
+/// [`CoreStats`]: fireguard_boom::CoreStats
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostWork {
+    /// Fast cycles stepped one at a time ([`FireGuardSystem::step`]).
+    pub steps: u64,
+    /// Frozen stretches taken in bulk by the frozen-cycle fast-forward.
+    pub skips: u64,
+    /// Slow edges whose fabric and engine work ran; the others were
+    /// passed over while the FireGuard side was idle.
+    pub slow_edges_run: u64,
+    /// BOOM issue-queue scans ([`Core::issue_scans`]).
+    pub issue_scans: u64,
+}
+
 /// The full FireGuard system.
 pub struct FireGuardSystem {
     cfg: SocConfig,
@@ -368,6 +388,9 @@ pub struct FireGuardSystem {
     /// Detections drained from the engines so far (see
     /// [`FireGuardSystem::drain_detections`]).
     detections: Vec<Detection>,
+    /// Steps, skips and slow edges run so far; `issue_scans` is read
+    /// from the core (see [`FireGuardSystem::host_work`]).
+    work: HostWork,
 }
 
 impl FireGuardSystem {
@@ -483,11 +506,13 @@ impl FireGuardSystem {
             last_slow_processed: u64::MAX,
             refresh_pending: false,
             detections: Vec::new(),
+            work: HostWork::default(),
         }
     }
 
     /// One fast-domain cycle of the whole system.
     pub fn step(&mut self) {
+        self.work.steps += 1;
         let now = self.core.now();
         self.tick_fireguard(now);
         // Main core cycle (commit drives the frontend).
@@ -550,6 +575,7 @@ impl FireGuardSystem {
             }
         }
         self.last_slow_processed = slow;
+        self.work.slow_edges_run += 1;
         self.deliver(slow);
         self.step_engines(slow);
         self.route_noc(slow);
@@ -615,6 +641,7 @@ impl FireGuardSystem {
         if wake <= now {
             return 0;
         }
+        self.work.skips += 1;
         self.core.skip_frozen(wake);
         self.frontend.filter.refuse_frozen_cycles(now, wake);
         self.frontend.charge_backpressure(wake - now);
@@ -890,6 +917,14 @@ impl FireGuardSystem {
     /// The main core's statistics so far.
     pub fn core_stats(&self) -> &fireguard_boom::CoreStats {
         self.core.stats()
+    }
+
+    /// The host work spent so far (see [`HostWork`]).
+    pub fn host_work(&self) -> HostWork {
+        HostWork {
+            issue_scans: self.core.issue_scans(),
+            ..self.work
+        }
     }
 
     /// A snapshot of the engine counters: the live offer-path and

@@ -23,6 +23,8 @@
 //! `KernelSpec::cli_names`), passed in by the caller, so new kernels
 //! appear in the exposition without touching this crate.
 
+#![forbid(unsafe_code)]
+
 mod counters;
 mod expo;
 mod span;

@@ -23,6 +23,8 @@
 //! assert!(inst.pc != 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod batch;
 pub mod codec;

@@ -33,6 +33,8 @@
 //! assert_eq!(ucore.output_mut().pop().unwrap().bits(), 0xABCD);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod msgq;
 pub mod pipeline;

@@ -46,6 +46,8 @@
 //! assert!(result.slowdown < 1.2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fireguard_area as area;
 pub use fireguard_boom as boom;
 pub use fireguard_core as core_;
