@@ -9,7 +9,7 @@ use crate::kernel::{
     heap_flag_short_circuit, ProgrammingModel, SharedTiming, OP_CHECK, OP_HEAP, SHADOW_BASE,
 };
 use crate::programs::{self, ProgramShape, SlowPath};
-use crate::semantics::{judge_batch_bounded, region_contains, widen, Semantics};
+use crate::semantics::{region_contains, widen, Semantics};
 use crate::spec::{mem_and_ctrl_subscriptions, KernelId, KernelSpec};
 use fireguard_core::{groups, DpSel, Gid};
 use fireguard_isa::InstClass;
@@ -135,10 +135,6 @@ impl Semantics for AsanSemantics {
             }
         }
         false
-    }
-
-    fn judge_batch(&mut self, batch: &fireguard_trace::EventBatch, vbit: u8, out: &mut [u8]) {
-        judge_batch_bounded(self, |s| s.bounds, batch, 1 << vbit, out);
     }
 }
 

@@ -213,10 +213,6 @@ impl Semantics for MteSemantics {
         }
         false
     }
-
-    fn judge_batch(&mut self, batch: &fireguard_trace::EventBatch, vbit: u8, out: &mut [u8]) {
-        crate::semantics::judge_batch_bounded(self, |s| s.bounds, batch, 1 << vbit, out);
-    }
 }
 
 /// Per-engine MTE backend: tag-memory touches + bulk-retag microloops.

@@ -284,47 +284,6 @@ impl Semantics for TaintSemantics {
             _ => false,
         }
     }
-
-    fn judge_batch(&mut self, batch: &fireguard_trace::EventBatch, vbit: u8, out: &mut [u8]) {
-        // Quiescence fast path. With every register TTL at 0 and the
-        // shadow map empty, `judge` reduces to a pure column predicate:
-        // the only violations are stores/AMOs into the I/O window, and
-        // the only state changes are register/shadow writes of 0 — all
-        // no-ops (`set_reg(_, 0)` over a clean file, `set_shadow(_, 0)`
-        // over an empty map). Quiescence breaks exactly when a load or
-        // AMO reads the I/O window (taint enters a register), so the
-        // scan falls back to the exact path at that event. Natural
-        // traces never touch the window, so they stay on the column
-        // scan end to end.
-        let bit = 1u8 << vbit;
-        let n = batch.len();
-        let events = batch.events();
-        let mut i = 0;
-        while i < n {
-            if self.shadow.is_empty() && self.reg_ttl.iter().all(|&t| t == 0) {
-                while i < n {
-                    let a = batch.addr[i];
-                    if in_io_window(a) {
-                        let c = batch.class[i];
-                        if c == InstClass::Load as u8 || c == InstClass::Amo as u8 {
-                            break; // taint is about to enter: exact path
-                        }
-                        if c == InstClass::Store as u8 {
-                            out[i] |= bit;
-                        }
-                    }
-                    i += 1;
-                }
-                if i >= n {
-                    return;
-                }
-            }
-            if self.judge(&events[i]) {
-                out[i] |= bit;
-            }
-            i += 1;
-        }
-    }
 }
 
 /// Per-engine taint backend: taint-shadow touches (one byte per 8 program

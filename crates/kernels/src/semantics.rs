@@ -1,10 +1,12 @@
 //! Commit-order kernel semantics (the exact, golden side of each kernel).
 //!
-//! [`Semantics::judge`] is called once per committed, subscribed
-//! instruction, in program order. It updates kernel state (allocations,
-//! quarantine, shadow stack, counters, taint, memory tags) and returns
-//! whether this instruction violates the kernel's policy — the verdict bit
-//! the µ-programs later branch on.
+//! [`Semantics::judge`] is called once per committed instruction, in
+//! program order, when commit first offers it. It updates kernel state
+//! (allocations, quarantine, shadow stack, counters, taint, memory tags)
+//! and returns whether this instruction violates the kernel's policy — the
+//! verdict bit the µ-programs later branch on. `judge` is each kernel's
+//! only judging code: the batched form, `<dyn Semantics>::judge_batch`, is
+//! a loop over it that only the benchmark calls.
 //!
 //! Each registered kernel ships its own state machine in its plugin module
 //! (see [`crate::plugins`]); this module holds the trait they implement
@@ -28,65 +30,19 @@ pub trait Semantics: std::fmt::Debug + Send {
     /// Judges one committed instruction in program order; returns `true`
     /// when it violates this kernel's policy.
     fn judge(&mut self, t: &TraceInst) -> bool;
+}
 
-    /// Judges a seq-ordered batch, OR-ing `1 << vbit` into `out[i]` for
-    /// each violating event — the data-oriented form of [`Self::judge`].
-    ///
-    /// The default walks the batch through `judge` one event at a time;
-    /// because trait defaults are instantiated per implementation, that
-    /// loop is monomorphic (no per-event virtual dispatch). Hot kernels
-    /// override it with branchless column scans over the batch's
-    /// structure-of-arrays fields. Every override must stay bit-identical
-    /// to the default — the registry conformance suite checks each
-    /// registered kernel's batched verdicts against serial `judge`.
-    fn judge_batch(&mut self, batch: &EventBatch, vbit: u8, out: &mut [u8]) {
+impl dyn Semantics {
+    /// Judges a seq-ordered batch through [`Semantics::judge`], OR-ing
+    /// `1 << vbit` into `out[i]` for each violating event. The simulator
+    /// never batches; perfbench's `kernels.judge_batch` rung calls this.
+    pub fn judge_batch(&mut self, batch: &EventBatch, vbit: u8, out: &mut [u8]) {
         let bit = 1u8 << vbit;
         for (o, t) in out.iter_mut().zip(batch.events()) {
             if self.judge(t) {
                 *o |= bit;
             }
         }
-    }
-}
-
-/// Batched judging for the heap-bounds kernels (ASan, UaF, MTE): they all
-/// fast-reject addresses outside a `[lo, hi)` bound that only heap events
-/// can widen. Heap events delimit spans of constant bounds, so within a
-/// span the candidate filter is a branchless compare over the batch's
-/// `addr` column; only candidates (and the heap events themselves) take
-/// the exact `judge` path. The filter condition is *exactly* the serial
-/// fast path (`NO_ADDR` fails `a < hi` like any other out-of-bounds
-/// address), so the verdicts are bit-identical by construction.
-pub(crate) fn judge_batch_bounded<S: Semantics>(
-    s: &mut S,
-    bounds_of: impl Fn(&S) -> (u64, u64),
-    batch: &EventBatch,
-    bit: u8,
-    out: &mut [u8],
-) {
-    let n = batch.len();
-    let events = batch.events();
-    let mut i = 0;
-    while i < n {
-        if batch.heap[i] {
-            if s.judge(&events[i]) {
-                out[i] |= bit;
-            }
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < n && !batch.heap[j] {
-            j += 1;
-        }
-        let (lo, hi) = bounds_of(s);
-        for k in i..j {
-            let a = batch.addr[k];
-            if a >= lo && a < hi && s.judge(&events[k]) {
-                out[k] |= bit;
-            }
-        }
-        i = j;
     }
 }
 

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod judging;
 pub mod report;
 pub mod reporter;
 pub mod sweep;
@@ -48,7 +47,6 @@ pub use experiments::{
     run_fireguard_events, run_fireguard_telemetry, run_software, try_build_system,
     ExperimentConfig, REPLAY_MARGIN,
 };
-pub use judging::{JudgedTrace, VerdictWindow};
 pub use report::{BottleneckBreakdown, Detection, RunResult};
 pub use reporter::{render, render_to_string, Block, Cell, Format, Report, Table};
 pub use sweep::{default_workers, run_jobs, JobOutput, JobSpec, SweepGrid, SweepPoint};

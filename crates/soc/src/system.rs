@@ -8,23 +8,20 @@
 //! Manhattan-grid NoC. Any full queue back-pressures upstream all the way
 //! to commit, which is where slowdown comes from.
 
-use crate::judging::{JudgedTrace, VerdictWindow};
 use crate::report::{BottleneckBreakdown, Detection, RunResult};
 use fireguard_boom::{BoomConfig, CommitSink, Core};
 use fireguard_core::{
     Allocator, CdcQueue, ClockDivider, EventFilter, FilterConfig, Packet, SchedulingEngine,
 };
 use fireguard_kernels::{
-    GuardianKernel, HardwareAccelerator, KernelId, ProgrammingModel, SharedTiming,
+    GuardianKernel, HardwareAccelerator, KernelId, ProgrammingModel, Semantics, SharedTiming,
 };
 use fireguard_noc::Mesh;
 use fireguard_telemetry::{EngineCounters, MAX_CLASSES};
 use fireguard_trace::TraceInst;
 use fireguard_ucore::{IsaxMode, KernelBackend, QueueEntry, Ucore, UcoreConfig};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 /// How a kernel's analysis capacity is provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,22 +180,23 @@ impl Engine {
     }
 }
 
-/// The commit-stage frontend: filter + mapper + CDC, consuming verdicts
-/// the judging stage computed ahead of commit. Implements [`CommitSink`]
-/// so the core drives it directly.
+/// The commit-stage frontend: the deployment's judges, filter, mapper and
+/// CDC. Implements [`CommitSink`] so the core drives it directly.
 struct Frontend {
+    /// One commit-order state machine per deployed kernel, in slot order
+    /// (slot = verdict bit).
+    judges: Vec<Box<dyn Semantics>>,
+    /// `(seq, verdicts)` of a refused head: the next offer of that seq
+    /// reuses the verdicts instead of judging the event again.
+    judged: Option<(u64, u8)>,
     filter: EventFilter,
     allocator: Allocator,
-    /// Seq-ordered verdicts deposited by the judging stage before each
-    /// event reaches the core.
-    window: Rc<RefCell<VerdictWindow>>,
     cdcs: Vec<CdcQueue<Packet>>,
     engine_full: Vec<bool>,
     breakdown: BottleneckBreakdown,
     /// Write-only telemetry tallies (never read by the simulation): the
     /// offer path adds per-class/per-kernel packet counts, slow edges add
-    /// occupancy samples. Compiled to nothing without the `telemetry`
-    /// feature.
+    /// occupancy samples.
     counters: EngineCounters,
     /// Per-`InstClass` bitmask of kernel slots subscribed to that class,
     /// derived from the registry's subscriptions at construction — how a
@@ -267,23 +265,31 @@ impl Frontend {
         }
     }
 
+    /// Every deployed kernel's verdict on `inst`, judged the first time its
+    /// seq is offered. Commit is in order, so each event is judged once,
+    /// in seq order; a refused head is offered again (next cycle, or in
+    /// the next run call) and must see the same verdicts.
+    fn verdicts(&mut self, inst: &TraceInst) -> u8 {
+        if let Some((seq, v)) = self.judged {
+            if seq == inst.seq {
+                return v;
+            }
+        }
+        let mut v = 0u8;
+        for (slot, judge) in self.judges.iter_mut().enumerate() {
+            v |= u8::from(judge.judge(inst)) << slot;
+        }
+        v
+    }
+
     /// Offers one committing instruction; on refusal the stall is
     /// attributed to the deepest blocked stage (Fig. 9's decomposition).
-    ///
-    /// The verdict is read (not consumed) from the window front — commit
-    /// retries the same event next cycle after a refusal and must see the
-    /// same verdict; acceptance pops it, which is exactly the
-    /// judge-once-per-event discipline.
     fn offer_inner(&mut self, now: u64, slot: usize, inst: &TraceInst) -> bool {
-        let mut window = self.window.borrow_mut();
-        let verdicts = window.verdict_for(inst.seq);
+        let verdicts = self.verdicts(inst);
         let before = self.filter.stats();
         let ok = self.filter.offer_judged(now, slot, inst, verdicts);
-        if ok {
-            window.consume(inst.seq);
-        }
-        drop(window);
-        if cfg!(feature = "telemetry") && self.filter.stats().packets > before.packets {
+        self.judged = (!ok).then_some((inst.seq, verdicts));
+        if self.filter.stats().packets > before.packets {
             // A valid packet left the mini-filters: attribute it to its
             // instruction class and every subscribed kernel slot.
             let class_ix = (inst.class as usize).min(MAX_CLASSES - 1);
@@ -309,17 +315,18 @@ impl Frontend {
     }
 
     fn new(
+        judges: Vec<Box<dyn Semantics>>,
         filter: EventFilter,
         allocator: Allocator,
-        window: Rc<RefCell<VerdictWindow>>,
         cdcs: Vec<CdcQueue<Packet>>,
         n_engines: usize,
         class_kernels: [u8; MAX_CLASSES],
     ) -> Self {
         Frontend {
+            judges,
+            judged: None,
             filter,
             allocator,
-            window,
             cdcs,
             engine_full: vec![false; n_engines],
             breakdown: BottleneckBreakdown::default(),
@@ -415,30 +422,12 @@ impl FireGuardSystem {
     /// bitmap), or provisioning a kernel with zero engines — without
     /// panicking, so hostile or oversized session configs surface as
     /// clean errors.
-    ///
-    /// The trace is judged in batches on the core's own trace pull (see
-    /// [`JudgedTrace`]).
     pub fn try_new(
         cfg: SocConfig,
         trace: Box<dyn Iterator<Item = TraceInst>>,
         kernels: &[(KernelId, EngineConfig)],
     ) -> Result<Self, CapacityError> {
         validate_capacity(kernels)?;
-        let ids: Vec<KernelId> = kernels.iter().map(|&(id, _)| id).collect();
-        let window = Rc::new(RefCell::new(VerdictWindow::new()));
-        let judged: Box<dyn Iterator<Item = TraceInst>> =
-            Box::new(JudgedTrace::new(trace, &ids, Rc::clone(&window)));
-        Ok(Self::assemble(cfg, judged, window, kernels))
-    }
-
-    /// Builds the SoC around an already-judged trace stream (capacity
-    /// pre-validated by [`FireGuardSystem::try_new`]).
-    fn assemble(
-        cfg: SocConfig,
-        trace: Box<dyn Iterator<Item = TraceInst>>,
-        window: Rc<RefCell<VerdictWindow>>,
-        kernels: &[(KernelId, EngineConfig)],
-    ) -> Self {
         let mut filter = EventFilter::new(cfg.filter);
         let mut allocator = Allocator::new();
         let mut engines = Vec::new();
@@ -491,8 +480,9 @@ impl FireGuardSystem {
             .collect();
         let mesh = Mesh::for_engines(engines.len().max(1));
         let n_engines = engines.len();
-        let frontend = Frontend::new(filter, allocator, window, cdcs, n_engines, class_kernels);
-        FireGuardSystem {
+        let judges = kernels.iter().map(|(id, _)| id.semantics()).collect();
+        let frontend = Frontend::new(judges, filter, allocator, cdcs, n_engines, class_kernels);
+        Ok(FireGuardSystem {
             core: Core::new(cfg.boom, trace),
             cfg,
             frontend,
@@ -507,7 +497,7 @@ impl FireGuardSystem {
             refresh_pending: false,
             detections: Vec::new(),
             work: HostWork::default(),
-        }
+        })
     }
 
     /// One fast-domain cycle of the whole system.
@@ -588,7 +578,7 @@ impl FireGuardSystem {
     /// CDC occupancy held still: reads only, after all state transitions
     /// of the edge are done, so the samples can never influence them.
     fn sample_occupancy(&mut self, edges: u64) {
-        if cfg!(feature = "telemetry") && edges > 0 {
+        if edges > 0 {
             let buffered = self.frontend.filter.buffered() as u64;
             let mut cdc_total = 0u64;
             let mut cdc_max = 0u64;
@@ -884,10 +874,8 @@ impl FireGuardSystem {
                 }
             }
         }
-        if cfg!(feature = "telemetry") {
-            for d in &new {
-                self.frontend.counters.kernel_alarms[d.kernel_slot] += 1;
-            }
+        for d in &new {
+            self.frontend.counters.kernel_alarms[d.kernel_slot] += 1;
         }
         self.detections.extend_from_slice(&new);
         new
@@ -978,6 +966,7 @@ mod tests {
     use crate::experiments::{build_system_auto, ExperimentConfig};
     use fireguard_trace::{AttackKind, AttackPlan};
     use fireguard_ucore::IsaxMode;
+    use std::sync::{Arc, Mutex};
 
     /// Steps `sys` until `n` instructions commit, fast-forwarding frozen
     /// stretches when `skip` is set, then drains it like `run_insts`.
@@ -1031,5 +1020,54 @@ mod tests {
                 stepped.frontend.filter.stats()
             );
         }
+    }
+
+    /// A judge that logs the seq of every event it sees, then judges it
+    /// through the wrapped kernel.
+    #[derive(Debug)]
+    struct SeqLog {
+        inner: Box<dyn Semantics>,
+        seqs: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl Semantics for SeqLog {
+        fn judge(&mut self, t: &TraceInst) -> bool {
+            self.seqs.lock().expect("log lock").push(t.seq);
+            self.inner.judge(t)
+        }
+    }
+
+    #[test]
+    fn each_offered_event_is_judged_once_in_seq_order() {
+        // One µcore behind ASan refuses most commit offers. A 1-wide
+        // filter also refuses slot 1 every cycle, so the first run ends on
+        // a refused head that the second run offers again.
+        let cfg = ExperimentConfig::new("dedup")
+            .kernel(KernelId::ASAN, 1)
+            .filter_width(1);
+        let mut sys = build_system_auto(&cfg);
+        let seqs = Arc::new(Mutex::new(Vec::new()));
+        sys.frontend.judges[0] = Box::new(SeqLog {
+            inner: KernelId::ASAN.semantics(),
+            seqs: Arc::clone(&seqs),
+        });
+        sys.run_insts(6_000, 0);
+        assert!(
+            sys.frontend.judged.is_some(),
+            "no refused head at the run boundary"
+        );
+        let r = sys.run_insts(12_000, 0);
+        assert!(sys.telemetry().refusals > 0, "no offer was refused");
+        let seqs = seqs.lock().expect("log lock");
+        for w in seqs.windows(2) {
+            assert_ne!(w[1], w[0], "an event was judged twice");
+            assert_eq!(w[1], w[0] + 1, "events judged out of seq order");
+        }
+        let judged = seqs.len() as u64;
+        assert!(
+            (r.committed..=r.committed + 1).contains(&judged),
+            "{judged} events judged, {} committed",
+            r.committed
+        );
     }
 }

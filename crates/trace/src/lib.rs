@@ -34,7 +34,7 @@ pub mod profile;
 pub mod rng;
 
 pub use attack::{AttackKind, AttackPlan, AttackingTrace};
-pub use batch::{EventBatch, BATCH_EVENTS, NO_ADDR};
+pub use batch::{EventBatch, BATCH_EVENTS};
 pub use codec::{read_trace, write_trace, CodecError, EventDecoder, EventEncoder, TraceMeta};
 pub use event::{ControlFlow, HeapEvent, TraceInst};
 pub use gen::TraceGenerator;

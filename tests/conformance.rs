@@ -21,18 +21,12 @@
 //! packet-layout-v2 deployment, with verdict bits past the old 4-bit
 //! nibble live — through the same benign / attacked / deterministic /
 //! replay contract, plus per-slot verdict attribution.
-//!
-//! A sixth axis pins the data-oriented hot path: every registered
-//! kernel's `Semantics::judge_batch` (the batched, possibly column-scan
-//! override) must be bit-identical to per-event `judge` over an attacked
-//! commit stream — the contract that lets the judging stage judge whole
-//! batches ahead of commit.
 
 use fireguard::kernels::registry;
 use fireguard::soc::{
     baseline_cycles, capture_events, run_fireguard, run_fireguard_events, ExperimentConfig,
 };
-use fireguard::trace::{AttackPlan, EventBatch, BATCH_EVENTS};
+use fireguard::trace::AttackPlan;
 
 /// Commit budget for the attacked runs. Long enough that dedup's first
 /// frees (allocation lifetime ~30k instructions) land inside the attack
@@ -160,44 +154,6 @@ fn replay_is_byte_identical_for_every_kernel() {
             format!("{offline:?}"),
             format!("{replayed:?}"),
             "{}: replay diverged from in-process generation",
-            spec.name()
-        );
-    }
-}
-
-#[test]
-fn batched_judging_is_bit_identical_to_serial_for_every_kernel() {
-    for &spec in registry() {
-        // The attacked stream for this kernel: heap churn, control flow
-        // and its own declared attack kinds, so both the fast-reject
-        // column scans and the exact slow paths of any `judge_batch`
-        // override are exercised.
-        let events = capture_events(&attacked_experiment(spec));
-        let mut serial = spec.id().semantics();
-        let mut batched = spec.id().semantics();
-        let vbit = 5u8; // past the v1 nibble: the bit must be honored too
-        let mut it = events.iter().copied();
-        let mut batch = EventBatch::with_capacity(BATCH_EVENTS);
-        let mut fired = 0u64;
-        while batch.refill(&mut it, BATCH_EVENTS) > 0 {
-            let mut out = std::mem::take(&mut batch.verdicts);
-            batched.judge_batch(&batch, vbit, &mut out);
-            for (i, t) in batch.events().iter().enumerate() {
-                let want = if serial.judge(t) { 1u8 << vbit } else { 0 };
-                assert_eq!(
-                    out[i],
-                    want,
-                    "{}: batched verdict diverges from serial at seq {}",
-                    spec.name(),
-                    t.seq
-                );
-                fired += u64::from(out[i] != 0);
-            }
-            batch.verdicts = out;
-        }
-        assert!(
-            fired > 0,
-            "{}: attacked stream never fired — the axis tested nothing",
             spec.name()
         );
     }

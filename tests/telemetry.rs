@@ -1,16 +1,13 @@
 //! Determinism-under-telemetry tests: the engine counters are write-only
 //! state, so sampling them must not move a single simulated bit.
 //!
-//! The digest suite (`tests/digest.rs`) and the replay-parity suite
-//! (`tests/replay.rs`) already run with the `telemetry` feature on (it is
-//! a default feature of `fireguard-soc`), and their goldens were pinned
-//! *before* the counters existed — so every green run of those suites is
-//! itself an enabled-vs-pre-telemetry bit-equality proof. The tests here
-//! close the remaining gaps: the instrumented entry point returns the
-//! same `RunResult` as the plain one, the counters agree with the run
-//! they observed, and CI additionally compiles + tests `fireguard-soc`
-//! with `--no-default-features` to prove the increments compile away
-//! cleanly.
+//! The counters are always compiled in. The digest suite
+//! (`tests/digest.rs`) and the replay-parity suite (`tests/replay.rs`)
+//! pinned their goldens *before* the counters existed, so every green run
+//! of those suites is itself a with-vs-pre-telemetry bit-equality proof.
+//! The tests here close the remaining gaps: the instrumented entry point
+//! returns the same `RunResult` as the plain one, and the counters agree
+//! with the run they observed.
 
 use fireguard::kernels::KernelId;
 use fireguard::soc::{
