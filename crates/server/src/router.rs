@@ -45,7 +45,7 @@ use crate::proto::{
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
 use crate::service::{fleet_samples, serve, ServeOptions, ServerHandle};
 use fireguard_soc::Detection;
-use fireguard_telemetry::{Sample, TraceSink};
+use fireguard_telemetry::{FieldVal, Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, EventEncoder};
 use fireguard_trace::TraceInst;
 use std::collections::HashMap;
@@ -68,6 +68,16 @@ const ROUTE_PATIENCE: Duration = Duration::from_secs(5);
 /// How long a resume waits for the previous driver to let go of the
 /// session before answering "session busy".
 const ATTACH_PATIENCE: Duration = Duration::from_secs(5);
+
+/// How long a ghost driver (client transport died mid-session) keeps
+/// driving the backend while waiting for a resume. Past it the driver
+/// parks the session: it stays in the table (and, with a journal dir, on
+/// disk) so a later resume still replays it. The linger ends at once
+/// when the router stops accepting, since no resume can arrive then.
+const GHOST_LINGER: Duration = Duration::from_secs(60);
+
+/// Health-check period.
+const HEALTH_EVERY: Duration = Duration::from_millis(100);
 
 /// Ceiling on *consecutive* failovers without a single backend
 /// round-trip — past this the fleet is clearly sick and the session is
@@ -115,13 +125,9 @@ pub struct RouterOptions {
     pub backend_workers: usize,
     /// Alarm-drain period handed to spawned backends.
     pub observe_every: u64,
-    /// Virtual ring points per backend slot.
-    pub replicas: usize,
     /// Accept at most this many connections (resumes included), then
     /// stop (None = forever).
     pub max_sessions: Option<u64>,
-    /// Health-check period.
-    pub health_every: Duration,
     /// Fault injection: sever each *ticketed* client connection after
     /// this many ACKs, simulating client↔router transport loss. Session
     /// state survives, so a resuming client must still observe a
@@ -141,11 +147,6 @@ pub struct RouterOptions {
     /// A session wedged with neither client nor backend progress for
     /// twice this duration is failed.
     pub idle_timeout: Duration,
-    /// How long a ghost driver (client transport died mid-session) keeps
-    /// driving the backend while waiting for a resume. Past it the driver
-    /// detaches and exits; the session stays in the table (and, with a
-    /// journal dir, on disk) so a later resume still replays it.
-    pub ghost_linger: Duration,
     /// Admission budget (`--max-live-sessions`): over this many
     /// concurrently live sessions, *fresh* sessions are refused with a
     /// clean BUSY frame. Resumes are always admitted.
@@ -173,14 +174,11 @@ impl Default for RouterOptions {
             backends: BackendMode::Spawn(2),
             backend_workers: 2,
             observe_every: crate::service::OBSERVE_EVERY,
-            replicas: DEFAULT_REPLICAS,
             max_sessions: None,
-            health_every: Duration::from_millis(100),
             drop_client_after_acks: None,
             metrics_addr: None,
             trace: None,
             idle_timeout: Duration::from_secs(30),
-            ghost_linger: Duration::from_secs(60),
             max_live_sessions: None,
             max_buffered_bytes: None,
             journal_dir: None,
@@ -247,7 +245,7 @@ impl BackendPool {
                     }));
                 }
                 Ok(BackendPool {
-                    ring: Ring::new(n, opts.replicas),
+                    ring: Ring::new(n, DEFAULT_REPLICAS),
                     slots,
                     spawn: Some((workers, opts.observe_every)),
                     kills: AtomicU64::new(0),
@@ -276,7 +274,7 @@ impl BackendPool {
                     }));
                 }
                 Ok(BackendPool {
-                    ring: Ring::new(addrs.len(), opts.replicas),
+                    ring: Ring::new(addrs.len(), DEFAULT_REPLICAS),
                     slots,
                     spawn: None,
                     kills: AtomicU64::new(0),
@@ -732,7 +730,9 @@ struct Shared {
     drop_after: Option<u64>,
     trace: Option<Arc<TraceSink>>,
     idle_timeout: Duration,
-    ghost_linger: Duration,
+    /// Cleared when the accept loop exits (on stop or a spent
+    /// `max_sessions` budget): no resume can reach a ghost any more.
+    accepting: AtomicBool,
     max_live_sessions: Option<u64>,
     max_buffered_bytes: Option<u64>,
     journal_dir: Option<PathBuf>,
@@ -781,7 +781,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
         drop_after: opts.drop_client_after_acks,
         trace: opts.trace.clone(),
         idle_timeout: opts.idle_timeout.max(Duration::from_millis(10)),
-        ghost_linger: opts.ghost_linger.max(Duration::from_millis(10)),
+        accepting: AtomicBool::new(true),
         max_live_sessions: opts.max_live_sessions,
         max_buffered_bytes: opts.max_buffered_bytes,
         journal_dir: opts.journal_dir.clone(),
@@ -836,7 +836,6 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     let health = {
         let pool = Arc::clone(&pool);
         let stop = Arc::clone(&stop);
-        let every = opts.health_every;
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 for slot in 0..pool.len() {
@@ -862,7 +861,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                         }
                     }
                 }
-                std::thread::sleep(every);
+                std::thread::sleep(HEALTH_EVERY);
             }
         })
     };
@@ -909,6 +908,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
+            shared.accepting.store(false, Ordering::SeqCst);
         })
     };
 
@@ -926,22 +926,44 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
 
 // ---- per-connection driver -------------------------------------------------
 
-enum Msg {
-    /// A frame from the client.
-    Client(u8, Vec<u8>),
-    /// The client transport ended cleanly (EOF or read timeout).
-    ClientGone,
-    /// The client leg produced undecodable bytes (torn frame, oversized
-    /// header, checksum mismatch) — wire damage, not a clean close.
-    ClientBad(String),
-    /// A frame from backend incarnation `inc`.
-    Backend(u64, u8, Vec<u8>),
-    /// Backend incarnation `inc`'s transport ended.
-    BackendGone(u64),
+/// Which leg of a session an inbox message came from.
+#[derive(Clone, Copy)]
+enum Leg {
+    Client,
+    /// Backend incarnation `n`; a message from any other incarnation is
+    /// stale and ignored.
+    Backend(u64),
 }
 
-fn send_client<W: Write>(w: &mut FrameWriter<W>, tag: u8, payload: &[u8]) -> bool {
-    w.write(tag, payload).and_then(|()| w.flush()).is_ok()
+enum Msg {
+    /// A frame from one leg.
+    Frame(Leg, u8, Vec<u8>),
+    /// The leg's transport ended. `None` is a clean EOF at a frame
+    /// boundary: the peer hung up. `Some` is damage — a torn frame, an
+    /// oversized header, a checksum mismatch, or a read error such as the
+    /// idle read timeout — so an anonymous session still draws a clean
+    /// ERROR.
+    Gone(Leg, Option<String>),
+}
+
+/// Forwards one leg's frames into the driver inbox until its transport
+/// ends (or the driver is gone).
+fn spawn_reader(
+    mut reader: FrameReader<BufReader<TcpStream>>,
+    leg: Leg,
+    tx: mpsc::Sender<Msg>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || loop {
+        let msg = match reader.read() {
+            Ok(Some((tag, payload))) => Msg::Frame(leg, tag, payload),
+            Ok(None) => Msg::Gone(leg, None),
+            Err(e) => Msg::Gone(leg, Some(e.to_string())),
+        };
+        let gone = matches!(msg, Msg::Gone(..));
+        if tx.send(msg).is_err() || gone {
+            return;
+        }
+    })
 }
 
 fn client_error<W: Write>(w: &mut FrameWriter<W>, msg: &str) {
@@ -1090,60 +1112,11 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         Err(e) => return client_error(&mut writer, &format!("bad first frame: {e}")),
     };
 
-    // Both legs of a session speak the framing its HELLO negotiated —
-    // resumes included (the stored HELLO remembers).
-    let checked = {
-        let s = lock_session(&session);
-        hello_caps(&s.hello) & CAP_FRAME_CHECKSUM != 0
-    };
-    reader.set_checked(checked);
-    writer.set_checked(checked);
-
-    // Resume preamble: ACK where the replay starts and re-deliver the
-    // alarm tail the client missed. If the session already finished
-    // while the client was away, serve it entirely from the buffer.
-    if let Some(alarms_received) = resume_from {
-        shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = shared.trace() {
-            t.emit(
-                "router.resume",
-                Some(key),
-                vec![("alarms_received", alarms_received.into())],
-            );
-        }
-        let (ack, tail, finished) = {
-            let s = lock_session(&session);
-            let from = (alarms_received as usize).min(s.alarms.len());
-            (
-                proto::encode_ack(s.journal.len()),
-                s.alarms[from..].to_vec(),
-                s.done(),
-            )
-        };
-        let mut ok = send_client(&mut writer, ACK, &ack);
-        if ok && !tail.is_empty() {
-            ok = send_client(&mut writer, ALARMS, &proto::encode_alarms(&tail));
-        }
-        if !ok {
-            detach(&session);
-            return;
-        }
-        if finished {
-            finish_from_buffer(&stream, reader, writer, &session, &shared.table);
-            return;
-        }
+    let mut driver = Driver::new(shared, stream, reader, writer, key, session, ticketed);
+    match resume_from.and_then(|alarms_received| driver.resume(alarms_received)) {
+        Some(exit) => driver.close(exit, None),
+        None => driver.run(),
     }
-
-    drive_session(DriverCtx {
-        client_stream: stream,
-        reader,
-        writer,
-        key,
-        session,
-        ticketed,
-        checked,
-        shared,
-    });
 }
 
 /// Attaches to an existing session for resume, asking a ghost driver to
@@ -1175,146 +1148,240 @@ fn attach_resume(table: &SessionTable, id: u64) -> Result<SessionRef, String> {
     }
 }
 
-fn detach(session: &SessionRef) {
-    lock_session(session).attached = false;
-}
-
 fn shutdown_both(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Everything one session driver needs.
-struct DriverCtx<'a> {
-    client_stream: TcpStream,
-    reader: FrameReader<BufReader<TcpStream>>,
+/// How a driver ends. [`Driver::close`] is the only place that acts on
+/// it.
+enum Exit {
+    /// Unrecoverable: record the terminal ERROR, send it to a live
+    /// client, forget the session.
+    Fatal(String),
+    /// Infrastructure trouble on a ticketed session: emit `router.park`
+    /// with the reason and keep the session for a resume.
+    Park(&'static str),
+    /// Leave quietly and keep the session: a ghost handing over to a
+    /// resume, or a resume preamble whose write failed.
+    LetGo,
+    /// The client left a finished or anonymous session: forget it
+    /// quietly.
+    Release,
+    /// The analysis finished: half-close, drain the client, and forget a
+    /// ticketed session only once its terminal ACK arrived.
+    Finish,
+}
+
+/// Why a message handler stops pumping the current backend incarnation.
+enum Stop {
+    /// The backend leg broke: connect a new incarnation and replay.
+    FailOver,
+    Exit(Exit),
+}
+
+/// One backend incarnation and everything that is per-connection about
+/// it. A failover drops it and connects a new one.
+struct Backend {
+    slot: usize,
+    generation: u64,
+    socket: TcpStream,
     writer: FrameWriter<BufWriter<TcpStream>>,
+    /// Codec state is per-connection on both legs, so every incarnation
+    /// starts from a fresh encoder.
+    enc: EventEncoder,
+    end_sent: bool,
+    /// Alarms this incarnation has reported; the first `alarms.len()` of
+    /// them are deterministic repeats of the log.
+    seen: u64,
+    /// A SUMMARY is held back until the backend closes cleanly: a
+    /// summary chased by a retryable stream error is a *partial* result
+    /// from a damaged backend leg and must never reach the client —
+    /// failover replays and produces the real one.
+    pending_summary: Option<Vec<u8>>,
+}
+
+impl Backend {
+    fn send(&mut self, tag: u8, payload: &[u8]) -> bool {
+        self.writer
+            .write(tag, payload)
+            .and_then(|()| self.writer.flush())
+            .is_ok()
+    }
+
+    /// Replays the journaled prefix to this incarnation. The HELLO is
+    /// plain — checked framing starts after it, per the handshake
+    /// contract — and spilled batches are decoded from disk and
+    /// re-encoded so the new backend sees one continuous delta stream.
+    fn replay(&mut self, s: &mut SessionBuf, checked: bool) -> bool {
+        let mut ok = self.writer.write(HELLO, &s.hello).is_ok();
+        self.writer.set_checked(checked);
+        if ok {
+            let (w, enc) = (&mut self.writer, &mut self.enc);
+            ok = s
+                .journal
+                .replay(|chunk| {
+                    for part in chunk.chunks(REPLAY_BATCH) {
+                        w.write(EVENTS, &enc.encode_batch(part))?;
+                    }
+                    Ok(())
+                })
+                .is_ok();
+        }
+        if ok && s.ended {
+            ok = self.writer.write(END, &[]).is_ok();
+            self.end_sent = true;
+        }
+        ok && self.writer.flush().is_ok()
+    }
+}
+
+/// One session's driver: pumps client frames into the session journal
+/// and backend frames out to the client, failing over across backend
+/// incarnations, and going "ghost" (client-less but still driving the
+/// backend) when the client transport dies mid-session.
+///
+/// Each inbox message is handled by one method that returns
+/// `Option<Stop>`. [`Driver::run`] turns [`Stop::FailOver`] into the next
+/// incarnation and hands every [`Exit`] to [`Driver::close`].
+struct Driver<'a> {
+    shared: &'a Shared,
+    /// Consistent-hash key, also the session id on spans.
     key: u64,
     session: SessionRef,
     ticketed: bool,
+    /// Both legs speak checked framing (the HELLO negotiated it).
     checked: bool,
-    shared: &'a Shared,
+    client: TcpStream,
+    writer: FrameWriter<BufWriter<TcpStream>>,
+    client_reader: JoinHandle<()>,
+    tx: mpsc::Sender<Msg>,
+    rx: mpsc::Receiver<Msg>,
+    dec: EventDecoder,
+    client_alive: bool,
+    ghost_since: Option<Instant>,
+    acks_sent: u64,
+    /// Whether the client confirmed the verdict arrived (terminal ACK).
+    /// A successful SUMMARY write through a faulting wire proves nothing;
+    /// only this flag (or the same frame surfacing in the post-join
+    /// drain) lets `Exit::Finish` forget a ticketed session.
+    verdict_acked: bool,
+    /// Backend incarnation counter (per driver).
+    inc: u64,
+    /// Consecutive failovers since the last decoded backend frame.
+    failovers: u32,
 }
 
-/// The driver proper: pumps client frames into the session journal and
-/// backend frames out to the client, failing over across backend
-/// incarnations, and going "ghost" (client-less but still driving the
-/// backend) when the client transport dies mid-session.
-fn drive_session(ctx: DriverCtx<'_>) {
-    let DriverCtx {
-        client_stream,
-        reader,
-        mut writer,
-        key,
-        session,
-        ticketed,
-        checked,
-        shared,
-    } = ctx;
-    let pool = &*shared.pool;
-    let table = &shared.table;
-    let stats = &shared.stats;
-    let drop_after = shared.drop_after;
-    let trace = shared.trace();
+impl<'a> Driver<'a> {
+    /// Takes over a handshaken client connection and starts its reader.
+    fn new(
+        shared: &'a Shared,
+        client: TcpStream,
+        mut reader: FrameReader<BufReader<TcpStream>>,
+        mut writer: FrameWriter<BufWriter<TcpStream>>,
+        key: u64,
+        session: SessionRef,
+        ticketed: bool,
+    ) -> Self {
+        // Both legs of a session speak the framing its HELLO negotiated —
+        // resumes included (the stored HELLO remembers).
+        let checked = hello_caps(&lock_session(&session).hello) & CAP_FRAME_CHECKSUM != 0;
+        reader.set_checked(checked);
+        writer.set_checked(checked);
+        // The driver inbox. Unbounded by design: the router buffers the
+        // whole stream anyway, and a bounded inbox could deadlock the
+        // driver↔backend↔reader cycle (driver blocked writing EVENTS, the
+        // backend blocked writing ALARMS, the reader blocked enqueueing).
+        let (tx, rx) = mpsc::channel();
+        let client_reader = spawn_reader(reader, Leg::Client, tx.clone());
+        Driver {
+            shared,
+            key,
+            session,
+            ticketed,
+            checked,
+            client,
+            writer,
+            client_reader,
+            tx,
+            rx,
+            dec: EventDecoder::new(),
+            client_alive: true,
+            ghost_since: None,
+            acks_sent: 0,
+            verdict_acked: false,
+            inc: 0,
+            failovers: 0,
+        }
+    }
 
-    // The driver inbox. Unbounded by design: the router buffers the
-    // whole stream anyway, and a bounded inbox could deadlock the
-    // driver↔backend↔reader cycle (driver blocked writing EVENTS, the
-    // backend blocked writing ALARMS, the reader blocked enqueueing).
-    let (tx, rx) = mpsc::channel::<Msg>();
+    /// The resume preamble: ACK where the replay starts and re-deliver
+    /// the alarm tail the client missed. A session that finished while
+    /// the client was away is served entirely from the buffer — its
+    /// stored SUMMARY and ERROR, then [`Exit::Finish`] — with no backend
+    /// involved.
+    fn resume(&mut self, alarms_received: u64) -> Option<Exit> {
+        self.shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
+        self.span(
+            "router.resume",
+            vec![("alarms_received", alarms_received.into())],
+        );
+        let (ack, tail, terminal) = {
+            let s = lock_session(&self.session);
+            let from = (alarms_received as usize).min(s.alarms.len());
+            let terminal = [(SUMMARY, s.summary.clone()), (ERROR, s.error.clone())];
+            (
+                proto::encode_ack(s.journal.len()),
+                s.alarms[from..].to_vec(),
+                s.done().then_some(terminal),
+            )
+        };
+        let mut ok = self.tell_client(ACK, &ack);
+        if ok && !tail.is_empty() {
+            ok = self.tell_client(ALARMS, &proto::encode_alarms(&tail));
+        }
+        if !ok {
+            return Some(Exit::LetGo);
+        }
+        for (tag, payload) in terminal? {
+            if let Some(p) = payload {
+                self.tell_client(tag, &p);
+            }
+        }
+        Some(Exit::Finish)
+    }
 
-    let client_reader = {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let mut r = reader;
-            loop {
-                match r.read() {
-                    Ok(Some((tag, payload))) => {
-                        if tx.send(Msg::Client(tag, payload)).is_err() {
-                            return;
-                        }
-                    }
-                    // Clean EOF at a frame boundary: the client hung up.
-                    Ok(None) => {
-                        let _ = tx.send(Msg::ClientGone);
-                        return;
-                    }
-                    // Torn frame, oversized header, checksum mismatch:
-                    // the client leg is no longer trustworthy — but the
-                    // driver must know it was *damage*, not a hangup, so
-                    // an anonymous session still draws a clean ERROR.
-                    Err(e) => {
-                        let _ = tx.send(Msg::ClientBad(e.to_string()));
-                        return;
+    /// Runs the session to its end: connect, replay and pump one backend
+    /// incarnation after another, then [`close`](Self::close).
+    fn run(mut self) {
+        let (exit, backend) = loop {
+            let Some(mut b) = self.connect() else {
+                break (self.trouble("no live backends", "no live backends"), None);
+            };
+            match self.pump(&mut b) {
+                Stop::Exit(exit) => break (exit, Some(b)),
+                Stop::FailOver => {
+                    if let Some(exit) = self.fail_over(&b) {
+                        break (exit, Some(b));
                     }
                 }
             }
-        })
-    };
-
-    // One fatal-exit macro'd closure would obscure control flow; instead
-    // a tiny helper finishes the session on unrecoverable errors.
-    let fatal = |writer: &mut FrameWriter<BufWriter<TcpStream>>, alive: bool, msg: &str| {
-        let first = {
-            let mut s = lock_session(&session);
-            let first = !s.done();
-            if s.error.is_none() {
-                s.set_error(msg.as_bytes().to_vec());
-            }
-            first
         };
-        if first {
-            stats.sessions.fetch_add(1, Ordering::Relaxed);
-        }
-        if alive {
-            client_error(writer, msg);
-        }
-        table.forget(&session);
-        detach(&session);
-    };
+        self.close(exit, backend.as_ref());
+    }
 
-    // Transient infrastructure trouble — no routable backend, an
-    // exhausted failover budget, a wedged transport — is not a verdict
-    // on a *ticketed* session: its journal is intact and a resume can
-    // pick it up once the fleet recovers. Park it (quiet client sever +
-    // detach, table entry kept) instead of forging an ERROR; the
-    // client's retry machine turns the severed leg into a resume.
-    // Anonymous sessions have no resume path and draw the fatal ERROR.
-    let park = |reason: &str| {
-        if let Some(t) = trace {
-            let buffered = lock_session(&session).journal.len();
-            t.emit(
-                "router.park",
-                Some(key),
-                vec![
-                    ("reason", reason.to_owned().into()),
-                    ("events_buffered", buffered.into()),
-                ],
-            );
-        }
-        shutdown_both(&client_stream);
-        detach(&session);
-    };
-
-    let mut dec = EventDecoder::new();
-    let mut client_alive = true;
-    let mut ghost_since: Option<Instant> = None;
-    let mut acks_sent = 0u64;
-    // Whether the client confirmed the verdict arrived (terminal ACK).
-    // A successful SUMMARY write through a faulting wire proves nothing;
-    // only this flag (or the same frame surfacing in the post-join
-    // drain) lets `finish` forget a ticketed session.
-    let mut verdict_acked = false;
-    let mut inc = 0u64; // backend incarnation counter (per driver)
-    let mut failovers = 0u32;
-
-    'incarnations: loop {
-        // Route and connect, patiently: the health checker may be mid-way
-        // through reviving the whole fleet.
+    /// Routes and connects the next backend incarnation, patiently: the
+    /// health checker may be mid-way through reviving the whole fleet.
+    fn connect(&mut self) -> Option<Backend> {
+        let pool = &*self.shared.pool;
         let deadline = Instant::now() + ROUTE_PATIENCE;
-        let (slot, generation, backend) = loop {
-            if let Some((slot, addr, generation)) = pool.route(key) {
+        loop {
+            if let Some((slot, addr, generation)) = pool.route(self.key) {
                 match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                    Ok(s) => break (slot, generation, s),
+                    Ok(socket) => {
+                        if let Ok(b) = self.open_backend(slot, generation, socket) {
+                            return Some(b);
+                        }
+                    }
                     Err(_) => {
                         pool.mark_down(slot, generation);
                         pool.revive(slot);
@@ -1322,743 +1389,466 @@ fn drive_session(ctx: DriverCtx<'_>) {
                 }
             }
             if Instant::now() >= deadline {
-                if ticketed {
-                    park("no live backends");
-                    let _ = client_reader.join();
-                    return;
-                }
-                fatal(&mut writer, client_alive, "no live backends");
-                shutdown_both(&client_stream);
-                let _ = client_reader.join();
-                return;
+                return None;
             }
             std::thread::sleep(Duration::from_millis(20));
-        };
-        inc += 1;
-        let _ = backend.set_nodelay(true);
-        let backend_raw = match backend.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue 'incarnations,
-        };
-        let mut bw = FrameWriter::new(BufWriter::new(backend), false);
-
-        // This incarnation's reader — spawned BEFORE the replay so alarm
-        // frames raised mid-replay drain into the inbox instead of
-        // filling the socket and deadlocking the replay write.
-        {
-            let tx = tx.clone();
-            let this_inc = inc;
-            let r = match backend_raw.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue 'incarnations,
-            };
-            let backend_checked = checked;
-            std::thread::spawn(move || {
-                let mut r = FrameReader::new(BufReader::new(r), backend_checked);
-                loop {
-                    match r.read() {
-                        Ok(Some((tag, payload))) => {
-                            if tx.send(Msg::Backend(this_inc, tag, payload)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) | Err(_) => {
-                            let _ = tx.send(Msg::BackendGone(this_inc));
-                            return;
-                        }
-                    }
-                }
-            });
         }
+    }
 
-        // Replay the journaled prefix to this incarnation with a fresh
-        // encoder (codec state is per-connection on both legs). The HELLO
-        // is plain — checked framing starts after it, per the handshake
-        // contract — and spilled batches are decoded from disk and
-        // re-encoded so the new backend sees one continuous delta stream.
-        let mut enc = EventEncoder::new();
-        let mut end_sent = false;
-        let replay_ok = {
-            let mut s = lock_session(&session);
-            let mut ok = bw.write(HELLO, &s.hello).is_ok();
-            bw.set_checked(checked);
-            if ok {
-                let bw = &mut bw;
-                let enc = &mut enc;
-                ok = s
-                    .journal
-                    .replay(|chunk| {
-                        for part in chunk.chunks(REPLAY_BATCH) {
-                            bw.write(EVENTS, &enc.encode_batch(part))?;
-                        }
-                        Ok(())
-                    })
-                    .is_ok();
-            }
-            if ok && s.ended {
-                ok = bw.write(END, &[]).is_ok();
-                end_sent = true;
-            }
-            ok && bw.flush().is_ok()
-        };
-        let fail_over = |backend_raw: &TcpStream, failovers: &mut u32| -> bool {
-            let _ = backend_raw.shutdown(Shutdown::Both);
-            pool.mark_down(slot, generation);
-            pool.revive(slot);
-            stats.failovers.fetch_add(1, Ordering::Relaxed);
-            *failovers += 1;
-            if let Some(t) = trace {
-                t.emit(
-                    "router.failover",
-                    Some(key),
-                    vec![
-                        ("slot", (slot as u64).into()),
-                        ("nth", u64::from(*failovers).into()),
-                    ],
-                );
-            }
-            *failovers <= MAX_FAILOVERS
-        };
-        if !replay_ok {
-            if fail_over(&backend_raw, &mut failovers) {
-                continue 'incarnations;
-            }
-            if ticketed {
-                park("failover budget exhausted");
-                let _ = client_reader.join();
-                return;
-            }
-            fatal(
-                &mut writer,
-                client_alive,
-                "session failed over too many times",
-            );
-            shutdown_both(&client_stream);
-            let _ = client_reader.join();
-            return;
+    /// Wraps a connected backend socket as the next incarnation and
+    /// spawns its reader — BEFORE the replay, so alarm frames raised
+    /// mid-replay drain into the inbox instead of filling the socket and
+    /// deadlocking the replay write.
+    fn open_backend(
+        &mut self,
+        slot: usize,
+        generation: u64,
+        socket: TcpStream,
+    ) -> std::io::Result<Backend> {
+        let _ = socket.set_nodelay(true);
+        let writer = FrameWriter::new(BufWriter::new(socket.try_clone()?), false);
+        let reader = FrameReader::new(BufReader::new(socket.try_clone()?), self.checked);
+        self.inc += 1;
+        spawn_reader(reader, Leg::Backend(self.inc), self.tx.clone());
+        Ok(Backend {
+            slot,
+            generation,
+            socket,
+            writer,
+            enc: EventEncoder::new(),
+            end_sent: false,
+            seen: 0,
+            pending_summary: None,
+        })
+    }
+
+    /// Replays the journal to incarnation `b`, then pumps the inbox until
+    /// a handler stops it.
+    fn pump(&mut self, b: &mut Backend) -> Stop {
+        if !b.replay(&mut lock_session(&self.session), self.checked) {
+            return Stop::FailOver;
         }
-
-        // Alarms this incarnation has reported; the first
-        // `alarms.len()` of them are deterministic repeats of the log.
-        let mut seen = 0u64;
-        // A SUMMARY is held back until the backend closes cleanly: a
-        // summary chased by a retryable stream error is a *partial*
-        // result from a damaged backend leg and must never reach the
-        // client — failover replays and produces the real one.
-        let mut pending_summary: Option<Vec<u8>> = None;
-
         loop {
-            // A ghost driver (no client) yields to a resuming connection
-            // as soon as one asks — and after `ghost_linger` without one
-            // it parks the session: the backend is released, but the
-            // journaled state stays in the table for a later resume.
-            if !client_alive {
-                if ghost_since.is_none() {
-                    ghost_since = Some(Instant::now());
-                }
-                let hand_over = lock_session(&session).takeover;
-                if hand_over {
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    detach(&session);
-                    return;
-                }
-                if ghost_since.is_some_and(|t| t.elapsed() >= shared.ghost_linger) {
-                    if let Some(t) = trace {
-                        let buffered = lock_session(&session).journal.len();
-                        t.emit(
-                            "router.park",
-                            Some(key),
-                            vec![("events_buffered", buffered.into())],
-                        );
-                    }
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    detach(&session);
-                    return;
+            if !self.client_alive {
+                if let Some(exit) = self.ghost_exit() {
+                    return Stop::Exit(exit);
                 }
             }
-            let wait = if client_alive {
+            let wait = if self.client_alive {
                 // Twice the per-read idle budget: both legs must be
                 // silent that long before the session counts as wedged.
-                shared.idle_timeout * 2
+                self.shared.idle_timeout * 2
             } else {
                 Duration::from_millis(25)
             };
-            let msg = match rx.recv_timeout(wait) {
-                Ok(m) => m,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !client_alive {
-                        continue; // ghost: just re-check takeover/linger
-                    }
-                    // Neither client nor backend frames for the full
-                    // budget: the session is wedged — end it. Ticketed
-                    // sessions park (a resume un-wedges both legs).
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    if ticketed {
-                        park("router session idle timeout");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(&mut writer, client_alive, "router session idle timeout");
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
+            // The driver holds a sender, so the inbox never disconnects:
+            // an error here is a timeout.
+            let Ok(msg) = self.rx.recv_timeout(wait) else {
+                if !self.client_alive {
+                    continue; // ghost: just re-check takeover/linger
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                // Neither client nor backend frames for the full budget:
+                // the session is wedged — end it. Ticketed sessions park
+                // (a resume un-wedges both legs).
+                let msg = "router session idle timeout";
+                return Stop::Exit(self.trouble(msg, msg));
             };
-            match msg {
+            let stop = match msg {
                 // Frames from a severed client leg are untrustworthy;
                 // drop them and let the resume re-deliver.
-                Msg::Client(..) if !client_alive => {}
-                Msg::Client(EVENTS, payload) => {
-                    let batch = match dec.decode_batch(&payload) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            if ticketed {
-                                // The wire lied mid-frame. Sever the
-                                // client leg quietly and go ghost — the
-                                // client sees EOF and resumes from the
-                                // last ACK with a fresh encoder.
-                                shutdown_both(&client_stream);
-                                client_alive = false;
-                                if let Some(t) = trace {
-                                    t.emit(
-                                        "router.client_fault",
-                                        Some(key),
-                                        vec![("error", format!("{e}").into())],
-                                    );
-                                }
-                                continue;
-                            }
-                            fatal(&mut writer, client_alive, &format!("bad EVENTS frame: {e}"));
-                            let _ = backend_raw.shutdown(Shutdown::Both);
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    };
-                    // Append fresh events; silently drop the resume
-                    // overlap (seqs already journaled). A gap means the
-                    // wire dropped something: recoverable for ticketed
-                    // sessions (sever + resume), fatal for anonymous.
-                    let mut fresh: Vec<TraceInst> = Vec::new();
-                    let mut gap = None;
-                    let mut journal_err = None;
-                    {
-                        let mut s = lock_session(&session);
-                        for t in batch {
-                            let n = s.journal.len();
-                            if t.seq < n {
-                                continue;
-                            }
-                            if t.seq > n {
-                                gap = Some((t.seq, n));
-                                break;
-                            }
-                            if let Err(e) = s.journal.push(t) {
-                                journal_err = Some(e);
-                                break;
-                            }
-                            fresh.push(t);
-                        }
-                    }
-                    if let Some(e) = journal_err {
-                        fatal(
-                            &mut writer,
-                            client_alive,
-                            &format!("session journal write failed: {e}"),
-                        );
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    if let Some((got, want)) = gap {
-                        if ticketed {
-                            shutdown_both(&client_stream);
-                            client_alive = false;
-                            if let Some(t) = trace {
-                                t.emit(
-                                    "router.client_fault",
-                                    Some(key),
-                                    vec![(
-                                        "error",
-                                        format!("event seq gap: got {got}, expected {want}").into(),
-                                    )],
-                                );
-                            }
-                        } else {
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                &format!("event seq gap: got {got}, expected {want}"),
-                            );
-                            let _ = backend_raw.shutdown(Shutdown::Both);
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
-                    if !fresh.is_empty() {
-                        stats
-                            .events
-                            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-                        let ok = bw
-                            .write(EVENTS, &enc.encode_batch(&fresh))
-                            .and_then(|()| bw.flush())
-                            .is_ok();
-                        if !ok {
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
-                    if ticketed && client_alive {
-                        let buffered = lock_session(&session).journal.len();
-                        if send_client(&mut writer, ACK, &proto::encode_ack(buffered)) {
-                            acks_sent += 1;
-                            if drop_after == Some(acks_sent) {
-                                // Fault injection: sever the client link
-                                // abruptly; the session state survives
-                                // for resume.
-                                shutdown_both(&client_stream);
-                            }
-                        } else {
-                            client_alive = false;
-                        }
-                    }
+                Msg::Frame(Leg::Client, ..) | Msg::Gone(Leg::Client, _) if !self.client_alive => {
+                    None
                 }
-                Msg::Client(END, _) => {
-                    {
-                        let mut s = lock_session(&session);
-                        s.ended = true;
-                        let _ = s.journal.record_ended();
-                    }
-                    if !end_sent {
-                        end_sent = true;
-                        let ok = bw.write(END, &[]).and_then(|()| bw.flush()).is_ok();
-                        if !ok {
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
+                Msg::Frame(Leg::Client, tag, payload) => self.on_client_frame(b, tag, &payload),
+                Msg::Gone(Leg::Client, damage) => self.on_client_gone(damage),
+                Msg::Frame(Leg::Backend(i), tag, payload) if i == self.inc => {
+                    self.on_backend_frame(b, tag, payload)
                 }
-                Msg::Client(ACK, _) => {
-                    // The client's terminal delivery ACK — the verdict
-                    // made it across the wire. (Early or duplicated ACKs
-                    // are harmless: the flag only matters once the
-                    // session is done.)
-                    verdict_acked = true;
-                }
-                Msg::Client(tag, _) => {
-                    if ticketed {
-                        // An impossible tag on a negotiated connection is
-                        // wire damage, not a client bug: sever and ghost.
-                        shutdown_both(&client_stream);
-                        client_alive = false;
-                        if let Some(t) = trace {
-                            t.emit(
-                                "router.client_fault",
-                                Some(key),
-                                vec![("error", format!("unexpected frame tag {tag}").into())],
-                            );
-                        }
-                        continue;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        &format!("unexpected frame tag {tag}"),
-                    );
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::ClientBad(_) if !client_alive => {} // already ghosted
-                Msg::ClientBad(e) => {
-                    let done = lock_session(&session).done();
-                    if ticketed && !done {
-                        // Wire damage on a negotiated connection: sever
-                        // the client leg quietly and go ghost — the
-                        // resume re-delivers from the last ACK. The
-                        // damage proves nothing about who lied, so no
-                        // verdict is forged.
-                        shutdown_both(&client_stream);
-                        client_alive = false;
-                        if let Some(t) = trace {
-                            t.emit("router.client_fault", Some(key), vec![("error", e.into())]);
-                        }
-                        continue;
-                    }
-                    if ticketed {
-                        // The session already finished: trailing garbage
-                        // is indistinguishable from a hangup, and a
-                        // finished journal must never grow an error
-                        // record. Detach silently, like ClientGone.
-                        table.forget(&session);
-                        detach(&session);
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Anonymous sessions cannot resume: answer the
-                    // garbage with a clean ERROR and tear down.
-                    fatal(&mut writer, client_alive, &format!("bad frame: {e}"));
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::ClientGone if !client_alive => {} // already ghosted
-                Msg::ClientGone => {
-                    let done = lock_session(&session).done();
-                    if done || !ticketed {
-                        // Anonymous sessions cannot resume; done sessions
-                        // need nothing more from a client.
-                        if ticketed {
-                            table.forget(&session);
-                        }
-                        detach(&session);
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Ticketed and unfinished: go ghost — keep driving
-                    // the backend so already-streamed events still yield
-                    // their detections; a resume picks the session up.
-                    client_alive = false;
-                    if let Some(t) = trace {
-                        let buffered = lock_session(&session).journal.len();
-                        t.emit(
-                            "router.ghost",
-                            Some(key),
-                            vec![("events_buffered", buffered.into())],
-                        );
-                    }
-                }
-                Msg::Backend(i, ALARMS, payload) if i == inc => {
-                    let ds = match proto::decode_alarms(&payload) {
-                        Ok(d) => d,
-                        Err(e) => {
-                            // A garbled ALARMS frame means the backend
-                            // leg is damaged; failover replays and the
-                            // deterministic engines re-raise everything.
-                            if let Some(t) = trace {
-                                t.emit(
-                                    "router.backend_fault",
-                                    Some(key),
-                                    vec![("error", format!("bad ALARMS: {e}").into())],
-                                );
-                            }
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    };
-                    // A decoded ALARMS frame is a live round-trip:
-                    // this incarnation connected, replayed, and spoke
-                    // protocol. Reset the failover budget so it bounds
-                    // consecutive *silent* failovers (a hot loop), not
-                    // total failovers over a long session's lifetime
-                    // under sustained-but-survivable fault pressure.
-                    failovers = 0;
-                    // Deduplicate across failovers: analysis is
-                    // deterministic, so a replayed incarnation re-raises
-                    // the logged prefix bit-identically; only the tail
-                    // past the log is new. Fresh alarms hit the durable
-                    // index *before* they are released to the client, so
-                    // a post-crash recovery never re-raises a delivered
-                    // alarm out of order.
-                    let mut fresh: Vec<Detection> = Vec::new();
-                    {
-                        let mut s = lock_session(&session);
-                        for d in ds {
-                            seen += 1;
-                            if seen > s.alarms.len() as u64 {
-                                s.alarms.push(d);
-                                fresh.push(d);
-                            }
-                        }
-                        if !fresh.is_empty() {
-                            let _ = s.journal.record_alarms(&fresh);
-                        }
-                    }
-                    if !fresh.is_empty()
-                        && client_alive
-                        && !send_client(&mut writer, ALARMS, &proto::encode_alarms(&fresh))
-                    {
-                        client_alive = false;
-                    }
-                }
-                Msg::Backend(i, SUMMARY, payload) if i == inc => {
-                    failovers = 0;
-                    pending_summary = Some(payload);
-                    // The backend is draining toward close; sever our
-                    // write side so its drain sees EOF *now* instead of
-                    // waiting out its read timeout. A trailing ERROR (if
-                    // any) was written before the drain began and still
-                    // arrives.
-                    let _ = backend_raw.shutdown(Shutdown::Write);
-                }
-                Msg::Backend(i, ERROR, payload) if i == inc => {
-                    if payload.starts_with(RETRYABLE_ERROR_PREFIX.as_bytes()) {
-                        // The backend saw transport damage on our leg
-                        // (netem corruption, truncation, a dropped
-                        // frame). Its summary — if any — is partial:
-                        // discard it and fail over; the replay heals.
-                        if let Some(t) = trace {
-                            t.emit(
-                                "router.backend_fault",
-                                Some(key),
-                                vec![(
-                                    "error",
-                                    String::from_utf8_lossy(&payload).into_owned().into(),
-                                )],
-                            );
-                        }
-                        if fail_over(&backend_raw, &mut failovers) {
-                            continue 'incarnations;
-                        }
-                        if ticketed {
-                            park("failover budget exhausted");
-                            let _ = client_reader.join();
-                            return;
-                        }
-                        fatal(
-                            &mut writer,
-                            client_alive,
-                            "session failed over too many times",
-                        );
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Terminal error: commit the pending summary first
-                    // (short-stream sessions send SUMMARY then ERROR),
-                    // then the error itself.
-                    if let Some(p) = pending_summary.take() {
-                        lock_session(&session).set_summary(p.clone());
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                        if client_alive && !send_client(&mut writer, SUMMARY, &p) {
-                            client_alive = false;
-                        }
-                    }
-                    let had_summary = {
-                        let mut s = lock_session(&session);
-                        let had = s.summary.is_some();
-                        s.set_error(payload.clone());
-                        had
-                    };
-                    if !had_summary {
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if client_alive && !send_client(&mut writer, ERROR, &payload) {
-                        client_alive = false;
-                    }
-                    let _ = backend_raw.shutdown(Shutdown::Write);
-                }
-                Msg::Backend(i, tag, _) if i == inc => {
-                    // Anything else from a backend is wire damage too —
-                    // replay, don't kill the session.
-                    if let Some(t) = trace {
-                        t.emit(
-                            "router.backend_fault",
-                            Some(key),
-                            vec![("error", format!("unexpected frame tag {tag}").into())],
-                        );
-                    }
-                    if fail_over(&backend_raw, &mut failovers) {
-                        continue 'incarnations;
-                    }
-                    if ticketed {
-                        park("failover budget exhausted");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        "session failed over too many times",
-                    );
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::Backend(..) => {} // stale incarnation; ignore
-                Msg::BackendGone(i) if i == inc => {
-                    // A clean close commits the held summary: the backend
-                    // said everything it meant to.
-                    if let Some(p) = pending_summary.take() {
-                        lock_session(&session).set_summary(p.clone());
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                        if client_alive && !send_client(&mut writer, SUMMARY, &p) {
-                            client_alive = false;
-                        }
-                    }
-                    let done = lock_session(&session).done();
-                    if done {
-                        finish(
-                            &client_stream,
-                            writer,
-                            client_reader,
-                            &rx,
-                            &session,
-                            table,
-                            ticketed,
-                            verdict_acked,
-                        );
-                        return;
-                    }
-                    // Mid-session death: fail over and replay.
-                    if fail_over(&backend_raw, &mut failovers) {
-                        continue 'incarnations;
-                    }
-                    if ticketed {
-                        park("failover budget exhausted");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        "session failed over too many times",
-                    );
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::BackendGone(_) => {} // stale incarnation; ignore
+                Msg::Gone(Leg::Backend(i), _) if i == self.inc => self.on_backend_gone(b),
+                Msg::Frame(Leg::Backend(_), ..) | Msg::Gone(Leg::Backend(_), _) => None, // stale
+            };
+            if let Some(stop) = stop {
+                return stop;
             }
         }
     }
-}
 
-/// Clean completion: mirror the backend's half-close discipline so the
-/// client's final read sees EOF, then drain and close. A ghost driver
-/// (client already gone) leaves the finished session in the table so a
-/// late resume can still collect everything from the buffer.
-///
-/// A write that succeeded only proves the frames left this process —
-/// through a faulting wire that is not delivery. A ticketed session's
-/// verdict counts as **delivered** when the client *voluntarily* closed
-/// (clean EOF at a frame boundary) after our terminal frames went out;
-/// a severed drain keeps the table entry so the next resume collects
-/// the verdict from the buffer instead of drawing "unknown session id".
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    client_stream: &TcpStream,
-    mut writer: FrameWriter<BufWriter<TcpStream>>,
-    client_reader: JoinHandle<()>,
-    rx: &mpsc::Receiver<Msg>,
-    session: &SessionRef,
-    table: &SessionTable,
-    ticketed: bool,
-    verdict_acked: bool,
-) {
-    detach(session);
-    if !ticketed {
-        table.forget(session);
+    /// A ghost driver (no client) yields to a resuming connection as soon
+    /// as one asks. Without one it parks the session after
+    /// [`GHOST_LINGER`], or at once when the router has stopped accepting
+    /// and no resume can reach it any more: the backend is released, but
+    /// the journaled state stays in the table (and, with a journal dir,
+    /// on disk) for a later resume.
+    fn ghost_exit(&mut self) -> Option<Exit> {
+        let since = *self.ghost_since.get_or_insert_with(Instant::now);
+        if lock_session(&self.session).takeover {
+            Some(Exit::LetGo)
+        } else if !self.shared.accepting.load(Ordering::SeqCst) {
+            Some(Exit::Park("router closing"))
+        } else if since.elapsed() >= GHOST_LINGER {
+            Some(Exit::Park("ghost linger expired"))
+        } else {
+            None
+        }
     }
-    let _ = writer.flush();
-    let _ = client_stream.shutdown(Shutdown::Write);
-    // The reader drains the client's remaining frames until EOF and
-    // exits; anything it queued — including the terminal ACK racing
-    // our entry into finish — is visible after the join.
-    let _ = client_reader.join();
-    if ticketed {
-        let mut delivered = verdict_acked;
-        while let Ok(m) = rx.try_recv() {
-            if let Msg::Client(tag, _) = m {
-                if tag == ACK {
-                    delivered = true;
+
+    fn on_client_frame(&mut self, b: &mut Backend, tag: u8, payload: &[u8]) -> Option<Stop> {
+        match tag {
+            EVENTS => self.on_events(b, payload),
+            END => {
+                {
+                    let mut s = lock_session(&self.session);
+                    s.ended = true;
+                    let _ = s.journal.record_ended();
+                }
+                if b.end_sent {
+                    return None;
+                }
+                b.end_sent = true;
+                (!b.send(END, &[])).then_some(Stop::FailOver)
+            }
+            ACK => {
+                // The client's terminal delivery ACK — the verdict made
+                // it across the wire. (Early or duplicated ACKs are
+                // harmless: the flag only matters once the session is
+                // done.)
+                self.verdict_acked = true;
+                None
+            }
+            // An impossible tag on a negotiated connection is wire
+            // damage, not a client bug.
+            tag => self.client_fault(format!("unexpected frame tag {tag}")),
+        }
+    }
+
+    /// Journals a client EVENTS batch, forwards the fresh events, and
+    /// ACKs a ticketed client.
+    fn on_events(&mut self, b: &mut Backend, payload: &[u8]) -> Option<Stop> {
+        let batch = match self.dec.decode_batch(payload) {
+            Ok(batch) => batch,
+            Err(e) => return self.client_fault(format!("bad EVENTS frame: {e}")),
+        };
+        // Append fresh events; silently drop the resume overlap (seqs
+        // already journaled). A gap means the wire dropped something:
+        // recoverable for ticketed sessions (sever + resume), fatal for
+        // anonymous.
+        let mut fresh: Vec<TraceInst> = Vec::new();
+        let mut gap = None;
+        {
+            let mut s = lock_session(&self.session);
+            for t in batch {
+                let n = s.journal.len();
+                if t.seq < n {
+                    continue;
+                }
+                if t.seq > n {
+                    gap = Some(format!("event seq gap: got {}, expected {n}", t.seq));
+                    break;
+                }
+                if let Err(e) = s.journal.push(t) {
+                    let msg = format!("session journal write failed: {e}");
+                    return Some(Stop::Exit(Exit::Fatal(msg)));
+                }
+                fresh.push(t);
+            }
+        }
+        if let Some(err) = gap {
+            if let Some(stop) = self.client_fault(err) {
+                return Some(stop);
+            }
+        }
+        if !fresh.is_empty() {
+            self.shared
+                .stats
+                .events
+                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+            let bytes = b.enc.encode_batch(&fresh);
+            if !b.send(EVENTS, &bytes) {
+                return Some(Stop::FailOver);
+            }
+        }
+        if self.ticketed && self.client_alive {
+            let buffered = lock_session(&self.session).journal.len();
+            if self.tell_client(ACK, &proto::encode_ack(buffered)) {
+                self.acks_sent += 1;
+                if self.shared.drop_after == Some(self.acks_sent) {
+                    // Fault injection: sever the client link abruptly;
+                    // the session state survives for resume.
+                    shutdown_both(&self.client);
                 }
             }
         }
-        if delivered {
-            table.forget(session);
-        }
+        None
     }
-    let _ = client_stream.shutdown(Shutdown::Both);
-}
 
-/// Serves a resume for a session that finished while the client was
-/// away: the preamble already re-sent the alarm tail; deliver the stored
-/// terminal frames straight from the buffer — no backend involved.
-fn finish_from_buffer(
-    client_stream: &TcpStream,
-    mut reader: FrameReader<BufReader<TcpStream>>,
-    mut writer: FrameWriter<BufWriter<TcpStream>>,
-    session: &SessionRef,
-    table: &SessionTable,
-) {
-    let (summary, error) = {
-        let s = lock_session(session);
-        (s.summary.clone(), s.error.clone())
-    };
-    let mut sent = true;
-    if let Some(p) = summary {
-        sent &= writer.write(SUMMARY, &p).is_ok();
-    }
-    if let Some(p) = error {
-        sent &= writer.write(ERROR, &p).is_ok();
-    }
-    sent &= writer.flush().is_ok();
-    detach(session);
-    let _ = client_stream.shutdown(Shutdown::Write);
-    // Drain whatever the client was still sending (duplicate events,
-    // END) until it sees our EOF and closes — watching for the terminal
-    // delivery ACK. Same discipline as [`finish`]: only that ACK proves
-    // the verdict arrived; otherwise the entry stays for the next
-    // resume.
-    let mut delivered = false;
-    while let Ok(Some((tag, _))) = reader.read() {
-        if tag == ACK {
-            delivered = true;
+    fn on_client_gone(&mut self, damage: Option<String>) -> Option<Stop> {
+        let done = lock_session(&self.session).done();
+        match damage {
+            // The session already finished: trailing garbage is
+            // indistinguishable from a hangup, and a finished journal
+            // must never grow an error record.
+            Some(_) if self.ticketed && done => Some(Stop::Exit(Exit::Release)),
+            Some(e) => self.client_fault(format!("bad frame: {e}")),
+            // Anonymous sessions cannot resume; done sessions need
+            // nothing more from a client.
+            None if done || !self.ticketed => Some(Stop::Exit(Exit::Release)),
+            None => {
+                // Ticketed and unfinished: go ghost — keep driving the
+                // backend so already-streamed events still yield their
+                // detections; a resume picks the session up.
+                self.client_alive = false;
+                let buffered = lock_session(&self.session).journal.len();
+                self.span("router.ghost", vec![("events_buffered", buffered.into())]);
+                None
+            }
         }
     }
-    if sent && delivered {
-        table.forget(session);
+
+    fn on_backend_frame(&mut self, b: &mut Backend, tag: u8, payload: Vec<u8>) -> Option<Stop> {
+        match tag {
+            ALARMS => self.on_alarms(b, &payload),
+            SUMMARY => {
+                self.failovers = 0;
+                b.pending_summary = Some(payload);
+                // The backend is draining toward close; sever our write
+                // side so its drain sees EOF *now* instead of waiting out
+                // its read timeout. A trailing ERROR (if any) was written
+                // before the drain began and still arrives.
+                let _ = b.socket.shutdown(Shutdown::Write);
+                None
+            }
+            // The backend saw transport damage on our leg (netem
+            // corruption, truncation, a dropped frame). Its summary — if
+            // any — is partial: discard it and fail over; the replay
+            // heals.
+            ERROR if payload.starts_with(RETRYABLE_ERROR_PREFIX.as_bytes()) => {
+                self.backend_fault(String::from_utf8_lossy(&payload).into_owned())
+            }
+            ERROR => {
+                // Terminal error: commit the pending summary first
+                // (short-stream sessions send SUMMARY then ERROR), then
+                // the error itself.
+                self.commit_summary(b);
+                self.record_error(&payload);
+                self.tell_client(ERROR, &payload);
+                let _ = b.socket.shutdown(Shutdown::Write);
+                None
+            }
+            // Anything else from a backend is wire damage too — replay,
+            // don't kill the session.
+            tag => self.backend_fault(format!("unexpected frame tag {tag}")),
+        }
     }
-    let _ = client_stream.shutdown(Shutdown::Both);
+
+    fn on_alarms(&mut self, b: &mut Backend, payload: &[u8]) -> Option<Stop> {
+        let ds = match proto::decode_alarms(payload) {
+            Ok(ds) => ds,
+            // A garbled ALARMS frame means the backend leg is damaged;
+            // failover replays and the deterministic engines re-raise
+            // everything.
+            Err(e) => return self.backend_fault(format!("bad ALARMS: {e}")),
+        };
+        // A decoded ALARMS frame is a live round-trip: this incarnation
+        // connected, replayed, and spoke protocol. Reset the failover
+        // budget so it bounds consecutive *silent* failovers (a hot
+        // loop), not total failovers over a long session's lifetime
+        // under sustained-but-survivable fault pressure.
+        self.failovers = 0;
+        // Deduplicate across failovers: analysis is deterministic, so a
+        // replayed incarnation re-raises the logged prefix
+        // bit-identically; only the tail past the log is new. Fresh
+        // alarms hit the durable index *before* they are released to the
+        // client, so a post-crash recovery never re-raises a delivered
+        // alarm out of order.
+        let mut fresh: Vec<Detection> = Vec::new();
+        {
+            let mut s = lock_session(&self.session);
+            for d in ds {
+                b.seen += 1;
+                if b.seen > s.alarms.len() as u64 {
+                    s.alarms.push(d);
+                    fresh.push(d);
+                }
+            }
+            if !fresh.is_empty() {
+                let _ = s.journal.record_alarms(&fresh);
+            }
+        }
+        if !fresh.is_empty() {
+            self.tell_client(ALARMS, &proto::encode_alarms(&fresh));
+        }
+        None
+    }
+
+    fn on_backend_gone(&mut self, b: &mut Backend) -> Option<Stop> {
+        // A clean close commits the held summary: the backend said
+        // everything it meant to.
+        self.commit_summary(b);
+        if lock_session(&self.session).done() {
+            return Some(Stop::Exit(Exit::Finish));
+        }
+        // Mid-session death: fail over and replay.
+        Some(Stop::FailOver)
+    }
+
+    /// Retires a broken incarnation: its slot is marked down (the health
+    /// checker revives it) and the session moves on to the next one,
+    /// unless the failover budget is spent.
+    fn fail_over(&mut self, b: &Backend) -> Option<Exit> {
+        let _ = b.socket.shutdown(Shutdown::Both);
+        self.shared.pool.mark_down(b.slot, b.generation);
+        self.shared.pool.revive(b.slot);
+        self.shared.stats.failovers.fetch_add(1, Ordering::Relaxed);
+        self.failovers += 1;
+        self.span(
+            "router.failover",
+            vec![
+                ("slot", (b.slot as u64).into()),
+                ("nth", u64::from(self.failovers).into()),
+            ],
+        );
+        (self.failovers > MAX_FAILOVERS).then(|| {
+            self.trouble(
+                "failover budget exhausted",
+                "session failed over too many times",
+            )
+        })
+    }
+
+    /// Transient infrastructure trouble — no routable backend, an
+    /// exhausted failover budget, a wedged transport — is not a verdict
+    /// on a *ticketed* session: its journal is intact and a resume can
+    /// pick it up once the fleet recovers. Park it (quiet client sever +
+    /// detach, table entry kept) instead of forging an ERROR; the
+    /// client's retry machine turns the severed leg into a resume.
+    /// Anonymous sessions have no resume path and draw the fatal ERROR.
+    fn trouble(&self, park_reason: &'static str, fatal_msg: &str) -> Exit {
+        if self.ticketed {
+            Exit::Park(park_reason)
+        } else {
+            Exit::Fatal(fatal_msg.to_owned())
+        }
+    }
+
+    /// Damage on the client leg. A ticketed session severs the leg
+    /// quietly and goes ghost: the client sees EOF and resumes from the
+    /// last ACK with a fresh encoder. The damage proves nothing about who
+    /// lied, so no verdict is forged. An anonymous session cannot resume
+    /// and draws a clean ERROR.
+    fn client_fault(&mut self, err: String) -> Option<Stop> {
+        if !self.ticketed {
+            return Some(Stop::Exit(Exit::Fatal(err)));
+        }
+        shutdown_both(&self.client);
+        self.client_alive = false;
+        self.span("router.client_fault", vec![("error", err.into())]);
+        None
+    }
+
+    /// Damage on the backend leg: record it and fail over.
+    fn backend_fault(&self, err: String) -> Option<Stop> {
+        self.span("router.backend_fault", vec![("error", err.into())]);
+        Some(Stop::FailOver)
+    }
+
+    /// Commits the held SUMMARY, if any: record it, count the session,
+    /// forward it.
+    fn commit_summary(&mut self, b: &mut Backend) {
+        if let Some(p) = b.pending_summary.take() {
+            lock_session(&self.session).set_summary(p.clone());
+            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+            self.tell_client(SUMMARY, &p);
+        }
+    }
+
+    /// Records a terminal ERROR (unless the session already has one) and
+    /// counts the session if this is its first terminal frame.
+    fn record_error(&self, payload: &[u8]) {
+        let first = {
+            let mut s = lock_session(&self.session);
+            let first = !s.done();
+            if s.error.is_none() {
+                s.set_error(payload.to_vec());
+            }
+            first
+        };
+        if first {
+            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Sends one frame to a live client; a failed write turns the driver
+    /// into a ghost. Returns whether the client is still alive.
+    fn tell_client(&mut self, tag: u8, payload: &[u8]) -> bool {
+        let w = &mut self.writer;
+        self.client_alive =
+            self.client_alive && w.write(tag, payload).and_then(|()| w.flush()).is_ok();
+        self.client_alive
+    }
+
+    fn span(&self, name: &'static str, fields: Vec<(&'static str, FieldVal)>) {
+        if let Some(t) = self.shared.trace() {
+            t.emit(name, Some(self.key), fields);
+        }
+    }
+
+    /// The one teardown for every ending. The backend leg (if any) is cut
+    /// first; the session is detached before the client reader is joined,
+    /// so a resume never waits on a slow drain.
+    fn close(mut self, exit: Exit, backend: Option<&Backend>) {
+        if let Some(b) = backend {
+            let _ = b.socket.shutdown(Shutdown::Both);
+        }
+        let finish = matches!(exit, Exit::Finish);
+        match exit {
+            Exit::Fatal(msg) => {
+                self.record_error(msg.as_bytes());
+                self.tell_client(ERROR, msg.as_bytes());
+                self.shared.table.forget(&self.session);
+            }
+            Exit::Park(reason) => {
+                let buffered = lock_session(&self.session).journal.len();
+                self.span(
+                    "router.park",
+                    vec![
+                        ("reason", reason.into()),
+                        ("events_buffered", buffered.into()),
+                    ],
+                );
+            }
+            Exit::LetGo => {}
+            Exit::Release => self.shared.table.forget(&self.session),
+            Exit::Finish => {
+                // Clean completion: mirror the backend's half-close
+                // discipline so the client's final read sees EOF.
+                let _ = self.writer.flush();
+                let _ = self.client.shutdown(Shutdown::Write);
+            }
+        }
+        lock_session(&self.session).attached = false;
+        if !finish {
+            shutdown_both(&self.client);
+        }
+        // On Finish the reader drains the client's remaining frames until
+        // EOF and exits; anything it queued — including the terminal ACK
+        // racing our entry into close — is visible after the join.
+        let _ = self.client_reader.join();
+        if finish {
+            // A write that succeeded only proves the frames left this
+            // process — through a faulting wire that is not delivery. A
+            // ticketed verdict counts as delivered only once the client's
+            // terminal ACK arrived; otherwise the entry stays, so the
+            // next resume collects the verdict from the buffer instead of
+            // drawing "unknown session id".
+            let acked = self.verdict_acked
+                || self
+                    .rx
+                    .try_iter()
+                    .any(|m| matches!(m, Msg::Frame(Leg::Client, ACK, _)));
+            if acked || !self.ticketed {
+                self.shared.table.forget(&self.session);
+            }
+            shutdown_both(&self.client);
+        }
+    }
 }

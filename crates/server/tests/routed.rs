@@ -4,17 +4,23 @@
 //! (drain/restore).
 
 use fireguard_server::chaos::detection_keys;
-use fireguard_server::proto::{self, SESSION};
+use fireguard_server::proto::{
+    self, FrameReader, FrameWriter, Summary, ACK, ALARMS, CAP_FRAME_CHECKSUM, END, ERROR, EVENTS,
+    SESSION, SUMMARY,
+};
 use fireguard_server::{
     route, run_routed_session, run_session, serve, BackendMode, ClientError, RoutedOptions,
-    RouterOptions, ServeOptions, SessionConfig,
+    RouterOptions, ServeOptions, SessionConfig, TraceSink,
 };
-use fireguard_soc::{baseline_cycles, capture_events, run_fireguard, ExperimentConfig, KernelId};
+use fireguard_soc::{
+    baseline_cycles, capture_events, run_fireguard, Detection, ExperimentConfig, KernelId,
+};
 use fireguard_trace::codec::EventEncoder;
 use fireguard_trace::{AttackKind, AttackPlan};
-use std::io::BufReader;
-use std::net::TcpStream;
+use std::io::{BufReader, BufWriter, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn router_opts() -> RouterOptions {
     RouterOptions {
@@ -305,8 +311,195 @@ fn duplicate_session_ids_are_refused() {
         }
     };
     assert!(msg.contains("already registered"), "unexpected: {msg}");
-    drop(first);
+    drop((first, w, r1));
     router.shutdown();
+}
+
+/// A ghost session (its client gone mid-stream) parks at once when the
+/// router shuts down: with the accept loop stopped no resume can reach
+/// it, so waiting out the ghost linger would only stall the shutdown.
+#[test]
+fn shutdown_parks_a_ghost_session_at_once() {
+    let sink = TraceSink::memory();
+    let router = route(RouterOptions {
+        trace: Some(Arc::clone(&sink)),
+        ..router_opts()
+    })
+    .expect("router starts");
+
+    let cfg = attack_experiment("ferret", 3_000);
+    let hello = SessionConfig::from_experiment(&cfg, 0)
+        .encode()
+        .expect("valid config");
+    let stream = TcpStream::connect(router.local_addr()).expect("connect");
+    let ticket = proto::SessionTicket {
+        id: 11,
+        resume: false,
+        alarms_received: 0,
+    };
+    let mut w = stream.try_clone().expect("clone");
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let events = EventEncoder::new().encode_batch(&capture_events(&cfg)[..64]);
+    proto::write_frame(&mut w, EVENTS, &events).expect("events");
+    w.flush().expect("flush");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    loop {
+        match proto::read_frame(&mut r).expect("frames until ACK") {
+            Some((ACK, _)) => break,
+            Some(_) => continue,
+            None => panic!("session closed before its ACK"),
+        }
+    }
+    drop((stream, w, r));
+    router.shutdown();
+
+    let parks: Vec<String> = sink
+        .events()
+        .iter()
+        .filter(|e| e.span == "router.park")
+        .map(|e| e.to_json())
+        .collect();
+    assert_eq!(parks.len(), 1, "one park per ghost: {parks:?}");
+    assert!(
+        parks[0].contains(r#""reason":"router closing""#),
+        "unexpected park: {}",
+        parks[0]
+    );
+}
+
+/// Resumes session `id` on a fresh connection and reads the verdict the
+/// router serves from its buffer: the ACK, every alarm past zero, the
+/// summary, then EOF. Sends the terminal delivery ACK when `confirm`.
+fn resume_finished(addr: SocketAddr, id: u64, confirm: bool) -> (u64, Vec<Detection>, Summary) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let ticket = proto::SessionTicket {
+        id,
+        resume: true,
+        alarms_received: 0,
+    };
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    w.flush().expect("flush");
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")), true);
+    let ack = match reader.read().expect("resume preamble") {
+        Some((ACK, p)) => proto::decode_ack(&p).expect("ack decodes"),
+        other => panic!("expected ACK on resume, got {other:?}"),
+    };
+    let mut alarms = Vec::new();
+    let summary = loop {
+        match reader.read().expect("buffered verdict") {
+            Some((ALARMS, p)) => alarms.extend(proto::decode_alarms(&p).expect("alarms decode")),
+            Some((SUMMARY, p)) => break Summary::decode(&p).expect("summary decodes"),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    assert!(
+        matches!(reader.read(), Ok(None)),
+        "the router half-closes after a buffered verdict"
+    );
+    if confirm {
+        let mut w = FrameWriter::new(BufWriter::new(stream), true);
+        w.write(ACK, &[])
+            .and_then(|()| w.flush())
+            .expect("terminal ACK");
+    }
+    (ack, alarms, summary)
+}
+
+/// A session that finishes while its client is away is served from the
+/// router's buffer on resume, for as long as the client has not
+/// confirmed delivery: a resume without the terminal ACK leaves it in
+/// place, and only the ACKed one lets the router forget it and remove
+/// its durable journal.
+#[test]
+fn finished_session_is_served_from_the_buffer_until_acked() {
+    let cfg = attack_experiment("dedup", 5_000);
+    let offline = run_fireguard(&cfg);
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let events = capture_events(&cfg);
+    let hello = SessionConfig::from_experiment(&cfg, base)
+        .encode_with_caps(CAP_FRAME_CHECKSUM)
+        .expect("valid config");
+    let dir = std::env::temp_dir().join(format!("fg-routed-buffer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let router = route(RouterOptions {
+        journal_dir: Some(dir.clone()),
+        ..router_opts()
+    })
+    .expect("router starts");
+    let addr = router.local_addr();
+
+    // Stream everything plus END, then half-close instead of dropping:
+    // a socket closed over unread frames draws an RST, and the router
+    // might never read the END.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    let ticket = proto::SessionTicket {
+        id: 21,
+        resume: false,
+        alarms_received: 0,
+    };
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let mut w = FrameWriter::new(w, true);
+    let mut enc = EventEncoder::new();
+    for chunk in events.chunks(512) {
+        w.write(EVENTS, &enc.encode_batch(chunk)).expect("events");
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).expect("end");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while router.sessions_completed() < 1 {
+        assert!(Instant::now() < deadline, "the session never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop((stream, w));
+
+    let expected = detection_keys(&offline.detections);
+    assert!(!expected.is_empty(), "the campaign must raise alarms");
+    let idx = dir.join("21.idx");
+    for confirm in [false, true] {
+        assert!(idx.exists(), "an unconfirmed verdict keeps its journal");
+        let (ack, alarms, summary) = resume_finished(addr, 21, confirm);
+        assert_eq!(ack, events.len() as u64, "every event was journaled");
+        assert_eq!(detection_keys(&alarms), expected, "confirm={confirm}");
+        assert_eq!(summary.committed, offline.committed, "confirm={confirm}");
+        assert_eq!(summary.cycles, offline.cycles, "confirm={confirm}");
+        assert_eq!(
+            summary.slowdown.to_bits(),
+            offline.slowdown.to_bits(),
+            "confirm={confirm}"
+        );
+    }
+
+    // Delivery confirmed: the router forgets the session and removes its
+    // journal, so a further resume is refused.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while idx.exists() {
+        assert!(Instant::now() < deadline, "the journal outlived delivery");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    let ticket = proto::SessionTicket {
+        id: 21,
+        resume: true,
+        alarms_received: 0,
+    };
+    let mut w = stream.try_clone().expect("clone");
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    match proto::read_frame(&mut BufReader::new(stream)).expect("a frame comes back") {
+        Some((ERROR, p)) => {
+            let msg = String::from_utf8_lossy(&p).into_owned();
+            assert!(msg.contains("unknown session id"), "unexpected: {msg}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A plain `serve` is not a router: the SESSION frame is refused with an
