@@ -504,7 +504,7 @@ fn usage() -> String {
          \x20   --journal-tail <N>      router/chaos: in-RAM events per session journal (default 4096)\n\
          \n\
          TELEMETRY FLAGS:\n\
-         \x20   --metrics-addr <h:p>    serve/router: live metrics endpoint (exposition + STATS)\n\
+         \x20   --metrics-addr <h:p>    serve/router: live metrics endpoint (Prometheus text over HTTP)\n\
          \x20   --trace-out <file>      serve/router/client/loadgen: span-event jsonl sink\n\
          \x20   stats --addr <csv>      scrape endpoints, aggregate per-kernel fleet counters\n\
          \n\

@@ -729,55 +729,81 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
     Ok(r)
 }
 
-// ---- serve -----------------------------------------------------------------
+// ---- foreground services ---------------------------------------------------
 
-/// Runs the service in the foreground; returns the process exit code.
-pub fn serve_cmd(p: &Parsed) -> i32 {
+/// A started foreground service: the lines announcing it, and the wait
+/// for it to stop.
+type Started = (Vec<String>, Box<dyn FnOnce()>);
+
+/// The foreground contract serve, router and chaos-net share; returns the
+/// process exit code. `args` carries the command's own flag checks (exit
+/// 2), made before the `--trace-out` sink opens; `start` gets the sink
+/// and starts the service, or names the exit code and message it failed
+/// with. The announcement goes to stdout, flushed, so scripts that start
+/// on port 0 discover the real port.
+fn run_foreground<A>(
+    p: &Parsed,
+    name: &str,
+    args: Result<A, String>,
+    start: impl FnOnce(A, Option<Arc<TraceSink>>) -> Result<Started, (i32, String)>,
+) -> i32 {
     if p.format != fireguard_soc::Format::Human {
-        // serve prints a plain announcement line, not a Report; honoring
-        // the never-silently-ignore contract beats accepting the flag.
-        eprintln!("fireguard: serve has no report output; --format does not apply");
+        // These commands print plain announcement lines, not a Report;
+        // honoring the never-silently-ignore contract beats accepting the
+        // flag.
+        eprintln!("fireguard: {name} has no report output; --format does not apply");
         return 2;
     }
+    let fail = |code: i32, msg: String| {
+        eprintln!("fireguard: {msg}");
+        code
+    };
+    let args = match args {
+        Ok(a) => a,
+        Err(e) => return fail(2, e),
+    };
     let trace = match trace_sink(p) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("fireguard: {e}");
-            return 1;
-        }
+        Err(e) => return fail(1, e),
     };
-    let opts = fireguard_server::ServeOptions {
-        addr: p.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
-        workers: p.workers.unwrap_or_else(fireguard_soc::default_workers),
-        max_sessions: p.max_sessions,
-        observe_every: fireguard_server::OBSERVE_EVERY,
-        metrics_addr: p.metrics_addr.clone(),
-        idle_timeout: idle_timeout(p),
-        trace,
+    let (lines, join) = match start(args, trace) {
+        Ok(started) => started,
+        Err((code, e)) => return fail(code, e),
     };
-    let workers = opts.workers;
-    let handle = match fireguard_server::serve(opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("fireguard: cannot bind: {e}");
-            return 1;
-        }
-    };
-    // The bound address goes to stdout (and is flushed) so scripts can
-    // start on port 0 and discover the real port.
-    println!(
-        "fireguard-serve: listening on {} ({workers} workers)",
-        handle.local_addr()
-    );
-    // The metrics endpoint follows the same contract: announce the bound
-    // address so a scraper started against port 0 can find it.
-    if let Some(m) = handle.metrics_addr() {
-        println!("fireguard-serve: metrics on {m}");
+    for line in lines {
+        println!("{line}");
     }
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    handle.join();
+    join();
     0
+}
+
+/// Runs the service in the foreground; returns the process exit code.
+pub fn serve_cmd(p: &Parsed) -> i32 {
+    run_foreground(p, "serve", Ok(()), |(), trace| {
+        let opts = fireguard_server::ServeOptions {
+            addr: p.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
+            workers: p.workers.unwrap_or_else(fireguard_soc::default_workers),
+            max_sessions: p.max_sessions,
+            observe_every: fireguard_server::OBSERVE_EVERY,
+            metrics_addr: p.metrics_addr.clone(),
+            idle_timeout: idle_timeout(p),
+            trace,
+        };
+        let workers = opts.workers;
+        let handle = fireguard_server::serve(opts).map_err(|e| (1, format!("cannot bind: {e}")))?;
+        let mut lines = vec![format!(
+            "fireguard-serve: listening on {} ({workers} workers)",
+            handle.local_addr()
+        )];
+        // The metrics endpoint follows the same contract: announce the
+        // bound address so a scraper started against port 0 can find it.
+        if let Some(m) = handle.metrics_addr() {
+            lines.push(format!("fireguard-serve: metrics on {m}"));
+        }
+        Ok((lines, Box::new(move || handle.join())))
+    })
 }
 
 // ---- router ----------------------------------------------------------------
@@ -787,89 +813,70 @@ pub const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:4781";
 
 /// Runs the router tier in the foreground; returns the process exit code.
 pub fn router_cmd(p: &Parsed) -> i32 {
-    if p.format != fireguard_soc::Format::Human {
-        eprintln!("fireguard: router has no report output; --format does not apply");
-        return 2;
-    }
-    if p.backends.is_some() && p.backend_addrs.is_some() {
-        eprintln!(
-            "fireguard: --backends (spawn) and --backend-addrs (extern) are mutually exclusive"
-        );
-        return 2;
-    }
-    let backends = match p.backend_addrs.as_deref() {
-        Some(csv) => fireguard_server::BackendMode::Extern(
+    let backends = match (p.backends, p.backend_addrs.as_deref()) {
+        (Some(_), Some(_)) => {
+            Err("--backends (spawn) and --backend-addrs (extern) are mutually exclusive".to_owned())
+        }
+        (_, Some(csv)) => Ok(fireguard_server::BackendMode::Extern(
             csv.split(',').map(|s| s.trim().to_owned()).collect(),
-        ),
-        None => fireguard_server::BackendMode::Spawn(p.backends.unwrap_or(2)),
+        )),
+        (n, None) => Ok(fireguard_server::BackendMode::Spawn(n.unwrap_or(2))),
     };
-    let trace = match trace_sink(p) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fireguard: {e}");
-            return 1;
+    run_foreground(p, "router", backends, |backends, trace| {
+        // `--resume-journals <dir>` implies journaling into that directory;
+        // naming a *different* `--journal-dir` alongside it would recover
+        // into one place while journaling into another — reject the split.
+        let journal_dir = match (p.journal_dir.as_deref(), p.resume_journals.as_deref()) {
+            (Some(a), Some(b)) if a != b => {
+                return Err((
+                    2,
+                    format!(
+                        "--journal-dir {a} and --resume-journals {b} name \
+                         different directories"
+                    ),
+                ));
+            }
+            (Some(d), _) | (None, Some(d)) => Some(std::path::PathBuf::from(d)),
+            (None, None) => None,
+        };
+        let defaults = fireguard_server::RouterOptions::default();
+        let journal_tail = p.journal_tail.unwrap_or(defaults.journal_tail);
+        let opts = fireguard_server::RouterOptions {
+            addr: p
+                .addr
+                .clone()
+                .unwrap_or_else(|| DEFAULT_ROUTER_ADDR.to_owned()),
+            backends,
+            backend_workers: p.backend_workers.unwrap_or(2),
+            max_sessions: p.max_sessions,
+            metrics_addr: p.metrics_addr.clone(),
+            idle_timeout: idle_timeout(p),
+            max_live_sessions: p.max_live_sessions,
+            max_buffered_bytes: p.max_buffered_mb.map(|mb| mb * (1 << 20)),
+            journal_dir,
+            resume_journals: p.resume_journals.is_some(),
+            journal_tail,
+            trace,
+            ..defaults
+        };
+        let handle =
+            fireguard_server::route(opts).map_err(|e| (1, format!("cannot start router: {e}")))?;
+        let mut lines = vec![format!(
+            "fireguard-router: listening on {} ({} backends)",
+            handle.local_addr(),
+            handle.backends()
+        )];
+        if let Some(m) = handle.metrics_addr() {
+            lines.push(format!("fireguard-router: metrics on {m}"));
         }
-    };
-    // `--resume-journals <dir>` implies journaling into that directory;
-    // naming a *different* `--journal-dir` alongside it would recover
-    // into one place while journaling into another — reject the split.
-    let journal_dir = match (p.journal_dir.as_deref(), p.resume_journals.as_deref()) {
-        (Some(a), Some(b)) if a != b => {
-            eprintln!(
-                "fireguard: --journal-dir {a} and --resume-journals {b} name \
-                 different directories"
-            );
-            return 2;
+        for (slot, addr) in handle.backend_addrs().iter().enumerate() {
+            lines.push(match addr {
+                Some(a) => format!("fireguard-router: backend {slot} at {a}"),
+                None => format!("fireguard-router: backend {slot} down"),
+            });
         }
-        (Some(d), _) | (None, Some(d)) => Some(std::path::PathBuf::from(d)),
-        (None, None) => None,
-    };
-    let defaults = fireguard_server::RouterOptions::default();
-    let journal_tail = p.journal_tail.unwrap_or(defaults.journal_tail);
-    let opts = fireguard_server::RouterOptions {
-        addr: p
-            .addr
-            .clone()
-            .unwrap_or_else(|| DEFAULT_ROUTER_ADDR.to_owned()),
-        backends,
-        backend_workers: p.backend_workers.unwrap_or(2),
-        max_sessions: p.max_sessions,
-        metrics_addr: p.metrics_addr.clone(),
-        idle_timeout: idle_timeout(p),
-        max_live_sessions: p.max_live_sessions,
-        max_buffered_bytes: p.max_buffered_mb.map(|mb| mb * (1 << 20)),
-        journal_dir,
-        resume_journals: p.resume_journals.is_some(),
-        journal_tail,
-        trace,
-        ..defaults
-    };
-    let handle = match fireguard_server::route(opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("fireguard: cannot start router: {e}");
-            return 1;
-        }
-    };
-    // Same script contract as serve: bound address on stdout, flushed.
-    println!(
-        "fireguard-router: listening on {} ({} backends)",
-        handle.local_addr(),
-        handle.backends()
-    );
-    if let Some(m) = handle.metrics_addr() {
-        println!("fireguard-router: metrics on {m}");
-    }
-    for (slot, addr) in handle.backend_addrs().iter().enumerate() {
-        match addr {
-            Some(a) => println!("fireguard-router: backend {slot} at {a}"),
-            None => println!("fireguard-router: backend {slot} down"),
-        }
-    }
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    handle.join();
-    0
+        Ok((lines, Box::new(move || handle.join())))
+    })
 }
 
 // ---- chaos-net -------------------------------------------------------------
@@ -883,53 +890,32 @@ pub const DEFAULT_NETEM_ADDR: &str = "127.0.0.1:4782";
 /// router/serve; the proxy relays frames and injects seeded faults
 /// (drops, delays, duplicates, truncations, corruptions, disconnects).
 pub fn chaos_net_cmd(p: &Parsed) -> i32 {
-    if p.format != fireguard_soc::Format::Human {
-        eprintln!("fireguard: chaos-net has no report output; --format does not apply");
-        return 2;
-    }
-    let Some(upstream) = p.upstream.clone() else {
-        eprintln!("fireguard: chaos-net requires --upstream <host:port> (the honest address)");
-        return 2;
-    };
-    let trace = match trace_sink(p) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fireguard: {e}");
-            return 1;
-        }
-    };
-    let defaults = NetemOptions::default();
-    let opts = NetemOptions {
-        listen: p
-            .addr
-            .clone()
-            .unwrap_or_else(|| DEFAULT_NETEM_ADDR.to_owned()),
-        upstream: upstream.clone(),
-        seed: p.seed.unwrap_or(defaults.seed),
-        fault_every: p.fault_every.unwrap_or(defaults.fault_every),
-        max_delay_ms: p.max_delay_ms.unwrap_or(defaults.max_delay_ms),
-        trace,
-        ..defaults
-    };
-    let seed = opts.seed;
-    let fault_every = opts.fault_every;
-    let handle = match netem(opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("fireguard: cannot bind chaos-net proxy: {e}");
-            return 1;
-        }
-    };
-    // Same script contract as serve/router: bound address on stdout.
-    println!(
-        "fireguard-chaos-net: listening on {} -> {upstream} \
-         (seed {seed}, fault every ~{fault_every} frames)",
-        handle.local_addr()
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    handle.join();
-    0
+    let upstream = p
+        .upstream
+        .clone()
+        .ok_or_else(|| "chaos-net requires --upstream <host:port> (the honest address)".to_owned());
+    run_foreground(p, "chaos-net", upstream, |upstream, trace| {
+        let defaults = NetemOptions::default();
+        let opts = NetemOptions {
+            listen: p
+                .addr
+                .clone()
+                .unwrap_or_else(|| DEFAULT_NETEM_ADDR.to_owned()),
+            upstream: upstream.clone(),
+            seed: p.seed.unwrap_or(defaults.seed),
+            fault_every: p.fault_every.unwrap_or(defaults.fault_every),
+            max_delay_ms: p.max_delay_ms.unwrap_or(defaults.max_delay_ms),
+            trace,
+        };
+        let (seed, fault_every) = (opts.seed, opts.fault_every);
+        let handle = netem(opts).map_err(|e| (1, format!("cannot bind chaos-net proxy: {e}")))?;
+        let line = format!(
+            "fireguard-chaos-net: listening on {} -> {upstream} \
+             (seed {seed}, fault every ~{fault_every} frames)",
+            handle.local_addr()
+        );
+        Ok((vec![line], Box::new(move || handle.join())))
+    })
 }
 
 // ---- stats -----------------------------------------------------------------

@@ -17,14 +17,15 @@
 //! [`SimRng`]: fireguard_trace::SimRng
 
 use crate::client::{run_routed_session, RoutedOptions, RoutedOutcome};
+use crate::net::run_pool;
 use crate::netem::{netem, NetemHandle, NetemOptions};
 use crate::proto::SessionConfig;
 use crate::router::{route, BackendMode, RouterOptions};
 use fireguard_soc::Detection;
 use fireguard_telemetry::TraceSink;
 use fireguard_trace::{SimRng, TraceInst};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Chaos-run shape: fleet size, session load, and kill pressure.
@@ -165,7 +166,7 @@ pub fn run_chaos(
     opts: &ChaosOptions,
 ) -> std::io::Result<ChaosOutcome> {
     let started = Instant::now();
-    let router = Arc::new(route(RouterOptions {
+    let router = route(RouterOptions {
         backends: BackendMode::Spawn(opts.backends),
         backend_workers: opts.backend_workers,
         observe_every: opts.observe_every,
@@ -173,7 +174,7 @@ pub fn run_chaos(
         journal_tail: opts.journal_tail,
         trace: opts.trace.clone(),
         ..RouterOptions::default()
-    })?);
+    })?;
     // With wire faults on, clients dial the proxy; otherwise the router.
     let proxy = match opts.wire_faults {
         Some(wf) => Some(netem(NetemOptions {
@@ -191,32 +192,62 @@ pub fn run_chaos(
         .map_or_else(|| router.local_addr(), NetemHandle::local_addr)
         .to_string();
 
-    // Session pool (the loadgen idiom: atomic cursor, bounded threads).
-    let cursor = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<(usize, Result<RoutedOutcome, String>)>();
-    let threads = if opts.duration.is_some() {
-        opts.concurrency.max(1)
-    } else {
-        opts.concurrency.clamp(1, opts.sessions.max(1))
+    // The saboteur: walks the schedule as the progress clock passes each
+    // threshold. In soak mode the schedule repeats (freshly seeded
+    // victims) one expected-volume span at a time.
+    let sessions_done = AtomicBool::new(false);
+    let expected = (events.len() as u64)
+        .saturating_mul(opts.sessions.max(1) as u64)
+        .max(1);
+    let saboteur = || {
+        let mut round = 0u64;
+        let mut base = 0u64;
+        let mut schedule = kill_schedule(opts.seed, opts.kills, router.backends(), expected);
+        let mut idx = 0usize;
+        loop {
+            if sessions_done.load(Ordering::SeqCst) {
+                return;
+            }
+            if schedule.is_empty() {
+                return;
+            }
+            if idx >= schedule.len() {
+                // Soak: derive the next round's schedule, offset by
+                // the volume already consumed.
+                round += 1;
+                base += expected;
+                schedule = kill_schedule(
+                    opts.seed ^ (round << 32),
+                    opts.kills,
+                    router.backends(),
+                    expected,
+                );
+                idx = 0;
+            }
+            let (threshold, slot) = schedule[idx];
+            if router.events_forwarded() >= base + threshold {
+                // A miss (slot already down) still advances the
+                // schedule — determinism over body count.
+                let _ = router.kill_backend(slot);
+                idx += 1;
+            } else {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
     };
-    let workers: Vec<_> = (0..threads)
-        .map(|_| {
-            let cursor = Arc::clone(&cursor);
-            let tx = tx.clone();
-            let events = Arc::clone(&events);
-            let cfg = cfg.clone();
-            let addr = addr.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let more =
-                    i < opts.sessions || opts.duration.is_some_and(|d| started.elapsed() < d);
-                if !more {
-                    break;
-                }
-                let out = run_routed_session(
+
+    // The saboteur runs for as long as the session pool does.
+    let mut results = std::thread::scope(|scope| {
+        scope.spawn(saboteur);
+        let (_, results) = run_pool(
+            started,
+            opts.sessions,
+            opts.concurrency,
+            opts.duration,
+            |i| {
+                run_routed_session(
                     &addr,
-                    &cfg,
+                    cfg,
                     Arc::clone(&events),
                     RoutedOptions {
                         batch: opts.batch,
@@ -225,74 +256,19 @@ pub fn run_chaos(
                         ..RoutedOptions::new(opts.seed.wrapping_add(1 + i as u64))
                     },
                 )
-                .map_err(|e| e.to_string());
-                if tx.send((i, out)).is_err() {
-                    break;
-                }
-            })
-        })
-        .collect();
-    drop(tx);
+                .map_err(|e| e.to_string())
+            },
+        );
+        sessions_done.store(true, Ordering::SeqCst);
+        results
+    });
 
-    // The saboteur: walks the schedule as the progress clock passes each
-    // threshold. In soak mode the schedule repeats (freshly seeded
-    // victims) one expected-volume span at a time.
-    let sessions_done = Arc::new(AtomicBool::new(false));
-    let saboteur = {
-        let done = Arc::clone(&sessions_done);
-        let router = Arc::clone(&router);
-        let expected = (events.len() as u64)
-            .saturating_mul(opts.sessions.max(1) as u64)
-            .max(1);
-        let seed = opts.seed;
-        let kills = opts.kills;
-        std::thread::spawn(move || {
-            let mut round = 0u64;
-            let mut base = 0u64;
-            let mut schedule = kill_schedule(seed, kills, router.backends(), expected);
-            let mut idx = 0usize;
-            loop {
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
-                if schedule.is_empty() {
-                    return;
-                }
-                if idx >= schedule.len() {
-                    // Soak: derive the next round's schedule, offset by
-                    // the volume already consumed.
-                    round += 1;
-                    base += expected;
-                    schedule =
-                        kill_schedule(seed ^ (round << 32), kills, router.backends(), expected);
-                    idx = 0;
-                }
-                let (threshold, slot) = schedule[idx];
-                if router.events_forwarded() >= base + threshold {
-                    // A miss (slot already down) still advances the
-                    // schedule — determinism over body count.
-                    let _ = router.kill_backend(slot);
-                    idx += 1;
-                } else {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        })
-    };
-
-    let mut results: Vec<(usize, Result<RoutedOutcome, String>)> = rx.into_iter().collect();
-    for w in workers {
-        let _ = w.join();
-    }
-    sessions_done.store(true, Ordering::SeqCst);
-    let _ = saboteur.join();
-
-    results.sort_by_key(|&(i, _)| i);
+    results.sort_by_key(|&(i, _, _)| i);
     let mut outcomes = Vec::new();
     let mut lost = 0usize;
     let mut reconnects = 0u64;
     let mut first_error = None;
-    for (_, r) in results {
+    for (_, _, r) in results {
         match r {
             Ok(o) => {
                 reconnects += u64::from(o.reconnects);
@@ -321,9 +297,7 @@ pub fn run_chaos(
     if let Some(p) = proxy {
         p.shutdown();
     }
-    if let Ok(router) = Arc::try_unwrap(router) {
-        router.shutdown();
-    }
+    router.shutdown();
     Ok(outcome)
 }
 

@@ -4,16 +4,20 @@
 //! Sending and receiving run on separate threads (events out, frames in),
 //! so a long session can never deadlock on full TCP buffers in both
 //! directions: alarms are consumed while events are still being written.
+//!
+//! A plain session is one connection `attempt`; a routed session loops
+//! over attempts, resuming after each transport death.
 
+use crate::net::lock;
 use crate::proto::{
-    read_frame, write_frame, FrameReader, FrameWriter, SessionConfig, SessionTicket, Summary, ACK,
-    ALARMS, BUSY, CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, SESSION, SUMMARY,
+    decode_ack, decode_alarms, FrameReader, FrameWriter, SessionConfig, SessionTicket, Summary,
+    ACK, ALARMS, BUSY, CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, SESSION, SUMMARY,
 };
 use fireguard_soc::Detection;
 use fireguard_trace::codec::EventEncoder;
 use fireguard_trace::{SimRng, TraceInst};
-use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, BufWriter};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,88 +97,38 @@ pub fn run_session(
     let hello = cfg.encode().map_err(ClientError::Config)?;
 
     let started = Instant::now();
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-
-    let batch = batch.max(1);
-    let events_sent = events.len() as u64;
-    let sender = {
-        let events = Arc::clone(&events);
-        let stream = stream.try_clone()?;
-        std::thread::spawn(move || -> Result<(), std::io::Error> {
-            let mut w = BufWriter::new(stream);
-            write_frame(&mut w, HELLO, &hello)?;
-            let mut enc = EventEncoder::new();
-            for chunk in events.chunks(batch) {
-                write_frame(&mut w, EVENTS, &enc.encode_batch(chunk))?;
-            }
-            write_frame(&mut w, END, &[])?;
-            w.flush()
-        })
-    };
-
     let mut alarms = Vec::new();
-    let mut summary = None;
-    let mut server_error = None;
-    loop {
-        match read_frame(&mut reader)? {
-            Some((ALARMS, payload)) => alarms.extend(crate::proto::decode_alarms(&payload)?),
-            Some((SUMMARY, payload)) => {
-                summary = Some(Summary::decode(&payload)?);
-                // An ERROR frame may still follow a partial summary; poll
-                // one more frame so the caller learns the session broke.
-                if let Some((ERROR, msg)) = read_frame(&mut reader)? {
-                    server_error = Some(String::from_utf8_lossy(&msg).into_owned());
-                }
-                break;
-            }
-            Some((ERROR, msg)) => {
-                server_error = Some(String::from_utf8_lossy(&msg).into_owned());
-                break;
-            }
-            Some((BUSY, msg)) => {
-                // Admission control said no — a clean, deliberate refusal
-                // (a router under load, not a broken one).
-                server_error = Some(String::from_utf8_lossy(&msg).into_owned());
-                break;
-            }
-            Some((tag, _)) => {
-                return Err(ClientError::Protocol(format!("unexpected frame tag {tag}")));
-            }
-            None => break,
+    let (verdict, sent) = attempt(
+        addr,
+        &hello,
+        &events,
+        None,
+        batch.max(1),
+        &mut alarms,
+        &mut None,
+    )?;
+    // A panicked sender is a session error, not a client-process abort.
+    let sent =
+        sent.map_err(|_| ClientError::Protocol("sender thread panicked mid-session".to_owned()))?;
+    let summary = match verdict {
+        Attempt::Finished(summary, None) => summary,
+        Attempt::Finished(_, Some(msg)) | Attempt::Refused(msg) | Attempt::Shed(msg) => {
+            return Err(ClientError::Server(msg));
         }
-    }
-    // The server may stop reading as soon as its commit target is reached,
-    // so the sender can legitimately die on a broken pipe — only surface
-    // its error if the session as a whole failed. A panicked sender is a
-    // session error, not a client-process abort.
-    let send_result = match sender.join() {
-        Ok(r) => r,
-        Err(_) => {
-            return Err(ClientError::Protocol(
-                "sender thread panicked mid-session".to_owned(),
-            ));
-        }
-    };
-    if let Some(msg) = server_error {
-        return Err(ClientError::Server(msg));
-    }
-    let summary = match summary {
-        Some(s) => s,
-        None => {
-            if let Err(e) = send_result {
-                return Err(ClientError::Io(e));
-            }
-            return Err(ClientError::Protocol(
-                "connection closed before SUMMARY".to_owned(),
-            ));
+        // The server may stop reading as soon as its commit target is
+        // reached, so the sender can legitimately die on a broken pipe —
+        // only surface its error if the session as a whole failed.
+        Attempt::Retry => {
+            return Err(match sent {
+                Err(e) => ClientError::Io(e),
+                Ok(()) => ClientError::Protocol("connection closed before SUMMARY".to_owned()),
+            });
         }
     };
     Ok(SessionOutcome {
         alarms,
         summary,
-        events_sent,
+        events_sent: events.len() as u64,
         wall: started.elapsed(),
     })
 }
@@ -222,14 +176,19 @@ pub struct RoutedOutcome {
 enum Attempt {
     /// SUMMARY (and possibly a trailing ERROR) arrived — terminal.
     Finished(Summary, Option<String>),
-    /// The transport died (or the session was momentarily busy); resume.
+    /// The transport died (or the session was momentarily busy); a routed
+    /// session resumes.
     Retry,
-    /// Load-shed with a BUSY frame *before* the session registered; the
-    /// next attempt must be a fresh open, not a resume.
-    Shed,
+    /// Load-shed with a BUSY frame (its text) *before* the session
+    /// registered; a routed session's next attempt must be a fresh open,
+    /// not a resume.
+    Shed(String),
     /// The server refused the session outright — terminal.
     Refused(String),
 }
+
+/// How an attempt's sender thread ended.
+type Sent = std::thread::Result<std::io::Result<()>>;
 
 /// Capped exponential backoff with deterministic, seeded jitter: attempt
 /// `n` sleeps a uniform draw from `[cap/2, cap]` where
@@ -269,10 +228,9 @@ pub fn run_routed_session(
     // between client, router, and backend is exactly where failover and
     // resume make silent corruption most dangerous (a duplicated or
     // damaged delta batch decodes to *plausible* garbage).
-    let hello = Arc::new(
-        cfg.encode_with_caps(CAP_FRAME_CHECKSUM)
-            .map_err(ClientError::Config)?,
-    );
+    let hello = cfg
+        .encode_with_caps(CAP_FRAME_CHECKSUM)
+        .map_err(ClientError::Config)?;
     let started = Instant::now();
     let batch = opts.batch.max(1);
 
@@ -285,21 +243,28 @@ pub fn run_routed_session(
     let mut reconnect_latencies: Vec<Duration> = Vec::new();
     loop {
         let mut resumed_at = None;
-        let attempt = routed_attempt(
+        let ticket = SessionTicket {
+            id: opts.session_id,
+            resume: !first,
+            alarms_received: alarms.len() as u64,
+        };
+        let attempt = attempt(
             addr,
             &hello,
             &events,
-            opts.session_id,
+            Some(ticket),
             batch,
-            first,
             &mut alarms,
             &mut resumed_at,
-        );
+        )
+        .map(|(verdict, _)| verdict);
         if let (Some(death), Some(ack)) = (disconnected_at, resumed_at) {
             reconnect_latencies.push(ack.saturating_duration_since(death));
             disconnected_at = None;
         }
-        match attempt {
+        // Every arm that does not end the session names the error it ends
+        // with once the reconnect budget is spent.
+        let give_up = match attempt {
             Ok(Attempt::Finished(summary, trailing_error)) => {
                 if let Some(msg) = trailing_error {
                     return Err(ClientError::Server(msg));
@@ -320,194 +285,179 @@ pub fn run_routed_session(
                 // delivered yet, means the *registration* was lost on the
                 // wire (the opening SESSION+HELLO never survived to the
                 // router). Nothing observable happened: start over fresh.
-                if !first && alarms.is_empty() && msg.starts_with("unknown session id") {
-                    if reconnects >= opts.max_reconnects {
-                        return Err(ClientError::Server(msg));
-                    }
-                    first = true;
-                    reconnects += 1;
-                    std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
-                    continue;
+                if first || !alarms.is_empty() || !msg.starts_with("unknown session id") {
+                    return Err(ClientError::Server(msg));
                 }
-                return Err(ClientError::Server(msg));
+                first = true;
+                ClientError::Server(msg)
             }
-            Ok(Attempt::Shed) => {
-                // BUSY arrives before the session registers, so the next
-                // attempt must open fresh (`first` stays as it was).
-                if reconnects >= opts.max_reconnects {
-                    return Err(ClientError::Server(format!(
-                        "session {} shed by admission control after {} attempts",
-                        opts.session_id, reconnects
-                    )));
-                }
-                reconnects += 1;
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
-            }
-            Ok(Attempt::Retry) => {
+            // BUSY arrives before the session registers, so the next
+            // attempt must open fresh (`first` stays as it was).
+            Ok(Attempt::Shed(_)) => ClientError::Server(format!(
+                "session {} shed by admission control after {} attempts",
+                opts.session_id, reconnects
+            )),
+            // The transport died; connect-level failures are retryable too
+            // (the router may be briefly unreachable).
+            lost => {
                 first = false;
-                if reconnects >= opts.max_reconnects {
-                    return Err(ClientError::Protocol(format!(
+                disconnected_at.get_or_insert_with(Instant::now);
+                match lost {
+                    Err(e) => e,
+                    _ => ClientError::Protocol(format!(
                         "session {} gave up after {} reconnects",
                         opts.session_id, reconnects
-                    )));
+                    )),
                 }
-                reconnects += 1;
-                disconnected_at.get_or_insert_with(Instant::now);
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
             }
-            Err(e) => {
-                // Connect-level failures are retryable too (the router
-                // may be briefly unreachable); protocol violations on an
-                // open connection are not.
-                first = false;
-                if reconnects >= opts.max_reconnects {
-                    return Err(e);
-                }
-                reconnects += 1;
-                disconnected_at.get_or_insert_with(Instant::now);
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
-            }
+        };
+        if reconnects >= opts.max_reconnects {
+            return Err(give_up);
         }
+        reconnects += 1;
+        std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
     }
 }
 
-/// One connection's worth of a routed session: ticket, (re)stream, and
-/// collect frames until SUMMARY or transport death. `alarms` accumulates
-/// across attempts — its length doubles as the resume ticket's
-/// `alarms_received`.
-#[allow(clippy::too_many_arguments)]
-fn routed_attempt(
+/// One connection's worth of a session: the handshake (a plain HELLO, or
+/// a routed ticket), the event stream from wherever the server says it
+/// starts, and frames collected until SUMMARY or transport death.
+/// `alarms` accumulates across attempts — its length doubles as the
+/// resume ticket's `alarms_received`.
+fn attempt(
     addr: &str,
-    hello: &Arc<Vec<u8>>,
+    hello: &[u8],
     events: &Arc<Vec<TraceInst>>,
-    session_id: u64,
+    ticket: Option<SessionTicket>,
     batch: usize,
-    first: bool,
     alarms: &mut Vec<Detection>,
     resumed_at: &mut Option<Instant>,
-) -> Result<Attempt, ClientError> {
+) -> Result<(Attempt, Sent), ClientError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    // Everything the router sends after the handshake is checksummed
-    // (the routed HELLO always carries CAP_FRAME_CHECKSUM); ERROR and
-    // BUSY are exempt by protocol, so pre-handshake refusals still parse.
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?), true);
+    // Everything a router sends after the handshake is checksummed (the
+    // routed HELLO always carries CAP_FRAME_CHECKSUM); ERROR and BUSY are
+    // exempt by protocol, so pre-handshake refusals still parse.
+    let routed = ticket.is_some();
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?), routed);
 
-    let ticket = SessionTicket {
-        id: session_id,
-        resume: !first,
-        alarms_received: alarms.len() as u64,
-    };
+    // The handshake frames (SESSION, HELLO) travel plain; a resume sends
+    // its ticket alone.
+    let mut writer = FrameWriter::new(BufWriter::new(stream.try_clone()?), false);
+    if let Some(t) = ticket {
+        writer.write(SESSION, &t.encode())?;
+    }
+    let resume = ticket.is_some_and(|t| t.resume);
+    if !resume {
+        writer.write(HELLO, hello)?;
+    }
+    writer.flush()?;
+    writer.set_checked(routed);
 
     // Where the (re)play starts: a fresh session streams everything; a
     // resume first hears the router's ACK for what it already buffered.
-    let start = if first {
-        let mut w = BufWriter::new(stream.try_clone()?);
-        write_frame(&mut w, SESSION, &ticket.encode())?;
-        write_frame(&mut w, HELLO, hello)?;
-        w.flush()?;
-        0usize
-    } else {
-        {
-            let mut w = BufWriter::new(stream.try_clone()?);
-            write_frame(&mut w, SESSION, &ticket.encode())?;
-            w.flush()?;
-        }
+    let start = if resume {
         match reader.read() {
             Ok(Some((ACK, payload))) => {
                 *resumed_at = Some(Instant::now());
-                crate::proto::decode_ack(&payload)? as usize
+                decode_ack(&payload)? as usize
             }
-            Ok(Some((ERROR, msg))) => {
-                let msg = String::from_utf8_lossy(&msg).into_owned();
-                // A ghost driver may still be letting go; that's a
-                // timing accident, not a refusal.
-                if msg.starts_with("session busy") {
-                    return Ok(Attempt::Retry);
-                }
-                return Ok(Attempt::Refused(msg));
+            refusal => {
+                let verdict = match refusal {
+                    // A ghost driver may still be letting go; that's a
+                    // timing accident, not a refusal.
+                    Ok(Some((ERROR, msg))) if msg.starts_with(b"session busy") => Attempt::Retry,
+                    Ok(Some((ERROR, msg))) => Attempt::Refused(text(&msg)),
+                    Ok(Some((BUSY, msg))) => Attempt::Shed(text(&msg)),
+                    Ok(Some((tag, _))) => {
+                        return Err(ClientError::Protocol(format!(
+                            "expected ACK on resume, got frame tag {tag}"
+                        )));
+                    }
+                    Ok(None) | Err(_) => Attempt::Retry,
+                };
+                // No sender ran, so none failed.
+                return Ok((verdict, Ok(Ok(()))));
             }
-            Ok(Some((BUSY, _))) => return Ok(Attempt::Shed),
-            Ok(Some((tag, _))) => {
-                return Err(ClientError::Protocol(format!(
-                    "expected ACK on resume, got frame tag {tag}"
-                )));
-            }
-            Ok(None) | Err(_) => return Ok(Attempt::Retry),
         }
+    } else {
+        0
     };
 
-    // The write side is shared with the sender thread: the terminal
-    // delivery ACK (below) must ride the *same* checked writer so the
-    // per-connection frame index stays continuous.
-    let writer = Arc::new(Mutex::new(FrameWriter::new(
-        BufWriter::new(stream.try_clone()?),
-        true,
-    )));
+    // The write side is shared with the sender thread: a routed session's
+    // terminal delivery ACK (below) must ride the *same* checked writer so
+    // the per-connection frame index stays continuous.
+    let writer = Arc::new(Mutex::new(writer));
     let sender = {
         let events = Arc::clone(events);
         let writer = Arc::clone(&writer);
-        std::thread::spawn(move || -> Result<(), std::io::Error> {
-            // The handshake frames (SESSION, HELLO) were plain; the event
-            // stream is checksummed from its first frame.
+        std::thread::spawn(move || -> std::io::Result<()> {
             let mut enc = EventEncoder::new();
             for chunk in events[start.min(events.len())..].chunks(batch) {
                 let bytes = enc.encode_batch(chunk);
-                lock_writer(&writer).write(EVENTS, &bytes)?;
+                lock(&writer).write(EVENTS, &bytes)?;
             }
-            let mut w = lock_writer(&writer);
+            let mut w = lock(&writer);
             w.write(END, &[])?;
             w.flush()
         })
     };
 
+    // A torn frame ends a plain session with its codec error; a routed
+    // session treats it like EOF: the transport died — or lied — and the
+    // session resumes.
+    let mut next = || match reader.read() {
+        Err(e) if !routed => Err(ClientError::Codec(e)),
+        frame => Ok(frame.unwrap_or(None)),
+    };
     let verdict = loop {
-        match reader.read() {
-            Ok(Some((ALARMS, payload))) => alarms.extend(crate::proto::decode_alarms(&payload)?),
-            Ok(Some((ACK, payload))) => {
+        match next()? {
+            Some((ALARMS, payload)) => alarms.extend(decode_alarms(&payload)?),
+            Some((ACK, payload)) if routed => {
                 // Progress bookkeeping only; correctness needs no action.
-                let _ = crate::proto::decode_ack(&payload)?;
+                decode_ack(&payload)?;
             }
-            Ok(Some((SUMMARY, payload))) => {
+            Some((SUMMARY, payload)) => {
                 let summary = Summary::decode(&payload)?;
-                let trailing = match reader.read() {
-                    Ok(Some((ERROR, msg))) => Some(String::from_utf8_lossy(&msg).into_owned()),
+                // An ERROR frame may still follow a partial summary; poll
+                // one more frame so the caller learns the session broke.
+                let trailing = match next()? {
+                    Some((ERROR, msg)) => Some(text(&msg)),
                     _ => None,
                 };
                 break Attempt::Finished(summary, trailing);
             }
-            Ok(Some((ERROR, msg))) => {
-                break Attempt::Refused(String::from_utf8_lossy(&msg).into_owned());
-            }
-            Ok(Some((BUSY, _))) => break Attempt::Shed,
-            Ok(Some((tag, _))) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
+            Some((ERROR, msg)) => break Attempt::Refused(text(&msg)),
+            // Admission control said no — a clean, deliberate refusal (a
+            // router under load, not a broken one).
+            Some((BUSY, msg)) => break Attempt::Shed(text(&msg)),
+            Some((tag, _)) => {
+                let _ = stream.shutdown(Shutdown::Both);
                 let _ = sender.join();
                 return Err(ClientError::Protocol(format!("unexpected frame tag {tag}")));
             }
-            // EOF or a torn frame (including a checksum mismatch): the
-            // transport died — or lied — mid-session.
-            Ok(None) | Err(_) => break Attempt::Retry,
+            None => break Attempt::Retry,
         }
     };
-    if matches!(verdict, Attempt::Finished(..)) {
-        // Terminal delivery ACK: through a faulting wire, the router's
-        // successful SUMMARY write proves nothing — it holds the session
-        // resumable until this frame confirms the verdict arrived.
-        let mut w = lock_writer(&writer);
-        let _ = w.write(ACK, &[]).and_then(|()| w.flush());
+    if routed {
+        if matches!(verdict, Attempt::Finished(..)) {
+            // Terminal delivery ACK: through a faulting wire, the router's
+            // successful SUMMARY write proves nothing — it holds the
+            // session resumable until this frame confirms the verdict
+            // arrived.
+            let mut w = lock(&writer);
+            let _ = w.write(ACK, &[]).and_then(|()| w.flush());
+        }
+        // Unblock the sender: the reader's verdict decides, not its
+        // errors.
+        let _ = stream.shutdown(Shutdown::Both);
     }
-    // Unblock and collect the sender regardless of how the read side
-    // ended; its errors don't matter — the reader's verdict decides.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    let _ = sender.join();
-    Ok(verdict)
+    // A plain server drains the stream after its verdict, so a plain
+    // sender runs to END on its own.
+    Ok((verdict, sender.join()))
 }
 
-/// Poison-recovering writer lock: a panicked sender must not wedge the
-/// session teardown.
-fn lock_writer(
-    w: &Mutex<FrameWriter<BufWriter<TcpStream>>>,
-) -> std::sync::MutexGuard<'_, FrameWriter<BufWriter<TcpStream>>> {
-    w.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// An ERROR or BUSY payload as text.
+fn text(payload: &[u8]) -> String {
+    String::from_utf8_lossy(payload).into_owned()
 }

@@ -45,6 +45,7 @@ pub mod client;
 pub mod journal;
 pub mod loadgen;
 pub mod metrics;
+mod net;
 pub mod netem;
 pub mod proto;
 pub mod ring;

@@ -13,11 +13,11 @@
 //! being averaged away (the same lesson the sweep reporting learned).
 
 use crate::client::{run_routed_session, run_session, RoutedOptions, SessionOutcome};
+use crate::net::run_pool;
 use crate::proto::SessionConfig;
 use fireguard_telemetry::TraceSink;
 use fireguard_trace::TraceInst;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Load-generation shape: how many sessions, how hard, for how long.
@@ -131,63 +131,39 @@ pub fn run_loadgen(
     opts: &LoadgenOptions,
 ) -> LoadgenOutcome {
     let started = Instant::now();
-    let cursor = Arc::new(AtomicUsize::new(0));
     // (outcome, reconnects survived, per-reconnect recovery latencies ms)
     type SessionResult = Result<(SessionOutcome, u32, Vec<f64>), String>;
-    let (tx, rx) = mpsc::channel::<(Duration, SessionResult)>();
-    let threads = if opts.duration.is_some() {
-        opts.concurrency.max(1)
-    } else {
-        opts.concurrency.clamp(1, opts.sessions.max(1))
-    };
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let cursor = Arc::clone(&cursor);
-            let tx = tx.clone();
-            let events = Arc::clone(&events);
-            let cfg = cfg.clone();
-            let addr = addr.to_owned();
-            let opts = opts.clone();
-            std::thread::spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let more =
-                    i < opts.sessions || opts.duration.is_some_and(|d| started.elapsed() < d);
-                if !more {
-                    break;
-                }
-                let out: SessionResult = match opts.routed {
-                    Some(seed) => run_routed_session(
-                        &addr,
-                        &cfg,
-                        Arc::clone(&events),
-                        RoutedOptions {
-                            batch: opts.batch,
-                            ..RoutedOptions::new(seed.wrapping_add(1 + i as u64))
-                        },
-                    )
-                    .map(|r| {
-                        let lats = r
-                            .reconnect_latencies
-                            .iter()
-                            .map(|d| d.as_secs_f64() * 1e3)
-                            .collect();
-                        (r.outcome, r.reconnects, lats)
-                    })
+    let (threads, results) = run_pool(
+        started,
+        opts.sessions,
+        opts.concurrency,
+        opts.duration,
+        |i| -> SessionResult {
+            match opts.routed {
+                Some(seed) => run_routed_session(
+                    addr,
+                    cfg,
+                    Arc::clone(&events),
+                    RoutedOptions {
+                        batch: opts.batch,
+                        ..RoutedOptions::new(seed.wrapping_add(1 + i as u64))
+                    },
+                )
+                .map(|r| {
+                    let lats = r
+                        .reconnect_latencies
+                        .iter()
+                        .map(|d| d.as_secs_f64() * 1e3)
+                        .collect();
+                    (r.outcome, r.reconnects, lats)
+                })
+                .map_err(|e| e.to_string()),
+                None => run_session(addr, cfg, Arc::clone(&events), opts.batch)
+                    .map(|o| (o, 0, Vec::new()))
                     .map_err(|e| e.to_string()),
-                    None => run_session(&addr, &cfg, Arc::clone(&events), opts.batch)
-                        .map(|o| (o, 0, Vec::new()))
-                        .map_err(|e| e.to_string()),
-                };
-                if tx.send((started.elapsed(), out)).is_err() {
-                    break;
-                }
-            })
-        })
-        .collect();
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
+            }
+        },
+    );
 
     let mut ok = 0usize;
     let mut failed = 0usize;
@@ -199,6 +175,7 @@ pub fn run_loadgen(
     let mut reconnect_lats_all: Vec<f64> = Vec::new();
     let mut first_error = None;
     // Per-window accumulators, indexed by completion offset / bucket.
+    #[derive(Default)]
     struct Acc {
         sessions: usize,
         lats: Vec<f64>,
@@ -208,7 +185,7 @@ pub fn run_loadgen(
     }
     let bucket = opts.bucket.max(Duration::from_millis(1));
     let mut accs: Vec<Acc> = Vec::new();
-    for (offset, out) in rx {
+    for (_, offset, out) in results {
         match out {
             Ok((o, rc, rc_lats)) => {
                 ok += 1;
@@ -237,14 +214,8 @@ pub fn run_loadgen(
                     .map(|d| d.latency_ns)
                     .collect();
                 let idx = (offset.as_nanos() / bucket.as_nanos()) as usize;
-                while accs.len() <= idx {
-                    accs.push(Acc {
-                        sessions: 0,
-                        lats: Vec::new(),
-                        walls: Vec::new(),
-                        reconnects: 0,
-                        reconnect_lats: Vec::new(),
-                    });
+                if accs.len() <= idx {
+                    accs.resize_with(idx + 1, Acc::default);
                 }
                 accs[idx].sessions += 1;
                 accs[idx].walls.push(o.wall.as_secs_f64() * 1e3);

@@ -1,22 +1,17 @@
 //! The live metrics plane: a tiny admin TCP endpoint (`--metrics-addr`)
-//! that serves the current counter snapshot in two dialects over one
-//! port:
-//!
-//! - **HTTP**: any request line starting with an ASCII letter (e.g.
-//!   `GET /metrics HTTP/1.1`) gets a `200 OK` with a Prometheus-style
-//!   text exposition — point a real scraper at it.
-//! - **framed**: a [`crate::proto::STATS`] frame gets a
-//!   [`crate::proto::STATS_REPLY`] frame whose payload is the *same*
-//!   exposition bytes — what `fireguard stats` and [`scrape`] speak.
+//! that answers every HTTP request (e.g. `GET /metrics HTTP/1.0`) with a
+//! `200 OK` and a Prometheus-style text exposition of the current counter
+//! snapshot — point a real scraper at it. [`scrape`] is the client half
+//! `fireguard stats` speaks.
 //!
 //! The endpoint is read-only and lives on its own listener, so the
 //! session protocol (and its pinned byte-level fixtures) is untouched.
 
-use crate::proto::{self, read_frame, write_frame};
+use crate::net::Listener;
+use crate::proto::MAX_FRAME;
 use fireguard_telemetry::{parse_exposition, render_exposition, Sample};
-use std::io::{BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,32 +21,21 @@ pub type SampleSource = Arc<dyn Fn() -> Vec<Sample> + Send + Sync>;
 /// A running metrics endpoint. Dropping the handle leaks the thread;
 /// call [`MetricsHandle::shutdown`] (the owning service does, from its
 /// own shutdown path).
+#[derive(Debug)]
 pub struct MetricsHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MetricsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsHandle")
-            .field("local_addr", &self.local_addr)
-            .finish()
-    }
+    listener: Listener,
 }
 
 impl MetricsHandle {
     /// The bound address (`--metrics-addr 127.0.0.1:0` resolves here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and joins the endpoint thread.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.listener.stop();
+        self.listener.join();
     }
 }
 
@@ -61,65 +45,23 @@ impl MetricsHandle {
 /// # Errors
 ///
 /// Bind failures.
-pub fn serve_metrics(addr: &str, source: SampleSource) -> std::io::Result<MetricsHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Scrapes are cheap and rare (a human, a CI step, a
-                // scraper on a multi-second period): serving inline keeps
-                // the endpoint single-threaded and unfloodable.
-                let _ = handle_scrape(stream, &source);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {
-                if stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    });
-    Ok(MetricsHandle {
-        local_addr,
-        stop,
-        thread: Some(thread),
-    })
+pub fn serve_metrics(addr: &str, source: SampleSource) -> io::Result<MetricsHandle> {
+    // Scrapes are cheap and rare (a human, a CI step, a scraper on a
+    // multi-second period): serving inline keeps the endpoint
+    // single-threaded and unfloodable.
+    let listener = Listener::spawn(TcpListener::bind(addr)?, None, move |stream| {
+        let _ = handle_scrape(&stream, &source);
+    })?;
+    Ok(MetricsHandle { listener })
 }
 
-fn codec_io(e: fireguard_trace::CodecError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-}
-
-fn handle_scrape(stream: TcpStream, source: &SampleSource) -> std::io::Result<()> {
+fn handle_scrape(mut stream: &TcpStream, source: &SampleSource) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut first = [0u8; 1];
-    stream.peek(&mut first)?;
-    let body = render_exposition(&source());
-    let mut out = stream.try_clone()?;
-    if first[0] == proto::STATS {
-        // Framed dialect: consume the request frame, answer in kind.
-        let mut reader = BufReader::new(stream);
-        match read_frame(&mut reader).map_err(codec_io)? {
-            Some((proto::STATS, _)) => write_frame(&mut out, proto::STATS_REPLY, body.as_bytes())?,
-            _ => write_frame(&mut out, proto::ERROR, b"expected a STATS frame")?,
-        }
-        return out.flush();
-    }
-    // HTTP dialect: drain the request head (best effort), answer 200.
-    let mut reader = BufReader::new(stream);
+    // Drain the request head (best effort), answer 200.
     let mut buf = [0u8; 1024];
     loop {
-        match reader.read(&mut buf) {
+        match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
                 if buf[..n].windows(4).any(|w| w == b"\r\n\r\n")
@@ -131,50 +73,45 @@ fn handle_scrape(stream: TcpStream, source: &SampleSource) -> std::io::Result<()
             Err(_) => break,
         }
     }
+    let body = render_exposition(&source());
     write!(
-        out,
+        stream,
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         body.len(),
         body
     )?;
-    out.flush()
+    stream.flush()
 }
 
-/// Scrapes a metrics endpoint via the framed dialect and parses the
-/// exposition into samples — the client half `fireguard stats` uses.
+/// Scrapes a metrics endpoint over HTTP and parses the exposition into
+/// samples — the client half `fireguard stats` uses.
 ///
 /// # Errors
 ///
-/// Connect/protocol failures; a malformed exposition maps to
+/// Connect and transport failures. A non-200 answer, one longer than
+/// [`MAX_FRAME`] bytes, non-UTF-8 text or a malformed exposition maps to
 /// [`std::io::ErrorKind::InvalidData`].
-pub fn scrape(addr: &str) -> std::io::Result<Vec<Sample>> {
-    let stream = TcpStream::connect(addr)?;
+pub fn scrape(addr: &str) -> io::Result<Vec<Sample>> {
+    let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_nodelay(true)?;
-    let mut w = stream.try_clone()?;
-    write_frame(&mut w, proto::STATS, &[])?;
-    w.flush()?;
-    let mut reader = BufReader::new(stream);
-    match read_frame(&mut reader).map_err(codec_io)? {
-        Some((proto::STATS_REPLY, payload)) => {
-            let text = String::from_utf8(payload).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 exposition")
-            })?;
-            parse_exposition(&text)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        }
-        Some((proto::ERROR, payload)) => Err(std::io::Error::other(
-            String::from_utf8_lossy(&payload).into_owned(),
-        )),
-        Some((tag, _)) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unexpected frame tag {tag}"),
-        )),
-        None => Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "endpoint closed without a reply",
-        )),
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")?;
+    // One byte past the cap tells an oversized answer from one that fits.
+    let mut answer = Vec::new();
+    stream.take(MAX_FRAME + 1).read_to_end(&mut answer)?;
+    if answer.len() as u64 > MAX_FRAME {
+        return Err(invalid(format!("answer exceeds {MAX_FRAME} bytes")));
     }
+    let text = String::from_utf8(answer).map_err(|_| invalid("non-UTF-8 answer".to_owned()))?;
+    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
+    let status = head.lines().next().unwrap_or_default();
+    if !status.starts_with("HTTP/1.") || status.split_whitespace().nth(1) != Some("200") {
+        return Err(invalid(format!("unexpected answer: {status}")));
+    }
+    parse_exposition(body).map_err(invalid)
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -191,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn framed_scrape_round_trips() {
+    fn scrape_round_trips() {
         let h = serve_metrics("127.0.0.1:0", fixed_source()).expect("bind");
         let samples = scrape(&h.local_addr().to_string()).expect("scrape");
         assert_eq!(samples.len(), 2);
@@ -214,5 +151,31 @@ mod tests {
         let parsed = parse_exposition(body).expect("valid exposition");
         assert_eq!(parsed.len(), 2);
         h.shutdown();
+    }
+
+    /// A one-shot endpoint that answers its first request with `answer`.
+    fn raw_endpoint(answer: Vec<u8>) -> Listener {
+        let socket = TcpListener::bind("127.0.0.1:0").expect("bind");
+        Listener::spawn(socket, Some(1), move |mut stream| {
+            let mut request = [0u8; 64];
+            let _ = stream.read(&mut request);
+            let _ = stream.write_all(&answer);
+        })
+        .expect("spawn")
+    }
+
+    #[test]
+    fn scrape_refuses_an_error_status_and_an_oversized_answer() {
+        let mut oversized = b"HTTP/1.0 200 OK\r\n\r\n".to_vec();
+        oversized.resize(MAX_FRAME as usize + 2, b'#');
+        for answer in [
+            b"HTTP/1.0 500 Internal Server Error\r\n\r\n".to_vec(),
+            oversized,
+        ] {
+            let mut endpoint = raw_endpoint(answer);
+            let err = scrape(&endpoint.local_addr().to_string()).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            endpoint.join();
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! the *session* layer's job (resume tickets + [`CAP_FRAME_CHECKSUM`]
 //! detection), which is exactly the machinery under test.
 //!
-//! Two frame classes are never faulted: the first `handshake_grace`
+//! Two frame classes are never faulted: the first `HANDSHAKE_GRACE` (2)
 //! frames of each direction (SESSION/HELLO — damaging the handshake
 //! yields a terminal refusal, not a retryable transport error) and
 //! ERROR/BUSY frames (they are checksum-exempt plain frames whose
@@ -32,8 +32,11 @@
 //!
 //! The proxy parses frames (it must know byte boundaries and whether a
 //! trailing checksum word is present) but never re-encodes them:
-//! forwarded frames are bit-identical to what was read.
+//! forwarded frames are bit-identical to what was read. It accepts
+//! through the tier's one `Listener` and splices each connection on its
+//! own thread pair.
 
+use crate::net::{lock, Listener};
 use crate::proto::{hello_caps, BUSY, CAP_FRAME_CHECKSUM, ERROR, HELLO, MAX_FRAME, SESSION};
 use fireguard_telemetry::TraceSink;
 use fireguard_trace::codec::{put_uvarint, read_uvarint};
@@ -41,10 +44,14 @@ use fireguard_trace::SimRng;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Frames per direction exempt at the head of each connection, so the
+/// handshake (SESSION, HELLO) always survives.
+const HANDSHAKE_GRACE: u64 = 2;
 
 /// Wire-fault proxy configuration.
 #[derive(Debug, Clone)]
@@ -61,9 +68,6 @@ pub struct NetemOptions {
     pub fault_every: u64,
     /// Upper bound for the `delay` fault, in milliseconds.
     pub max_delay_ms: u64,
-    /// Frames per direction exempt at the head of each connection, so
-    /// the handshake (SESSION, HELLO) always survives.
-    pub handshake_grace: u64,
     /// Structured trace sink for `net.fault` spans.
     pub trace: Option<Arc<TraceSink>>,
 }
@@ -76,7 +80,6 @@ impl Default for NetemOptions {
             seed: 7,
             fault_every: 64,
             max_delay_ms: 5,
-            handshake_grace: 2,
             trace: None,
         }
     }
@@ -84,19 +87,17 @@ impl Default for NetemOptions {
 
 /// A running wire-fault proxy.
 pub struct NetemHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    listener: Listener,
     faults: Arc<AtomicU64>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     pairs: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl NetemHandle {
     /// The proxy's listening address (clients dial this instead of the
     /// upstream).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Faults injected so far, across all connections and directions.
@@ -113,20 +114,16 @@ impl NetemHandle {
     /// Blocks until the proxy stops (foreground `chaos-net` mode — the
     /// accept loop only exits when the process is killed).
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.join();
     }
 
     fn stop_all(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for s in lock_ok(&self.conns).drain(..) {
+        self.listener.stop();
+        self.listener.join();
+        for s in lock(&self.conns).drain(..) {
             let _ = s.shutdown(Shutdown::Both);
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in lock_ok(&self.pairs).drain(..) {
+        for h in lock(&self.pairs).drain(..) {
             let _ = h.join();
         }
     }
@@ -138,10 +135,6 @@ impl Drop for NetemHandle {
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Starts the proxy.
 ///
 /// # Errors
@@ -150,10 +143,7 @@ fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// upstream) surfaces to the affected client as a severed connection,
 /// which is the point.
 pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
-    let listener = TcpListener::bind(&opts.listen)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let socket = TcpListener::bind(&opts.listen)?;
     let faults = Arc::new(AtomicU64::new(0));
     let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
     let pairs: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -164,50 +154,33 @@ pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
     // parsing frame boundaries correctly.
     let registry: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
 
-    let accept = {
-        let stop = Arc::clone(&stop);
+    let listener = {
         let faults = Arc::clone(&faults);
         let conns = Arc::clone(&conns);
         let pairs = Arc::clone(&pairs);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            let mut conn_index = 0u64;
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        let index = conn_index;
-                        conn_index += 1;
-                        if let Ok(c) = client.try_clone() {
-                            lock_ok(&conns).push(c);
-                        }
-                        let opts = opts.clone();
-                        let faults = Arc::clone(&faults);
-                        let conns = Arc::clone(&conns);
-                        let registry = Arc::clone(&registry);
-                        let h = std::thread::spawn(move || {
-                            splice(client, index, &opts, &faults, &conns, &registry);
-                        });
-                        lock_ok(&pairs).push(h);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                }
+        let mut conn_index = 0u64;
+        Listener::spawn(socket, None, move |client| {
+            let index = conn_index;
+            conn_index += 1;
+            if let Ok(c) = client.try_clone() {
+                lock(&conns).push(c);
             }
-        })
+            let opts = opts.clone();
+            let faults = Arc::clone(&faults);
+            let conns = Arc::clone(&conns);
+            let registry = Arc::clone(&registry);
+            let h = std::thread::spawn(move || {
+                splice(client, index, &opts, &faults, &conns, &registry);
+            });
+            lock(&pairs).push(h);
+        })?
     };
 
     Ok(NetemHandle {
-        local_addr,
-        stop,
+        listener,
         faults,
         conns,
         pairs,
-        accept: Some(accept),
     })
 }
 
@@ -230,7 +203,7 @@ fn splice(
     };
     let _ = upstream.set_nodelay(true);
     if let Ok(u) = upstream.try_clone() {
-        lock_ok(conns).push(u);
+        lock(conns).push(u);
     }
 
     // The client→server pump parses the handshake (SESSION ticket and/or
@@ -240,39 +213,27 @@ fn splice(
     // carries only a SESSION ticket, so caps come from the proxy-global
     // registry populated when the session first negotiated.
     let caps = Arc::new(AtomicU64::new(0));
+    let pump_cfg = |dir: &'static str, dir_salt: u64, parse_handshake: bool| PumpCfg {
+        dir,
+        seed: pump_seed(opts.seed, index, dir_salt),
+        fault_every: opts.fault_every,
+        max_delay_ms: opts.max_delay_ms,
+        parse_handshake,
+        caps: Arc::clone(&caps),
+        registry: Arc::clone(registry),
+        faults: Arc::clone(faults),
+        trace: opts.trace.clone(),
+    };
     let c2s = {
         let (Ok(from), Ok(to)) = (client.try_clone(), upstream.try_clone()) else {
             let _ = client.shutdown(Shutdown::Both);
             let _ = upstream.shutdown(Shutdown::Both);
             return;
         };
-        let cfg = PumpCfg {
-            dir: "c2s",
-            seed: pump_seed(opts.seed, index, 0x0C25),
-            fault_every: opts.fault_every,
-            max_delay_ms: opts.max_delay_ms,
-            grace: opts.handshake_grace,
-            parse_handshake: true,
-            caps: Arc::clone(&caps),
-            registry: Arc::clone(registry),
-            faults: Arc::clone(faults),
-            trace: opts.trace.clone(),
-        };
+        let cfg = pump_cfg("c2s", 0x0C25, true);
         std::thread::spawn(move || pump(from, to, cfg))
     };
-    let cfg = PumpCfg {
-        dir: "s2c",
-        seed: pump_seed(opts.seed, index, 0x52C5),
-        fault_every: opts.fault_every,
-        max_delay_ms: opts.max_delay_ms,
-        grace: opts.handshake_grace,
-        parse_handshake: false,
-        caps,
-        registry: Arc::clone(registry),
-        faults: Arc::clone(faults),
-        trace: opts.trace.clone(),
-    };
-    pump(upstream, client, cfg);
+    pump(upstream, client, pump_cfg("s2c", 0x52C5, false));
     let _ = c2s.join();
 }
 
@@ -285,7 +246,6 @@ struct PumpCfg {
     seed: u64,
     fault_every: u64,
     max_delay_ms: u64,
-    grace: u64,
     parse_handshake: bool,
     caps: Arc<AtomicU64>,
     registry: Arc<Mutex<HashMap<u64, u64>>>,
@@ -410,7 +370,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
                 // caps *before* the frame is forwarded, so the upstream's
                 // immediate checksummed ACK parses correctly.
                 if let Ok(id) = read_uvarint(&mut &payload[..]) {
-                    if let Some(&c) = lock_ok(&cfg.registry).get(&id) {
+                    if let Some(&c) = lock(&cfg.registry).get(&id) {
                         cfg.caps.store(c, Ordering::Relaxed);
                     }
                     pending_session = Some(id);
@@ -419,7 +379,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
                 let c = hello_caps(payload);
                 cfg.caps.store(c, Ordering::Relaxed);
                 if let Some(id) = pending_session {
-                    lock_ok(&cfg.registry).insert(id, c);
+                    lock(&cfg.registry).insert(id, c);
                 }
             }
         }
@@ -432,7 +392,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
             continue;
         }
         forwarded += 1;
-        let fire = cfg.fault_every != 0 && forwarded > cfg.grace && {
+        let fire = cfg.fault_every != 0 && forwarded > HANDSHAKE_GRACE && {
             due = due.saturating_sub(1);
             due == 0
         };

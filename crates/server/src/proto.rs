@@ -60,11 +60,6 @@ pub const END: u8 = 3;
 /// router tier speaks this frame — when present it precedes HELLO, and a
 /// plain `serve` backend answers it with an ERROR frame, never silence.
 pub const SESSION: u8 = 4;
-/// Client→server, metrics endpoint only: request a counters snapshot.
-/// The payload is empty. Spoken to the admin listener (`--metrics-addr`),
-/// never to the session port, so the session frame vocabulary is
-/// untouched.
-pub const STATS: u8 = 5;
 /// Server→client: detections raised since the previous ALARMS frame.
 pub const ALARMS: u8 = 16;
 /// Server→client: the final session summary.
@@ -76,10 +71,6 @@ pub const ERROR: u8 = 18;
 /// absolute seq a resumed replay starts from). Never sent on plain HELLO
 /// sessions, so existing clients see an unchanged frame vocabulary.
 pub const ACK: u8 = 19;
-/// Server→client, metrics endpoint only: the STATS reply. The payload is
-/// the same Prometheus-style text exposition an HTTP scrape returns, so
-/// framed and HTTP consumers parse identical bytes.
-pub const STATS_REPLY: u8 = 20;
 /// Router→client: the router is over its admission budget and refuses the
 /// *fresh* session cleanly (UTF-8 reason payload) instead of dropping the
 /// connection. Resume tickets are never answered with BUSY — a session the

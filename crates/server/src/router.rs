@@ -38,6 +38,7 @@
 
 use crate::journal::{recover_journals, Journal, JournalGauges, DEFAULT_JOURNAL_TAIL};
 use crate::metrics::{serve_metrics, MetricsHandle};
+use crate::net::{lock, send_error, Listener, LOCK_POISONS};
 use crate::proto::{
     self, hello_caps, FrameReader, FrameWriter, SessionTicket, ACK, ALARMS, BUSY,
     CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, RETRYABLE_ERROR_PREFIX, SESSION, SUMMARY,
@@ -49,7 +50,7 @@ use fireguard_telemetry::{FieldVal, Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, EventEncoder};
 use fireguard_trace::TraceInst;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,20 +87,6 @@ const HEALTH_EVERY: Duration = Duration::from_millis(100);
 /// budget, so a long session under sustained-but-survivable fault
 /// pressure is never killed merely for surviving many faults.
 const MAX_FAILOVERS: u32 = 32;
-
-/// Lock recovery: a driver thread that panicked while holding a lock
-/// poisons it, but the data under every router lock is valid at all
-/// times (each critical section is a small, atomic mutation), so the
-/// router recovers the guard and keeps serving instead of cascading the
-/// panic through every thread that touches the lock.
-static LOCK_POISONS: AtomicU64 = AtomicU64::new(0);
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| {
-        LOCK_POISONS.fetch_add(1, Ordering::Relaxed);
-        poisoned.into_inner()
-    })
-}
 
 /// Where the router's backends come from.
 #[derive(Debug, Clone)]
@@ -288,7 +275,7 @@ impl BackendPool {
     }
 
     fn lock_slot(&self, slot: usize) -> MutexGuard<'_, Slot> {
-        lock_recover(&self.slots[slot])
+        lock(&self.slots[slot])
     }
 
     fn addrs(&self) -> Vec<Option<SocketAddr>> {
@@ -477,10 +464,6 @@ impl SessionBuf {
 
 type SessionRef = Arc<Mutex<SessionBuf>>;
 
-fn lock_session(session: &SessionRef) -> MutexGuard<'_, SessionBuf> {
-    lock_recover(session)
-}
-
 #[derive(Default)]
 struct SessionTable {
     map: Mutex<HashMap<u64, SessionRef>>,
@@ -488,7 +471,7 @@ struct SessionTable {
 
 impl SessionTable {
     fn forget(&self, session: &SessionRef) {
-        lock_recover(&self.map).retain(|_, v| !Arc::ptr_eq(v, session));
+        lock(&self.map).retain(|_, v| !Arc::ptr_eq(v, session));
     }
 }
 
@@ -587,11 +570,11 @@ fn router_samples(pool: &BackendPool, stats: &RouterStats, gauges: &JournalGauge
 /// A running router: accept loop, health checker, per-session drivers,
 /// and the backend pool. Obtained from [`route`].
 pub struct RouterHandle {
-    local_addr: SocketAddr,
+    listener: Listener,
+    /// Stops the health checker.
     stop: Arc<AtomicBool>,
     pool: Arc<BackendPool>,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     health: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     metrics: Option<MetricsHandle>,
@@ -600,7 +583,7 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The actual bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Number of backend slots.
@@ -689,17 +672,11 @@ impl RouterHandle {
     /// Blocks until the accept budget is spent and every connection
     /// drains, then tears the fleet down.
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
+        self.listener.join();
+        // The accept loop has ended, so the list is complete.
+        let conns = std::mem::take(&mut *lock(&self.conns));
+        for h in conns {
             let _ = h.join();
-        }
-        loop {
-            let conn = lock_recover(&self.conns).pop();
-            match conn {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
         }
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.health.take() {
@@ -714,7 +691,7 @@ impl RouterHandle {
     /// Requests a stop (no new connections; in-flight sessions finish)
     /// and waits for the fleet to drain.
     pub fn shutdown(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.listener.stop();
         self.join();
     }
 }
@@ -757,6 +734,16 @@ impl Shared {
     }
 }
 
+/// Owned by the accept loop: clears [`Shared::accepting`] the moment the
+/// loop ends, whether on stop or because its budget is spent.
+struct Accepting(Arc<Shared>);
+
+impl Drop for Accepting {
+    fn drop(&mut self) {
+        self.0.accepting.store(false, Ordering::SeqCst);
+    }
+}
+
 /// Binds the router and spawns its accept loop, health checker, and
 /// backend fleet.
 ///
@@ -765,9 +752,7 @@ impl Shared {
 /// Propagates bind/spawn/resolve failures, and journal-directory scan
 /// failures when `resume_journals` is set.
 pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&opts.addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let socket = TcpListener::bind(&opts.addr)?;
 
     let pool = Arc::new(BackendPool::build(&opts)?);
     let stop = Arc::new(AtomicBool::new(false));
@@ -816,7 +801,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                         attached: false,
                         takeover: false,
                     };
-                    lock_recover(&shared.table.map).insert(r.id, Arc::new(Mutex::new(buf)));
+                    lock(&shared.table.map).insert(r.id, Arc::new(Mutex::new(buf)));
                 }
             }
         }
@@ -866,58 +851,32 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
         })
     };
 
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let shared = Arc::clone(&shared);
+    let listener = {
+        let accepting = Accepting(Arc::clone(&shared));
         let conns = Arc::clone(&conns);
-        let max = opts.max_sessions;
-        std::thread::spawn(move || {
-            let mut accepted = 0u64;
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Some(max) = max {
-                    if accepted >= max {
-                        break;
+        Listener::spawn(socket, opts.max_sessions, move |stream| {
+            let shared = Arc::clone(&accepting.0);
+            let h = std::thread::spawn(move || {
+                // A panicking driver must not take the router down (locks
+                // it held recover via `lock`); log and count the event.
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handle_conn(stream, &shared)
+                }));
+                if caught.is_err() {
+                    if let Some(t) = shared.trace() {
+                        t.emit("router.panic", None, vec![("driver", 1u64.into())]);
                     }
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        accepted += 1;
-                        let shared = Arc::clone(&shared);
-                        let h = std::thread::spawn(move || {
-                            // A panicking driver must not take the router
-                            // down (locks it held recover via
-                            // lock_recover); log and count the event.
-                            let caught =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handle_conn(stream, &shared)
-                                }));
-                            if caught.is_err() {
-                                if let Some(t) = shared.trace() {
-                                    t.emit("router.panic", None, vec![("driver", 1u64.into())]);
-                                }
-                            }
-                        });
-                        lock_recover(&conns).push(h);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            shared.accepting.store(false, Ordering::SeqCst);
-        })
+            });
+            lock(&conns).push(h);
+        })?
     };
 
     Ok(RouterHandle {
-        local_addr,
+        listener,
         stop,
         pool,
         shared,
-        accept: Some(accept),
         health: Some(health),
         conns,
         metrics,
@@ -964,11 +923,6 @@ fn spawn_reader(
             return;
         }
     })
-}
-
-fn client_error<W: Write>(w: &mut FrameWriter<W>, msg: &str) {
-    let _ = w.write(ERROR, msg.as_bytes());
-    let _ = w.flush();
 }
 
 /// RAII live-connection counter: admission control compares against it,
@@ -1041,12 +995,12 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         Ok(Some((SESSION, payload))) => {
             let ticket = match SessionTicket::decode(&payload) {
                 Ok(t) => t,
-                Err(e) => return client_error(&mut writer, &format!("bad SESSION ticket: {e}")),
+                Err(e) => return send_error(&mut writer, &format!("bad SESSION ticket: {e}")),
             };
             if ticket.resume {
                 match attach_resume(&shared.table, ticket.id) {
                     Ok(session) => (mix(ticket.id), session, true, Some(ticket.alarms_received)),
-                    Err(msg) => return client_error(&mut writer, &msg),
+                    Err(msg) => return send_error(&mut writer, &msg),
                 }
             } else {
                 if let Err(reason) = admit_fresh(shared, live_now) {
@@ -1056,25 +1010,25 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 let hello = match reader.read() {
                     Ok(Some((HELLO, p))) => p,
                     Ok(Some((tag, _))) => {
-                        return client_error(
+                        return send_error(
                             &mut writer,
                             &format!("expected HELLO after SESSION, got frame tag {tag}"),
                         );
                     }
                     Ok(None) => return,
-                    Err(e) => return client_error(&mut writer, &format!("bad frame: {e}")),
+                    Err(e) => return send_error(&mut writer, &format!("bad frame: {e}")),
                 };
                 let mut journal = match shared.open_journal(&ticket.id.to_string()) {
                     Ok(j) => j,
-                    Err(e) => return client_error(&mut writer, &format!("session journal: {e}")),
+                    Err(e) => return send_error(&mut writer, &format!("session journal: {e}")),
                 };
                 let _ = journal.record_hello(&hello);
                 let session = Arc::new(Mutex::new(SessionBuf::fresh(hello, journal)));
                 {
-                    let mut map = lock_recover(&shared.table.map);
+                    let mut map = lock(&shared.table.map);
                     if map.contains_key(&ticket.id) {
                         drop(map);
-                        return client_error(
+                        return send_error(
                             &mut writer,
                             &format!("session id {} already registered", ticket.id),
                         );
@@ -1100,16 +1054,16 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 shared.gauges.clone(),
             ) {
                 Ok(j) => j,
-                Err(e) => return client_error(&mut writer, &format!("session journal: {e}")),
+                Err(e) => return send_error(&mut writer, &format!("session journal: {e}")),
             };
             let session = Arc::new(Mutex::new(SessionBuf::fresh(hello, journal)));
             (mix(0x0A0A_0A0A ^ id), session, false, None)
         }
         Ok(Some((tag, _))) => {
-            return client_error(&mut writer, &format!("expected HELLO, got frame tag {tag}"));
+            return send_error(&mut writer, &format!("expected HELLO, got frame tag {tag}"));
         }
         Ok(None) => return,
-        Err(e) => return client_error(&mut writer, &format!("bad first frame: {e}")),
+        Err(e) => return send_error(&mut writer, &format!("bad first frame: {e}")),
     };
 
     let mut driver = Driver::new(shared, stream, reader, writer, key, session, ticketed);
@@ -1123,7 +1077,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
 /// let go if one still owns it.
 fn attach_resume(table: &SessionTable, id: u64) -> Result<SessionRef, String> {
     let session = {
-        let map = lock_recover(&table.map);
+        let map = lock(&table.map);
         match map.get(&id) {
             Some(s) => Arc::clone(s),
             None => return Err(format!("unknown session id {id}")),
@@ -1132,7 +1086,7 @@ fn attach_resume(table: &SessionTable, id: u64) -> Result<SessionRef, String> {
     let deadline = Instant::now() + ATTACH_PATIENCE;
     loop {
         {
-            let mut s = lock_session(&session);
+            let mut s = lock(&session);
             if !s.attached {
                 s.attached = true;
                 s.takeover = false;
@@ -1284,7 +1238,7 @@ impl<'a> Driver<'a> {
     ) -> Self {
         // Both legs of a session speak the framing its HELLO negotiated —
         // resumes included (the stored HELLO remembers).
-        let checked = hello_caps(&lock_session(&session).hello) & CAP_FRAME_CHECKSUM != 0;
+        let checked = hello_caps(&lock(&session).hello) & CAP_FRAME_CHECKSUM != 0;
         reader.set_checked(checked);
         writer.set_checked(checked);
         // The driver inbox. Unbounded by design: the router buffers the
@@ -1326,7 +1280,7 @@ impl<'a> Driver<'a> {
             vec![("alarms_received", alarms_received.into())],
         );
         let (ack, tail, terminal) = {
-            let s = lock_session(&self.session);
+            let s = lock(&self.session);
             let from = (alarms_received as usize).min(s.alarms.len());
             let terminal = [(SUMMARY, s.summary.clone()), (ERROR, s.error.clone())];
             (
@@ -1425,7 +1379,7 @@ impl<'a> Driver<'a> {
     /// Replays the journal to incarnation `b`, then pumps the inbox until
     /// a handler stops it.
     fn pump(&mut self, b: &mut Backend) -> Stop {
-        if !b.replay(&mut lock_session(&self.session), self.checked) {
+        if !b.replay(&mut lock(&self.session), self.checked) {
             return Stop::FailOver;
         }
         loop {
@@ -1481,7 +1435,7 @@ impl<'a> Driver<'a> {
     /// on disk) for a later resume.
     fn ghost_exit(&mut self) -> Option<Exit> {
         let since = *self.ghost_since.get_or_insert_with(Instant::now);
-        if lock_session(&self.session).takeover {
+        if lock(&self.session).takeover {
             Some(Exit::LetGo)
         } else if !self.shared.accepting.load(Ordering::SeqCst) {
             Some(Exit::Park("router closing"))
@@ -1497,7 +1451,7 @@ impl<'a> Driver<'a> {
             EVENTS => self.on_events(b, payload),
             END => {
                 {
-                    let mut s = lock_session(&self.session);
+                    let mut s = lock(&self.session);
                     s.ended = true;
                     let _ = s.journal.record_ended();
                 }
@@ -1535,7 +1489,7 @@ impl<'a> Driver<'a> {
         let mut fresh: Vec<TraceInst> = Vec::new();
         let mut gap = None;
         {
-            let mut s = lock_session(&self.session);
+            let mut s = lock(&self.session);
             for t in batch {
                 let n = s.journal.len();
                 if t.seq < n {
@@ -1568,7 +1522,7 @@ impl<'a> Driver<'a> {
             }
         }
         if self.ticketed && self.client_alive {
-            let buffered = lock_session(&self.session).journal.len();
+            let buffered = lock(&self.session).journal.len();
             if self.tell_client(ACK, &proto::encode_ack(buffered)) {
                 self.acks_sent += 1;
                 if self.shared.drop_after == Some(self.acks_sent) {
@@ -1582,7 +1536,7 @@ impl<'a> Driver<'a> {
     }
 
     fn on_client_gone(&mut self, damage: Option<String>) -> Option<Stop> {
-        let done = lock_session(&self.session).done();
+        let done = lock(&self.session).done();
         match damage {
             // The session already finished: trailing garbage is
             // indistinguishable from a hangup, and a finished journal
@@ -1597,7 +1551,7 @@ impl<'a> Driver<'a> {
                 // backend so already-streamed events still yield their
                 // detections; a resume picks the session up.
                 self.client_alive = false;
-                let buffered = lock_session(&self.session).journal.len();
+                let buffered = lock(&self.session).journal.len();
                 self.span("router.ghost", vec![("events_buffered", buffered.into())]);
                 None
             }
@@ -1662,7 +1616,7 @@ impl<'a> Driver<'a> {
         // alarm out of order.
         let mut fresh: Vec<Detection> = Vec::new();
         {
-            let mut s = lock_session(&self.session);
+            let mut s = lock(&self.session);
             for d in ds {
                 b.seen += 1;
                 if b.seen > s.alarms.len() as u64 {
@@ -1684,7 +1638,7 @@ impl<'a> Driver<'a> {
         // A clean close commits the held summary: the backend said
         // everything it meant to.
         self.commit_summary(b);
-        if lock_session(&self.session).done() {
+        if lock(&self.session).done() {
             return Some(Stop::Exit(Exit::Finish));
         }
         // Mid-session death: fail over and replay.
@@ -1755,7 +1709,7 @@ impl<'a> Driver<'a> {
     /// forward it.
     fn commit_summary(&mut self, b: &mut Backend) {
         if let Some(p) = b.pending_summary.take() {
-            lock_session(&self.session).set_summary(p.clone());
+            lock(&self.session).set_summary(p.clone());
             self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
             self.tell_client(SUMMARY, &p);
         }
@@ -1765,7 +1719,7 @@ impl<'a> Driver<'a> {
     /// counts the session if this is its first terminal frame.
     fn record_error(&self, payload: &[u8]) {
         let first = {
-            let mut s = lock_session(&self.session);
+            let mut s = lock(&self.session);
             let first = !s.done();
             if s.error.is_none() {
                 s.set_error(payload.to_vec());
@@ -1807,7 +1761,7 @@ impl<'a> Driver<'a> {
                 self.shared.table.forget(&self.session);
             }
             Exit::Park(reason) => {
-                let buffered = lock_session(&self.session).journal.len();
+                let buffered = lock(&self.session).journal.len();
                 self.span(
                     "router.park",
                     vec![
@@ -1825,7 +1779,7 @@ impl<'a> Driver<'a> {
                 let _ = self.client.shutdown(Shutdown::Write);
             }
         }
-        lock_session(&self.session).attached = false;
+        lock(&self.session).attached = false;
         if !finish {
             shutdown_both(&self.client);
         }

@@ -1,5 +1,5 @@
-//! The threaded TCP service: accept loop, session worker pool, and the
-//! per-session analysis pipeline.
+//! The threaded TCP service: a `Listener` feeding a session worker
+//! pool, and the per-session analysis pipeline.
 //!
 //! # Session lifecycle
 //!
@@ -25,18 +25,19 @@
 //! a slow reader throttles exactly its own session.
 
 use crate::metrics::{serve_metrics, MetricsHandle};
+use crate::net::{lock, send_error, Listener};
 use crate::proto::{
     self, hello_caps, FrameReader, FrameWriter, SessionConfig, Summary, ALARMS, CAP_FRAME_CHECKSUM,
-    END, ERROR, EVENTS, HELLO, SUMMARY,
+    END, EVENTS, HELLO, SUMMARY,
 };
 use fireguard_soc::{try_build_system, Detection};
 use fireguard_telemetry::{FleetCounters, Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, MAX_BATCH_EVENTS};
 use fireguard_trace::TraceInst;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -103,11 +104,9 @@ pub fn fleet_samples(fleet: &FleetCounters) -> Vec<Sample> {
 /// observes the session budget exhausting, or [`ServerHandle::shutdown`]
 /// is called.
 pub struct ServerHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    listener: Listener,
     sessions_served: Arc<AtomicU64>,
     live: LiveSessions,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     fleet: Arc<FleetCounters>,
     metrics: Option<MetricsHandle>,
@@ -120,7 +119,7 @@ type LiveSessions = Arc<Mutex<HashMap<u64, TcpStream>>>;
 impl ServerHandle {
     /// The actual bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Sessions fully handled so far.
@@ -142,9 +141,7 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] from another handle clone-less context)
     /// and every in-flight session finishes.
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.join();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -156,7 +153,7 @@ impl ServerHandle {
     /// Requests a graceful stop (no new sessions; in-flight sessions
     /// finish) and waits for it.
     pub fn shutdown(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.listener.stop();
         self.join();
     }
 
@@ -165,11 +162,9 @@ impl ServerHandle {
     /// the chaos harness pulls — from a peer's point of view an aborted
     /// backend is indistinguishable from a process that died.
     pub fn abort(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.listener.stop();
         sever_live(&self.live);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.join();
         // A connection that was queued but not yet picked up when we
         // severed the map would still be served normally; keep severing
         // until every worker has exited so the kill is decisive.
@@ -177,26 +172,13 @@ impl ServerHandle {
             sever_live(&self.live);
             std::thread::sleep(Duration::from_millis(2));
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(m) = self.metrics.take() {
-            m.shutdown();
-        }
+        self.join();
     }
-}
-
-/// Poison-recovering lock: a worker that panicked mid-session must not
-/// take the rest of the serve tier down with it — the guarded state
-/// (live-session map, connection queue, error slot) stays coherent
-/// because every critical section is a single insert/remove/take.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn sever_live(live: &LiveSessions) {
     let streams: Vec<TcpStream> = {
-        let mut map = lock_unpoisoned(live);
+        let mut map = lock(live);
         map.drain().map(|(_, s)| s).collect()
     };
     for s in streams {
@@ -213,11 +195,7 @@ fn sever_live(live: &LiveSessions) {
 ///
 /// Propagates the bind failure.
 pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&opts.addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-
-    let stop = Arc::new(AtomicBool::new(false));
+    let socket = TcpListener::bind(&opts.addr)?;
     let sessions_served = Arc::new(AtomicU64::new(0));
     let live: LiveSessions = Arc::new(Mutex::new(HashMap::new()));
     let next_session_id = Arc::new(AtomicU64::new(0));
@@ -249,69 +227,40 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
             let trace = opts.trace.clone();
             let idle_timeout = opts.idle_timeout.max(Duration::from_millis(10));
             std::thread::spawn(move || loop {
-                let conn = { lock_unpoisoned(&rx).recv() };
-                match conn {
-                    Ok(stream) => {
-                        // Register a duplicated handle so `abort` can sever
-                        // this session while it runs.
-                        let id = next_id.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(dup) = stream.try_clone() {
-                            lock_unpoisoned(&live).insert(id, dup);
-                        }
-                        handle_session(
-                            stream,
-                            observe_every,
-                            idle_timeout,
-                            id,
-                            &fleet,
-                            trace.as_deref(),
-                        );
-                        lock_unpoisoned(&live).remove(&id);
-                        served.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => break, // accept loop is gone: drain complete
+                let conn = { lock(&rx).recv() };
+                let Ok(stream) = conn else {
+                    break; // accept loop is gone: drain complete
+                };
+                // Register a duplicated handle so `abort` can sever this
+                // session while it runs.
+                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                if let Ok(dup) = stream.try_clone() {
+                    lock(&live).insert(id, dup);
                 }
+                handle_session(
+                    stream,
+                    observe_every,
+                    idle_timeout,
+                    id,
+                    &fleet,
+                    trace.as_deref(),
+                );
+                lock(&live).remove(&id);
+                served.fetch_add(1, Ordering::Relaxed);
             })
         })
         .collect();
 
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let max = opts.max_sessions;
-        std::thread::spawn(move || {
-            let mut accepted = 0u64;
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Some(max) = max {
-                    if accepted >= max {
-                        break;
-                    }
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        accepted += 1;
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            // Dropping `tx` here lets the workers drain the queue and exit.
-        })
-    };
+    // Dropping `tx` when the loop ends lets the workers drain the queue
+    // and exit.
+    let listener = Listener::spawn(socket, opts.max_sessions, move |stream| {
+        let _ = tx.send(stream);
+    })?;
 
     Ok(ServerHandle {
-        local_addr,
-        stop,
+        listener,
         sessions_served,
         live,
-        accept: Some(accept),
         workers: worker_handles,
         fleet,
         metrics,
@@ -334,7 +283,7 @@ struct SocketEvents {
 
 impl SocketEvents {
     fn fail(&mut self, msg: String) {
-        *lock_unpoisoned(&self.error) = Some(msg);
+        *lock(&self.error) = Some(msg);
         self.done = true;
     }
 }
@@ -362,11 +311,6 @@ impl Iterator for SocketEvents {
             }
         }
     }
-}
-
-fn send_error<W: Write>(w: &mut FrameWriter<W>, msg: &str) {
-    let _ = w.write(ERROR, msg.as_bytes());
-    let _ = w.flush();
 }
 
 /// Runs one complete session on the calling worker thread. All failures
@@ -532,27 +476,23 @@ fn session_inner(
     fleet.fold_session(&sys.telemetry(), &slot_wire);
     let summary = Summary::from_result(&result);
 
-    let stream_error = lock_unpoisoned(&error).take();
-    if let Some(msg) = stream_error {
-        // The stream broke before the commit target: report what we had,
-        // then the error, so the client knows the summary is partial.
-        let _ = writer.write(SUMMARY, &summary.encode());
-        let msg = format!("stream error: {msg}");
-        fail(&msg);
-        return send_error(writer, &msg);
-    }
-    if result.committed < cfg.insts {
-        // A clean END, but short of the negotiated commit budget: the
-        // summary is partial and the client must know.
-        let _ = writer.write(SUMMARY, &summary.encode());
-        let msg = format!(
+    // The summary always goes out. A partial one is followed by the
+    // ERROR that says why, so the client knows it is partial.
+    let _ = writer.write(SUMMARY, &summary.encode());
+    let partial = match lock(&error).take() {
+        // The stream broke before the commit target.
+        Some(msg) => Some(format!("stream error: {msg}")),
+        // A clean END, but short of the negotiated commit budget.
+        None if result.committed < cfg.insts => Some(format!(
             "stream ended after {} of {} instructions",
             result.committed, cfg.insts
-        );
+        )),
+        None => None,
+    };
+    if let Some(msg) = partial {
         fail(&msg);
         return send_error(writer, &msg);
     }
-    let _ = writer.write(SUMMARY, &summary.encode());
     fleet.sessions_ok.fetch_add(1, Ordering::Relaxed);
     if let Some(t) = trace {
         t.emit(

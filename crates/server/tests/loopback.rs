@@ -496,3 +496,83 @@ fn max_sessions_budget_stops_the_service() {
     // The budget is spent: join returns on its own.
     handle.join();
 }
+
+/// A raw listener standing in for `serve` pins the bytes a plain session
+/// puts on the wire: HELLO, the EVENTS batches and END, with nothing
+/// after them — no SESSION ticket, no checksum word, no terminal ACK.
+#[test]
+fn plain_session_sends_hello_events_end_and_nothing_more() {
+    use fireguard_server::proto::{
+        encode_alarms, read_frame, write_frame, ALARMS, END, EVENTS, HELLO, SUMMARY,
+    };
+    use fireguard_server::Summary;
+    use fireguard_soc::{Detection, RunResult};
+    use fireguard_trace::codec::EventDecoder;
+    use std::io::{BufReader, Read};
+    use std::net::{Shutdown, TcpListener};
+
+    let exp = ExperimentConfig::new("swaptions")
+        .kernel(KernelId::PMC, 2)
+        .insts(3_000);
+    let events = Arc::new(capture_events(&exp));
+    let session = SessionConfig::from_experiment(&exp, 0);
+    let alarms = vec![Detection {
+        seq: 17,
+        latency_ns: 42.5,
+        attack: true,
+        kernel_slot: 0,
+    }];
+    let summary = Summary {
+        committed: 3_000,
+        detections: 1,
+        ..Summary::from_result(&RunResult::default())
+    };
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let server = {
+        let (alarms, summary) = (alarms.clone(), summary.clone());
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut frames = Vec::new();
+            loop {
+                let frame = read_frame(&mut reader)
+                    .expect("whole frame")
+                    .expect("END before EOF");
+                let end = frame.0 == END;
+                frames.push(frame);
+                if end {
+                    break;
+                }
+            }
+            let mut w = &stream;
+            write_frame(&mut w, ALARMS, &encode_alarms(&alarms)).expect("ALARMS");
+            write_frame(&mut w, SUMMARY, &summary.encode()).expect("SUMMARY");
+            stream.shutdown(Shutdown::Write).expect("close");
+            let mut after = Vec::new();
+            reader.read_to_end(&mut after).expect("read to EOF");
+            (frames, after)
+        })
+    };
+    let out = run_session(&addr, &session, Arc::clone(&events), 256).expect("session succeeds");
+    let (frames, after) = server.join().expect("stand-in server");
+
+    assert_eq!(
+        frames[0],
+        (HELLO, session.encode().expect("valid config")),
+        "HELLO first, plain, with the encoded config"
+    );
+    assert_eq!(frames[frames.len() - 1], (END, Vec::new()));
+    let mut decoder = EventDecoder::new();
+    let mut streamed = Vec::new();
+    for (tag, payload) in &frames[1..frames.len() - 1] {
+        assert_eq!(*tag, EVENTS, "only EVENTS between HELLO and END");
+        streamed.extend(decoder.decode_batch(payload).expect("EVENTS decode"));
+    }
+    assert_eq!(streamed, *events, "the EVENTS frames carry the input");
+    assert!(after.is_empty(), "{} bytes arrived after END", after.len());
+    assert_eq!(out.alarms, alarms);
+    assert_eq!(out.summary, summary);
+    assert_eq!(out.events_sent, events.len() as u64);
+}
