@@ -1,49 +1,93 @@
-//! The zero-alloc cycle-loop contract, enforced by `cargo test`.
+//! Heap contracts, enforced by `cargo test`.
 //!
-//! Once a system is warm (ring buffers sized, caches and free lists
-//! populated), committing further instructions must not touch the heap.
 //! This binary installs a counting allocator as its global allocator and
-//! counts the allocations of a warm run.
+//! pins two numbers with it:
+//!
+//! - **Zero allocation in the warm cycle loop.** Once a system is warm
+//!   (ring buffers sized, caches and free lists populated), committing
+//!   further instructions must not touch the heap.
+//! - **A bounded serve session.** A served session holds the one EVENTS
+//!   batch it last received plus one simulated system, so its peak heap
+//!   above the pre-session baseline stays under [`SESSION_PEAK_BUDGET`].
+//!   Run with `-- --nocapture` to print the measured peak.
+//!
+//! The counters are process-wide, so each test holds one static lock
+//! while it runs and the two never mix.
 
-use fireguard_soc::{build_system, ExperimentConfig, KernelId};
+use fireguard_server::{run_session, serve, ServeOptions, SessionConfig, DEFAULT_BATCH};
+use fireguard_soc::{baseline_cycles, build_system, capture_events, ExperimentConfig, KernelId};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`System`]-backed allocator that counts allocations and
-/// reallocations (one relaxed atomic add each; the count publishes no
-/// other data).
+/// reallocations and tracks live and peak heap bytes (relaxed atomics;
+/// the counters publish no other data).
 struct CountingAllocator;
 
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every method delegates verbatim to `System` with the caller's
-// arguments, so `System`'s guarantees carry over; the counter has no
+// arguments, so `System`'s guarantees carry over; the counters have no
 // effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        new
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Held by each test for its whole run, so one test's allocations never
+/// land in the other's counters. It guards no data, so a test that
+/// panicked holding it leaves nothing to repair.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Allocations per event above which the warm cycle loop has broken the
 /// contract (amortised slack for a rare table resize).
 const STEADY_STATE_ALLOC_BUDGET: f64 = 0.001;
 
+/// Peak heap above the pre-session baseline that one served session may
+/// reach: one received batch plus one simulated system, mostly the cache
+/// model's tag arrays. A worst-case 65,536-event buffer (80 B per event)
+/// alone overshoots it.
+const SESSION_PEAK_BUDGET: usize = 3 << 20;
+
 #[test]
 fn warm_cycle_loop_does_not_allocate() {
+    let _only = exclusive();
     let insts = 20_000u64;
     let cfg = ExperimentConfig::new("swaptions")
         .kernel(KernelId::PMC, 4)
@@ -64,5 +108,48 @@ fn warm_cycle_loop_does_not_allocate() {
         "steady-state cycle loop allocated: {allocs} allocations over {} events \
          ({per_event:.5}/event, budget {STEADY_STATE_ALLOC_BUDGET})",
         insts / 2
+    );
+}
+
+#[test]
+fn served_session_peak_heap_is_bounded() {
+    let _only = exclusive();
+    let insts = 20_000u64;
+    let cfg = ExperimentConfig::new("dedup")
+        .kernel(KernelId::ASAN, 4)
+        .insts(insts);
+    // The recording, its bare-core cycles and the idle service are
+    // allocated before the heap baseline is read: what is measured is the
+    // session's own heap.
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let events = Arc::new(capture_events(&cfg));
+    let session = SessionConfig::from_experiment(&cfg, base);
+    let handle = serve(ServeOptions {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind loopback");
+    let addr = handle.local_addr().to_string();
+
+    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(baseline, Ordering::Relaxed);
+    let out = run_session(&addr, &session, events, DEFAULT_BATCH).expect("session succeeds");
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - baseline;
+    handle.shutdown();
+
+    assert!(
+        out.summary.committed >= insts,
+        "session completed: {}",
+        out.summary.committed
+    );
+    println!(
+        "served session peak heap above baseline: {} KiB (budget {} KiB)",
+        peak >> 10,
+        SESSION_PEAK_BUDGET >> 10
+    );
+    assert!(
+        peak < SESSION_PEAK_BUDGET,
+        "a served session peaked at {peak} B above baseline (budget {SESSION_PEAK_BUDGET} B)"
     );
 }

@@ -32,9 +32,9 @@ use crate::proto::{
 };
 use fireguard_soc::{try_build_system, Detection};
 use fireguard_telemetry::{FleetCounters, Sample, TraceSink};
-use fireguard_trace::codec::{EventDecoder, MAX_BATCH_EVENTS};
+use fireguard_trace::codec::EventDecoder;
 use fireguard_trace::TraceInst;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,14 +269,16 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
 
 /// The bounded, pull-driven event source for one session.
 ///
-/// `next()` refills from the socket one EVENTS frame at a time, so the
-/// in-memory queue never exceeds one decoded batch ([`MAX_BATCH_EVENTS`]);
-/// everything further back sits in the kernel socket buffer or, once that
-/// fills, blocks the client — that *is* the backpressure.
+/// `next()` reads the next EVENTS frame only once the previous one is
+/// spent, so the session holds exactly the one batch it last received,
+/// sized by the client's frame; everything further back sits in the
+/// kernel socket buffer or, once that fills, blocks the client — that
+/// *is* the backpressure.
 struct SocketEvents {
     reader: FrameReader<BufReader<TcpStream>>,
     decoder: EventDecoder,
-    pending: VecDeque<TraceInst>,
+    /// The undelivered rest of the last decoded batch.
+    pending: std::vec::IntoIter<TraceInst>,
     done: bool,
     error: Arc<Mutex<Option<String>>>,
 }
@@ -293,7 +295,7 @@ impl Iterator for SocketEvents {
 
     fn next(&mut self) -> Option<TraceInst> {
         loop {
-            if let Some(t) = self.pending.pop_front() {
+            if let Some(t) = self.pending.next() {
                 return Some(t);
             }
             if self.done {
@@ -301,7 +303,7 @@ impl Iterator for SocketEvents {
             }
             match self.reader.read() {
                 Ok(Some((EVENTS, payload))) => match self.decoder.decode_batch(&payload) {
-                    Ok(batch) => self.pending.extend(batch),
+                    Ok(batch) => self.pending = batch.into_iter(),
                     Err(e) => self.fail(format!("bad EVENTS frame: {e}")),
                 },
                 Ok(Some((END, _))) => self.done = true,
@@ -423,7 +425,7 @@ fn session_inner(
     let events = SocketEvents {
         reader,
         decoder: EventDecoder::new(),
-        pending: VecDeque::with_capacity(MAX_BATCH_EVENTS as usize),
+        pending: Vec::new().into_iter(),
         done: false,
         error: Arc::clone(&error),
     };

@@ -64,43 +64,63 @@ fn attack_experiment(insts: u64) -> ExperimentConfig {
         .attacks(plan)
 }
 
+/// Every client frame size serves the same session: batch 1 refills the
+/// server's event queue on every event, 4096 far less often than the
+/// default 512.
 #[test]
 fn served_session_matches_offline_run() {
     let cfg = attack_experiment(12_000);
     let offline = run_fireguard(&cfg);
     let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
     let events = Arc::new(capture_events(&cfg));
-
-    let handle = serve(loopback_opts(2, None)).expect("bind loopback");
-    let addr = handle.local_addr().to_string();
-    let session = SessionConfig::from_experiment(&cfg, base);
-    let out = run_session(&addr, &session, Arc::clone(&events), 512).expect("session succeeds");
-    handle.shutdown();
-
-    // The wire adds transport, not semantics: every scalar matches the
-    // offline run, and the online alarms are the offline detections.
-    assert_eq!(out.summary.committed, offline.committed);
-    assert_eq!(out.summary.cycles, offline.cycles);
-    assert_eq!(out.summary.packets, offline.packets);
-    assert_eq!(out.summary.baseline_cycles, offline.baseline_cycles);
-    assert_eq!(out.summary.slowdown.to_bits(), offline.slowdown.to_bits());
-    assert_eq!(out.summary.detections as usize, offline.detections.len());
-    assert_eq!(out.alarms.len(), offline.detections.len());
-    assert!(!out.alarms.is_empty(), "the campaign raises alarms");
-
-    let mut served: Vec<(u64, u64)> = out
-        .alarms
-        .iter()
-        .map(|d| (d.seq, d.latency_ns.to_bits()))
-        .collect();
     let mut off: Vec<(u64, u64)> = offline
         .detections
         .iter()
         .map(|d| (d.seq, d.latency_ns.to_bits()))
         .collect();
-    served.sort_unstable();
     off.sort_unstable();
-    assert_eq!(served, off, "served alarms == offline detections");
+
+    let handle = serve(loopback_opts(2, None)).expect("bind loopback");
+    let addr = handle.local_addr().to_string();
+    let session = SessionConfig::from_experiment(&cfg, base);
+    for batch in [1, 512, 4096] {
+        let out = run_session(&addr, &session, Arc::clone(&events), batch)
+            .unwrap_or_else(|e| panic!("batch {batch}: session fails: {e}"));
+
+        // The wire adds transport, not semantics: every scalar matches the
+        // offline run, and the online alarms are the offline detections.
+        assert_eq!(out.summary.committed, offline.committed, "batch {batch}");
+        assert_eq!(out.summary.cycles, offline.cycles, "batch {batch}");
+        assert_eq!(out.summary.packets, offline.packets, "batch {batch}");
+        assert_eq!(
+            out.summary.baseline_cycles, offline.baseline_cycles,
+            "batch {batch}"
+        );
+        assert_eq!(
+            out.summary.slowdown.to_bits(),
+            offline.slowdown.to_bits(),
+            "batch {batch}"
+        );
+        assert_eq!(
+            out.summary.detections as usize,
+            offline.detections.len(),
+            "batch {batch}"
+        );
+        assert_eq!(out.alarms.len(), offline.detections.len(), "batch {batch}");
+        assert!(!out.alarms.is_empty(), "the campaign raises alarms");
+
+        let mut served: Vec<(u64, u64)> = out
+            .alarms
+            .iter()
+            .map(|d| (d.seq, d.latency_ns.to_bits()))
+            .collect();
+        served.sort_unstable();
+        assert_eq!(
+            served, off,
+            "batch {batch}: served alarms == offline detections"
+        );
+    }
+    handle.shutdown();
 }
 
 /// The generality contract over the wire: every registered kernel —

@@ -70,6 +70,9 @@ pub const BATCH_EVENTS: usize = 4096;
 pub const MAX_BATCH_EVENTS: u64 = 65_536;
 /// Upper bound on any length prefix a decoder will follow (4 MiB).
 pub const MAX_SECTION_BYTES: u64 = 1 << 22;
+/// The fewest bytes one encoded event can take: flags, a one-byte seq
+/// varint, a one-byte pc varint and the 4-byte instruction word.
+const MIN_EVENT_BYTES: usize = 7;
 
 const F_MEM: u8 = 1 << 0;
 const F_CTRL: u8 = 1 << 1;
@@ -514,8 +517,10 @@ impl EventDecoder {
     /// # Errors
     ///
     /// [`CodecError::Oversized`] if the batch declares more than
-    /// [`MAX_BATCH_EVENTS`] events; [`CodecError::Corrupt`] if bytes trail
-    /// the declared events; plus any per-event decode failure.
+    /// [`MAX_BATCH_EVENTS`] events; [`CodecError::Corrupt`] if the payload
+    /// is too short to hold the declared count or bytes trail the declared
+    /// events; plus any per-event decode failure. Both count checks run
+    /// before the output is allocated.
     pub fn decode_batch(&mut self, payload: &[u8]) -> Result<Vec<TraceInst>, CodecError> {
         let mut cur = Cursor::new(payload);
         let count = cur.uvarint("batch count")?;
@@ -525,6 +530,9 @@ impl EventDecoder {
                 len: count,
                 max: MAX_BATCH_EVENTS,
             });
+        }
+        if count > (cur.remaining() / MIN_EVENT_BYTES) as u64 {
+            return Err(CodecError::Corrupt("implausible batch count"));
         }
         let mut out = Vec::with_capacity(count as usize);
         for _ in 0..count {
@@ -890,6 +898,34 @@ mod tests {
         assert!(matches!(
             EventDecoder::new().decode_batch(&b),
             Err(CodecError::Oversized { .. })
+        ));
+    }
+
+    #[test]
+    fn batch_count_beyond_the_payload_is_rejected_before_allocation() {
+        // A 3-byte payload declaring 65,536 events: within the batch cap,
+        // but with no bytes left to hold even one event.
+        let mut b = Vec::new();
+        put_uvarint(&mut b, MAX_BATCH_EVENTS);
+        assert_eq!(b.len(), 3);
+        assert!(matches!(
+            EventDecoder::new().decode_batch(&b),
+            Err(CodecError::Corrupt("implausible batch count"))
+        ));
+        // The bound is exact: 14 bytes hold two smallest (7-byte) events
+        // but not a third.
+        let minimal = [0u8, 0, 0, 0x13, 0, 0, 0];
+        let two_minimal = |count: u64| {
+            let mut b = Vec::new();
+            put_uvarint(&mut b, count);
+            b.extend_from_slice(&minimal);
+            b.extend_from_slice(&minimal);
+            EventDecoder::new().decode_batch(&b)
+        };
+        assert_eq!(two_minimal(2).expect("two minimal events").len(), 2);
+        assert!(matches!(
+            two_minimal(3),
+            Err(CodecError::Corrupt("implausible batch count"))
         ));
     }
 }
