@@ -3,12 +3,20 @@
 //! The container is offline-vendored, so no `clap`: a small parser that
 //! supports `--flag value` and `--flag=value`, one- and two-word
 //! subcommands (`fig7a`, `trace record`), and `help`/`--help`/`-h`/
-//! `--version` escapes. Every flag has an explicit *scope* — the
-//! subcommands it applies to — and out-of-scope flags are rejected with a
-//! message, never silently ignored.
+//! `--version` escapes.
+//!
+//! Every flag is declared once, as a row of [`FLAGS`]: its canonical
+//! name, aliases, value kind and *scope*, the subcommands it applies to.
+//! `parse` looks a flag up before it takes a value, checks the value by
+//! kind and keeps it under the canonical name; commands read it back
+//! through the typed getters ([`Parsed::switch`], [`Parsed::text`],
+//! [`Parsed::num`], [`Parsed::seconds`]). Out-of-scope flags are rejected
+//! with a message, never silently ignored. A new flag is one `FLAGS` row
+//! plus the getter call that reads it (and its line in `usage`).
 
 use fireguard_soc::Format;
-use std::str::FromStr;
+use std::time::Duration;
+use Kind::{Count, Positive, Seconds, Switch, Text};
 
 /// Parse failure modes.
 #[derive(Debug)]
@@ -21,490 +29,292 @@ pub enum ArgError {
     Bad(String),
 }
 
-/// The parsed command line.
-#[derive(Debug, Default)]
-pub struct Parsed {
-    /// The subcommand (figure name, `sweep`, `list`, `serve`, `client`,
-    /// `loadgen`, `trace record`, or `trace replay`).
-    pub command: String,
-    /// `--insts N` override.
-    pub insts: Option<u64>,
-    /// `--seed N` override.
-    pub seed: Option<u64>,
-    /// `--jobs N` override (sweep workers / loadgen concurrency).
-    pub jobs: Option<usize>,
-    /// `--quick` (30 000-instruction smoke run).
-    pub quick: bool,
-    /// `--format human|jsonl|csv`.
-    pub format: Format,
-    /// `--workloads csv|all` (sweep).
-    pub workloads: Option<String>,
-    /// `--kernel csv` (sweep / replay / client / loadgen).
-    pub kernels: Option<String>,
-    /// `--ucores csv` (sweep / replay / client / loadgen).
-    pub ucores: Option<String>,
-    /// `--ha`: include/select the hardware-accelerator variant.
-    pub ha: bool,
-    /// `--filter-width csv`.
-    pub filter_widths: Option<String>,
-    /// `--model csv`.
-    pub models: Option<String>,
-    /// `--mapper-width N` (replay / client / loadgen).
-    pub mapper_width: Option<usize>,
-    /// `--addr HOST:PORT` (serve / client / loadgen).
-    pub addr: Option<String>,
-    /// `--workers N` (serve).
-    pub workers: Option<usize>,
-    /// `--max-sessions N` (serve): stop after N sessions.
-    pub max_sessions: Option<u64>,
-    /// `--sessions N` (loadgen).
-    pub sessions: Option<usize>,
-    /// `--out FILE` (trace record).
-    pub out: Option<String>,
-    /// `--trace FILE` (trace replay / client / loadgen).
-    pub trace_file: Option<String>,
-    /// `--workload NAME` (trace record).
-    pub workload: Option<String>,
-    /// `--attacks csv` of attack kinds (trace record).
-    pub attacks: Option<String>,
-    /// `--attack-count N` (trace record).
-    pub attack_count: Option<usize>,
-    /// `--attack-start N` (trace record).
-    pub attack_start: Option<u64>,
-    /// `--attack-end N` (trace record).
-    pub attack_end: Option<u64>,
-    /// `--attack-seed N` (trace record).
-    pub attack_seed: Option<u64>,
-    /// `--batch N` events per frame (client / loadgen).
-    pub batch: Option<usize>,
-    /// `--duration SECS` (loadgen): soak until this much wall-clock.
-    pub duration_secs: Option<f64>,
-    /// `--bucket-ms N` (loadgen): latency-histogram window width.
-    pub bucket_ms: Option<u64>,
-    /// `--chaos` (loadgen): spawn a router fleet and kill backends.
-    pub chaos: bool,
-    /// `--routed` (loadgen): resumable ticketed sessions (router peer).
-    pub routed: bool,
-    /// `--backends N` (router / loadgen --chaos): spawned backend slots.
-    pub backends: Option<usize>,
-    /// `--backend-addrs csv` (router): route over external services.
-    pub backend_addrs: Option<String>,
-    /// `--backend-workers N` (router / loadgen --chaos).
-    pub backend_workers: Option<usize>,
-    /// `--kills N` (loadgen --chaos): scheduled backend kills.
-    pub kills: Option<usize>,
-    /// `--idle-timeout SECS` (serve / router): reap silent connections.
-    pub idle_timeout_secs: Option<f64>,
-    /// `--journal-dir DIR` (router): durable session journals.
-    pub journal_dir: Option<String>,
-    /// `--resume-journals DIR` (router): recover crashed sessions from DIR.
-    pub resume_journals: Option<String>,
-    /// `--max-live-sessions N` (router): shed fresh sessions over this.
-    pub max_live_sessions: Option<u64>,
-    /// `--max-buffered-mb N` (router): shed when journal spill exceeds this.
-    pub max_buffered_mb: Option<u64>,
-    /// `--journal-tail N` (router, loadgen --chaos): in-RAM events per
-    /// session journal.
-    pub journal_tail: Option<usize>,
-    /// `--chaos-net` (loadgen): interpose the seeded wire-fault proxy.
-    pub chaos_net: bool,
-    /// `--fault-every N` (loadgen / chaos-net): mean frames between faults.
-    pub fault_every: Option<u64>,
-    /// `--max-delay-ms N` (loadgen / chaos-net): delay-fault upper bound.
-    pub max_delay_ms: Option<u64>,
-    /// `--upstream HOST:PORT` (chaos-net): where the proxy forwards.
-    pub upstream: Option<String>,
-    /// `--metrics-addr HOST:PORT` (serve / router): live metrics endpoint.
-    pub metrics_addr: Option<String>,
-    /// `--trace-out FILE` (serve / router / client / loadgen): span jsonl.
-    pub trace_out: Option<String>,
-    /// Canonical names of every flag that was actually set.
-    used: Vec<&'static str>,
+/// How a flag's value is taken and checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Takes no value; on when given.
+    Switch,
+    /// Free text: a path, an address or a csv list.
+    Text,
+    /// An unsigned integer.
+    Count,
+    /// An integer of at least 1.
+    Positive,
+    /// A positive number of seconds that a `Duration` can hold.
+    Seconds,
+    /// An output format: `human`, `jsonl` or `csv`.
+    Format,
 }
 
-/// Marker scope for "any figure/table subcommand" (everything that is not
-/// one of the named commands below).
+/// One flag: canonical name, aliases, value kind, and the subcommands it
+/// applies to ([`FIG`] for every figure, [`ALL`] for every subcommand).
+pub type Flag = (
+    &'static str,
+    &'static [&'static str],
+    Kind,
+    &'static [&'static str],
+);
+
+/// Scope marker: every figure/table subcommand (any name that is not a
+/// [`crate::COMMANDS`] row).
 const FIG: &str = "<figure>";
+/// Scope marker: every subcommand.
+const ALL: &str = "<all>";
 
-const NAMED_COMMANDS: &[&str] = &[
-    "sweep",
-    "list",
-    "serve",
-    "router",
-    "client",
-    "loadgen",
-    "chaos-net",
-    "stats",
-    "trace record",
-    "trace replay",
-];
+/// The subcommands that analyse a `.fgt` recording.
+const SESSION: &[&str] = &["trace replay", "client", "loadgen"];
+/// The subcommands that deploy kernels on engines: a sweep and every
+/// [`SESSION`] command.
+const DEPLOY: &[&str] = &["sweep", "trace replay", "client", "loadgen"];
+/// The subcommands that take an attack campaign: a sweep runs it at every
+/// grid point, so silent configurations show in the detections column.
+const CAMPAIGN: &[&str] = &["trace record", "sweep"];
 
-/// Flag → the subcommands it applies to.
-const FLAG_SCOPES: &[(&str, &[&str])] = &[
-    ("--insts", &[FIG, "sweep", "trace record"]),
-    // loadgen: session-id / chaos-schedule seed (routed modes).
-    // chaos-net: the per-connection fault-schedule seed.
+/// Every flag the CLI accepts.
+pub const FLAGS: &[Flag] = &[
+    ("--format", &[], Kind::Format, &[ALL]),
+    ("--insts", &[], Positive, &[FIG, "sweep", "trace record"]),
+    ("--quick", &[], Switch, &[FIG, "sweep", "trace record"]),
+    // loadgen: the routed session ids and the chaos kill schedule;
+    // chaos-net: the per-connection fault schedule.
     (
         "--seed",
+        &[],
+        Count,
         &[FIG, "sweep", "trace record", "loadgen", "chaos-net"],
     ),
-    ("--quick", &[FIG, "sweep", "trace record"]),
-    ("--jobs", &[FIG, "sweep", "loadgen"]),
-    ("--workloads", &["sweep"]),
-    ("--kernel", &["sweep", "trace replay", "client", "loadgen"]),
-    ("--ucores", &["sweep", "trace replay", "client", "loadgen"]),
-    ("--ha", &["sweep", "trace replay", "client", "loadgen"]),
-    (
-        "--filter-width",
-        &["sweep", "trace replay", "client", "loadgen"],
-    ),
-    ("--model", &["sweep", "trace replay", "client", "loadgen"]),
-    ("--mapper-width", &["trace replay", "client", "loadgen"]),
+    ("--jobs", &[], Positive, &[FIG, "sweep", "loadgen"]),
+    ("--workloads", &[], Text, &["sweep"]),
+    ("--kernel", &["--kernels"], Text, DEPLOY),
+    ("--ucores", &[], Text, DEPLOY),
+    ("--ha", &[], Switch, DEPLOY),
+    ("--filter-width", &["--filter-widths"], Text, DEPLOY),
+    ("--model", &["--models"], Text, DEPLOY),
+    ("--mapper-width", &[], Positive, SESSION),
     (
         "--addr",
+        &[],
+        Text,
         &["serve", "router", "client", "loadgen", "stats", "chaos-net"],
     ),
-    ("--metrics-addr", &["serve", "router"]),
+    ("--metrics-addr", &[], Text, &["serve", "router"]),
     (
         "--trace-out",
+        &[],
+        Text,
         &["serve", "router", "client", "loadgen", "chaos-net"],
     ),
-    ("--workers", &["serve"]),
-    ("--max-sessions", &["serve", "router"]),
-    ("--idle-timeout", &["serve", "router"]),
-    ("--journal-dir", &["router"]),
-    ("--resume-journals", &["router"]),
-    ("--max-live-sessions", &["router"]),
-    ("--max-buffered-mb", &["router"]),
-    ("--journal-tail", &["router", "loadgen"]),
-    ("--chaos-net", &["loadgen"]),
-    ("--fault-every", &["loadgen", "chaos-net"]),
-    ("--max-delay-ms", &["loadgen", "chaos-net"]),
-    ("--upstream", &["chaos-net"]),
-    ("--sessions", &["loadgen"]),
-    ("--duration", &["loadgen"]),
-    ("--bucket-ms", &["loadgen"]),
-    ("--chaos", &["loadgen"]),
-    ("--routed", &["loadgen"]),
-    ("--backends", &["router", "loadgen"]),
-    ("--backend-addrs", &["router"]),
-    ("--backend-workers", &["router", "loadgen"]),
-    ("--kills", &["loadgen"]),
-    ("--out", &["trace record"]),
-    ("--trace", &["trace replay", "client", "loadgen"]),
-    ("--workload", &["trace record"]),
-    // sweep: an attack campaign per grid point, so silent workloads are
-    // visible in the detections column instead of only in loadgen.
-    ("--attacks", &["trace record", "sweep"]),
-    ("--attack-count", &["trace record", "sweep"]),
-    ("--attack-start", &["trace record", "sweep"]),
-    ("--attack-end", &["trace record", "sweep"]),
-    ("--attack-seed", &["trace record", "sweep"]),
-    ("--batch", &["client", "loadgen"]),
-    // --format applies everywhere.
+    ("--workers", &[], Positive, &["serve"]),
+    ("--max-sessions", &[], Count, &["serve", "router"]),
+    ("--idle-timeout", &[], Seconds, &["serve", "router"]),
+    ("--journal-dir", &[], Text, &["router"]),
+    ("--resume-journals", &[], Text, &["router"]),
+    ("--max-live-sessions", &[], Count, &["router"]),
+    ("--max-buffered-mb", &[], Positive, &["router"]),
+    ("--journal-tail", &[], Positive, &["router", "loadgen"]),
+    ("--chaos-net", &[], Switch, &["loadgen"]),
+    ("--fault-every", &[], Count, &["loadgen", "chaos-net"]),
+    ("--max-delay-ms", &[], Count, &["loadgen", "chaos-net"]),
+    ("--upstream", &[], Text, &["chaos-net"]),
+    ("--sessions", &[], Positive, &["loadgen"]),
+    ("--duration", &[], Seconds, &["loadgen"]),
+    ("--bucket-ms", &[], Positive, &["loadgen"]),
+    ("--chaos", &[], Switch, &["loadgen"]),
+    ("--routed", &[], Switch, &["loadgen"]),
+    ("--backends", &[], Positive, &["router", "loadgen"]),
+    ("--backend-addrs", &[], Text, &["router"]),
+    ("--backend-workers", &[], Positive, &["router", "loadgen"]),
+    ("--kills", &[], Count, &["loadgen"]),
+    ("--out", &[], Text, &["trace record"]),
+    ("--trace", &[], Text, SESSION),
+    ("--workload", &[], Text, &["trace record"]),
+    ("--attacks", &[], Text, CAMPAIGN),
+    ("--attack-count", &[], Positive, CAMPAIGN),
+    ("--attack-start", &[], Count, CAMPAIGN),
+    ("--attack-end", &[], Count, CAMPAIGN),
+    ("--attack-seed", &[], Count, CAMPAIGN),
+    ("--batch", &[], Positive, &["client", "loadgen"]),
 ];
 
+/// A flag's checked value.
+#[derive(Debug)]
+enum Value {
+    On,
+    Text(String),
+    Num(u64),
+    Seconds(Duration),
+    Format(Format),
+}
+
+/// The parsed command line.
+#[derive(Debug)]
+pub struct Parsed {
+    /// The subcommand: a figure name, a [`crate::COMMANDS`] name, or an
+    /// unknown word that `run` refuses.
+    pub command: String,
+    /// Every flag given, with its checked value; a repeated flag keeps its
+    /// first place and its last value.
+    values: Vec<(&'static Flag, Value)>,
+}
+
 impl Parsed {
-    /// The used flags that do not apply to `self.command`, by name — so
+    /// The value given for `name`, which must be a canonical `FLAGS` name
+    /// of one of `kinds` (any kind when `kinds` is empty).
+    fn get(&self, name: &str, kinds: &[Kind]) -> Option<&Value> {
+        debug_assert!(
+            FLAGS
+                .iter()
+                .any(|f| f.0 == name && (kinds.is_empty() || kinds.contains(&f.2))),
+            "{name} is not a declared {kinds:?} flag"
+        );
+        self.values
+            .iter()
+            .find(|(f, _)| f.0 == name)
+            .map(|(_, v)| v)
+    }
+
+    /// Whether switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.get(name, &[Switch]).is_some()
+    }
+
+    /// The text given for `name`.
+    pub fn text(&self, name: &str) -> Option<&str> {
+        match self.get(name, &[Text])? {
+            Value::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number given for `name`, a count or positive flag. Values are
+    /// checked as `u64`, which `usize` holds on the 64-bit hosts the
+    /// simulator runs on.
+    pub fn num<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
+        match self.get(name, &[Count, Positive])? {
+            Value::Num(n) => T::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The duration given for `name`, a seconds flag.
+    pub fn seconds(&self, name: &str) -> Option<Duration> {
+        match self.get(name, &[Seconds])? {
+            Value::Seconds(d) => Some(*d),
+            _ => None,
+        }
+    }
+
+    /// The `--format` given, human by default.
+    pub fn format(&self) -> Format {
+        match self.get("--format", &[Kind::Format]) {
+            Some(Value::Format(f)) => *f,
+            _ => Format::Human,
+        }
+    }
+
+    /// Refuses the first of `flags` that was given, as requiring `needed`:
+    /// without that mode it would be silently ignored.
+    pub fn require(&self, flags: &[&str], needed: &str) -> Result<(), String> {
+        match flags.iter().find(|name| self.get(name, &[]).is_some()) {
+            Some(name) => Err(format!("{name} requires {needed}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The given flags that do not apply to `self.command`, by name — so
     /// commands can reject them instead of silently ignoring them.
     pub fn out_of_scope_flags(&self) -> Vec<&'static str> {
-        let cmd = self.command.as_str();
-        let is_figure = !NAMED_COMMANDS.contains(&cmd);
-        self.used
+        let figure = !crate::COMMANDS.iter().any(|c| c.0 == self.command);
+        let applies = |s: &&str| *s == ALL || *s == self.command || (*s == FIG && figure);
+        self.values
             .iter()
-            .filter(|name| {
-                let Some((_, scope)) = FLAG_SCOPES.iter().find(|(n, _)| n == *name) else {
-                    return false; // unscoped flags (e.g. --format) apply anywhere
-                };
-                !scope.iter().any(|s| *s == cmd || (*s == FIG && is_figure))
-            })
-            .copied()
+            .filter(|(f, _)| !f.3.iter().any(applies))
+            .map(|(f, _)| f.0)
             .collect()
     }
 }
 
 /// Parses `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
-    let mut p = Parsed {
-        format: Format::Human,
-        ..Parsed::default()
-    };
-    let mut it = argv.iter().peekable();
-    let mut positionals: Vec<&String> = Vec::new();
-
+    let bad = |msg: String| Err(ArgError::Bad(msg));
+    let mut values: Vec<(&'static Flag, Value)> = Vec::new();
+    let mut words: Vec<&str> = Vec::new();
+    let mut it = argv.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        match arg {
             "help" | "--help" | "-h" => return Err(ArgError::Help),
             "--version" | "-V" => return Err(ArgError::Version),
-            "--quick" => {
-                p.quick = true;
-                p.used.push("--quick");
-            }
-            "--ha" => {
-                p.ha = true;
-                p.used.push("--ha");
-            }
-            "--chaos" => {
-                p.chaos = true;
-                p.used.push("--chaos");
-            }
-            "--chaos-net" => {
-                p.chaos_net = true;
-                p.used.push("--chaos-net");
-            }
-            "--routed" => {
-                p.routed = true;
-                p.used.push("--routed");
-            }
-            s if s.starts_with("--") => {
-                let (name, value) = match s.split_once('=') {
-                    Some((n, v)) => (n.to_owned(), v.to_owned()),
-                    None => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ArgError::Bad(format!("flag {s} expects a value")))?;
-                        (s.to_owned(), v.clone())
-                    }
+            _ if !arg.starts_with("--") => words.push(arg),
+            _ => {
+                let (given, inline) = match arg.split_once('=') {
+                    Some((name, value)) => (name, Some(value)),
+                    None => (arg, None),
                 };
-                apply_flag(&mut p, &name, &value)?;
+                let Some(flag) = FLAGS.iter().find(|f| f.0 == given || f.1.contains(&given)) else {
+                    return bad(format!("unknown flag {given}"));
+                };
+                let value = match (flag.2, inline) {
+                    (Switch, None) => Value::On,
+                    (Switch, Some(_)) => return bad(format!("flag {given} takes no value")),
+                    (kind, inline) => match inline.or_else(|| it.next()) {
+                        Some(v) => check(kind, given, v).map_err(ArgError::Bad)?,
+                        None => return bad(format!("flag {arg} expects a value")),
+                    },
+                };
+                match values.iter_mut().find(|(f, _)| f.0 == flag.0) {
+                    Some(slot) => slot.1 = value,
+                    None => values.push((flag, value)),
+                }
             }
-            _ => positionals.push(arg),
         }
     }
 
-    match positionals.as_slice() {
-        [] => Err(ArgError::Help),
-        [cmd] if cmd.as_str() == "trace" => Err(ArgError::Bad(
-            "trace expects a sub-subcommand: `fireguard trace record` or `fireguard trace replay`"
-                .to_owned(),
-        )),
-        [cmd] => {
-            p.command = (*cmd).clone();
-            Ok(p)
+    let (command, extra) = match words.as_slice() {
+        [] => return Err(ArgError::Help),
+        ["trace"] => {
+            return bad(
+                "trace expects a sub-subcommand: `fireguard trace record` or \
+                 `fireguard trace replay`"
+                    .to_owned(),
+            )
         }
-        [cmd, sub] if cmd.as_str() == "trace" => match sub.as_str() {
-            "record" | "replay" => {
-                p.command = format!("trace {sub}");
-                Ok(p)
-            }
-            other => Err(ArgError::Bad(format!(
+        ["trace", sub @ ("record" | "replay"), extra @ ..] => (format!("trace {sub}"), extra),
+        ["trace", other, ..] => {
+            return bad(format!(
                 "unknown trace subcommand {other:?} (expected record or replay)"
-            ))),
-        },
-        [a, b, ..] => Err(ArgError::Bad(format!(
-            "expected one subcommand, got {a:?} and {b:?}"
-        ))),
-    }
-}
-
-fn apply_flag(p: &mut Parsed, name: &str, value: &str) -> Result<(), ArgError> {
-    fn num<T: FromStr>(name: &str, value: &str) -> Result<T, ArgError> {
-        value
-            .parse()
-            .map_err(|_| ArgError::Bad(format!("flag {name} expects a number, got {value:?}")))
-    }
-    fn positive(name: &str, value: &str) -> Result<usize, ArgError> {
-        let n: usize = num(name, value)?;
-        if n == 0 {
-            return Err(ArgError::Bad(format!("{name} must be at least 1")));
+            ))
         }
-        Ok(n)
-    }
-    let canonical = match name {
-        "--insts" => {
-            let n: u64 = num(name, value)?;
-            if n == 0 {
-                return Err(ArgError::Bad("--insts must be at least 1".to_owned()));
-            }
-            p.insts = Some(n);
-            "--insts"
-        }
-        "--seed" => {
-            p.seed = Some(num(name, value)?);
-            "--seed"
-        }
-        "--jobs" => {
-            p.jobs = Some(positive(name, value)?);
-            "--jobs"
-        }
-        "--format" => {
-            p.format = Format::from_str(value).map_err(ArgError::Bad)?;
-            return Ok(()); // applies to every subcommand; not scope-tracked
-        }
-        "--workloads" => {
-            p.workloads = Some(value.to_owned());
-            "--workloads"
-        }
-        "--kernel" | "--kernels" => {
-            p.kernels = Some(value.to_owned());
-            "--kernel"
-        }
-        "--ucores" => {
-            p.ucores = Some(value.to_owned());
-            "--ucores"
-        }
-        "--filter-width" | "--filter-widths" => {
-            p.filter_widths = Some(value.to_owned());
-            "--filter-width"
-        }
-        "--model" | "--models" => {
-            p.models = Some(value.to_owned());
-            "--model"
-        }
-        "--mapper-width" => {
-            p.mapper_width = Some(positive(name, value)?);
-            "--mapper-width"
-        }
-        "--addr" => {
-            p.addr = Some(value.to_owned());
-            "--addr"
-        }
-        "--workers" => {
-            p.workers = Some(positive(name, value)?);
-            "--workers"
-        }
-        "--max-sessions" => {
-            p.max_sessions = Some(num(name, value)?);
-            "--max-sessions"
-        }
-        "--sessions" => {
-            p.sessions = Some(positive(name, value)?);
-            "--sessions"
-        }
-        "--out" => {
-            p.out = Some(value.to_owned());
-            "--out"
-        }
-        "--trace" => {
-            p.trace_file = Some(value.to_owned());
-            "--trace"
-        }
-        "--workload" => {
-            p.workload = Some(value.to_owned());
-            "--workload"
-        }
-        "--attacks" => {
-            p.attacks = Some(value.to_owned());
-            "--attacks"
-        }
-        "--attack-count" => {
-            p.attack_count = Some(positive(name, value)?);
-            "--attack-count"
-        }
-        "--attack-start" => {
-            p.attack_start = Some(num(name, value)?);
-            "--attack-start"
-        }
-        "--attack-end" => {
-            p.attack_end = Some(num(name, value)?);
-            "--attack-end"
-        }
-        "--attack-seed" => {
-            p.attack_seed = Some(num(name, value)?);
-            "--attack-seed"
-        }
-        "--batch" => {
-            p.batch = Some(positive(name, value)?);
-            "--batch"
-        }
-        "--duration" => {
-            let secs: f64 = num(name, value)?;
-            if secs <= 0.0 || !secs.is_finite() {
-                return Err(ArgError::Bad(
-                    "--duration must be a positive number of seconds".to_owned(),
-                ));
-            }
-            p.duration_secs = Some(secs);
-            "--duration"
-        }
-        "--bucket-ms" => {
-            let ms: u64 = num(name, value)?;
-            if ms == 0 {
-                return Err(ArgError::Bad("--bucket-ms must be at least 1".to_owned()));
-            }
-            p.bucket_ms = Some(ms);
-            "--bucket-ms"
-        }
-        "--backends" => {
-            p.backends = Some(positive(name, value)?);
-            "--backends"
-        }
-        "--backend-addrs" => {
-            p.backend_addrs = Some(value.to_owned());
-            "--backend-addrs"
-        }
-        "--backend-workers" => {
-            p.backend_workers = Some(positive(name, value)?);
-            "--backend-workers"
-        }
-        "--kills" => {
-            p.kills = Some(num(name, value)?);
-            "--kills"
-        }
-        "--idle-timeout" => {
-            let secs: f64 = num(name, value)?;
-            if secs <= 0.0 || !secs.is_finite() {
-                return Err(ArgError::Bad(
-                    "--idle-timeout must be a positive number of seconds".to_owned(),
-                ));
-            }
-            p.idle_timeout_secs = Some(secs);
-            "--idle-timeout"
-        }
-        "--journal-dir" => {
-            p.journal_dir = Some(value.to_owned());
-            "--journal-dir"
-        }
-        "--resume-journals" => {
-            p.resume_journals = Some(value.to_owned());
-            "--resume-journals"
-        }
-        "--max-live-sessions" => {
-            p.max_live_sessions = Some(num(name, value)?);
-            "--max-live-sessions"
-        }
-        "--max-buffered-mb" => {
-            let mb: u64 = num(name, value)?;
-            if mb == 0 {
-                return Err(ArgError::Bad(
-                    "--max-buffered-mb must be at least 1".to_owned(),
-                ));
-            }
-            p.max_buffered_mb = Some(mb);
-            "--max-buffered-mb"
-        }
-        "--journal-tail" => {
-            p.journal_tail = Some(positive(name, value)?);
-            "--journal-tail"
-        }
-        "--fault-every" => {
-            p.fault_every = Some(num(name, value)?);
-            "--fault-every"
-        }
-        "--max-delay-ms" => {
-            p.max_delay_ms = Some(num(name, value)?);
-            "--max-delay-ms"
-        }
-        "--upstream" => {
-            p.upstream = Some(value.to_owned());
-            "--upstream"
-        }
-        "--metrics-addr" => {
-            p.metrics_addr = Some(value.to_owned());
-            "--metrics-addr"
-        }
-        "--trace-out" => {
-            p.trace_out = Some(value.to_owned());
-            "--trace-out"
-        }
-        other => {
-            return Err(ArgError::Bad(format!("unknown flag {other}")));
-        }
+        [cmd, extra @ ..] => ((*cmd).to_owned(), extra),
     };
-    p.used.push(canonical);
-    Ok(())
+    if let Some(word) = extra.first() {
+        return bad(format!(
+            "expected one subcommand, got {command:?} and {word:?}"
+        ));
+    }
+    Ok(Parsed { command, values })
 }
 
+/// Checks `value` for a flag of `kind`, given as `name`.
+fn check(kind: Kind, name: &str, value: &str) -> Result<Value, String> {
+    let expects = || format!("flag {name} expects a number, got {value:?}");
+    Ok(match kind {
+        Switch => Value::On,
+        Text => Value::Text(value.to_owned()),
+        Count => Value::Num(value.parse().map_err(|_| expects())?),
+        Positive => match value.parse().map_err(|_| expects())? {
+            0 => return Err(format!("{name} must be at least 1")),
+            n => Value::Num(n),
+        },
+        Seconds => {
+            let secs: f64 = value.parse().map_err(|_| expects())?;
+            match Duration::try_from_secs_f64(secs) {
+                Ok(d) if secs > 0.0 => Value::Seconds(d),
+                _ => return Err(format!("{name} must be a positive number of seconds")),
+            }
+        }
+        Kind::Format => Value::Format(value.parse()?),
+    })
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,9 +327,9 @@ mod tests {
     fn parses_subcommand_and_flags() {
         let p = parse(&args("fig7a --insts 2000 --jobs 4 --format csv")).unwrap();
         assert_eq!(p.command, "fig7a");
-        assert_eq!(p.insts, Some(2000));
-        assert_eq!(p.jobs, Some(4));
-        assert_eq!(p.format, Format::Csv);
+        assert_eq!(p.num("--insts"), Some(2000u64));
+        assert_eq!(p.num("--jobs"), Some(4usize));
+        assert_eq!(p.format(), Format::Csv);
         assert!(p.out_of_scope_flags().is_empty());
     }
 
@@ -527,10 +337,10 @@ mod tests {
     fn equals_syntax_and_sweep_flags() {
         let p = parse(&args("sweep --kernel=asan,pmc --ucores=2,4 --ha --quick")).unwrap();
         assert_eq!(p.command, "sweep");
-        assert_eq!(p.kernels.as_deref(), Some("asan,pmc"));
-        assert_eq!(p.ucores.as_deref(), Some("2,4"));
-        assert!(p.ha);
-        assert!(p.quick);
+        assert_eq!(p.text("--kernel"), Some("asan,pmc"));
+        assert_eq!(p.text("--ucores"), Some("2,4"));
+        assert!(p.switch("--ha"));
+        assert!(p.switch("--quick"));
         assert!(p.out_of_scope_flags().is_empty());
     }
 
@@ -541,13 +351,13 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(p.command, "trace record");
-        assert_eq!(p.workload.as_deref(), Some("x264"));
-        assert_eq!(p.out.as_deref(), Some("/tmp/x.fgt"));
+        assert_eq!(p.text("--workload"), Some("x264"));
+        assert_eq!(p.text("--out"), Some("/tmp/x.fgt"));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("trace replay --trace /tmp/x.fgt --kernel asan")).unwrap();
         assert_eq!(p.command, "trace replay");
-        assert_eq!(p.trace_file.as_deref(), Some("/tmp/x.fgt"));
+        assert_eq!(p.text("--trace"), Some("/tmp/x.fgt"));
 
         assert!(matches!(parse(&args("trace")), Err(ArgError::Bad(_))));
         assert!(matches!(parse(&args("trace rm")), Err(ArgError::Bad(_))));
@@ -560,9 +370,9 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(p.command, "loadgen");
-        assert_eq!(p.addr.as_deref(), Some("127.0.0.1:4780"));
-        assert_eq!(p.sessions, Some(4));
-        assert_eq!(p.batch, Some(256));
+        assert_eq!(p.text("--addr"), Some("127.0.0.1:4780"));
+        assert_eq!(p.num("--sessions"), Some(4usize));
+        assert_eq!(p.num("--batch"), Some(256usize));
         assert!(p.out_of_scope_flags().is_empty());
     }
 
@@ -573,9 +383,9 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(p.command, "router");
-        assert_eq!(p.backends, Some(3));
-        assert_eq!(p.backend_workers, Some(2));
-        assert_eq!(p.max_sessions, Some(8));
+        assert_eq!(p.num("--backends"), Some(3usize));
+        assert_eq!(p.num("--backend-workers"), Some(2usize));
+        assert_eq!(p.num("--max-sessions"), Some(8u64));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
@@ -583,15 +393,15 @@ mod tests {
              --bucket-ms 250 --seed 11 --backends 2",
         ))
         .unwrap();
-        assert!(p.chaos);
-        assert_eq!(p.kills, Some(4));
-        assert_eq!(p.duration_secs, Some(2.5));
-        assert_eq!(p.bucket_ms, Some(250));
-        assert_eq!(p.seed, Some(11));
+        assert!(p.switch("--chaos"));
+        assert_eq!(p.num("--kills"), Some(4usize));
+        assert_eq!(p.seconds("--duration"), Some(Duration::from_secs_f64(2.5)));
+        assert_eq!(p.num("--bucket-ms"), Some(250u64));
+        assert_eq!(p.num("--seed"), Some(11u64));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("loadgen --trace t.fgt --routed --addr 127.0.0.1:9")).unwrap();
-        assert!(p.routed);
+        assert!(p.switch("--routed"));
         assert!(p.out_of_scope_flags().is_empty());
     }
 
@@ -601,8 +411,8 @@ mod tests {
             "serve --addr 127.0.0.1:0 --metrics-addr 127.0.0.1:9900 --trace-out /tmp/s.jsonl",
         ))
         .unwrap();
-        assert_eq!(p.metrics_addr.as_deref(), Some("127.0.0.1:9900"));
-        assert_eq!(p.trace_out.as_deref(), Some("/tmp/s.jsonl"));
+        assert_eq!(p.text("--metrics-addr"), Some("127.0.0.1:9900"));
+        assert_eq!(p.text("--trace-out"), Some("/tmp/s.jsonl"));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("stats --addr 127.0.0.1:9900,127.0.0.1:9901")).unwrap();
@@ -645,15 +455,18 @@ mod tests {
              --journal-tail 4096 --idle-timeout 2.5",
         ))
         .unwrap();
-        assert_eq!(p.journal_dir.as_deref(), Some("/tmp/j"));
-        assert_eq!(p.max_live_sessions, Some(64));
-        assert_eq!(p.max_buffered_mb, Some(128));
-        assert_eq!(p.journal_tail, Some(4096));
-        assert_eq!(p.idle_timeout_secs, Some(2.5));
+        assert_eq!(p.text("--journal-dir"), Some("/tmp/j"));
+        assert_eq!(p.num("--max-live-sessions"), Some(64u64));
+        assert_eq!(p.num("--max-buffered-mb"), Some(128u64));
+        assert_eq!(p.num("--journal-tail"), Some(4096usize));
+        assert_eq!(
+            p.seconds("--idle-timeout"),
+            Some(Duration::from_secs_f64(2.5))
+        );
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("router --resume-journals /tmp/j")).unwrap();
-        assert_eq!(p.resume_journals.as_deref(), Some("/tmp/j"));
+        assert_eq!(p.text("--resume-journals"), Some("/tmp/j"));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
@@ -662,16 +475,16 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(p.command, "chaos-net");
-        assert_eq!(p.upstream.as_deref(), Some("127.0.0.1:4781"));
-        assert_eq!(p.fault_every, Some(32));
-        assert_eq!(p.max_delay_ms, Some(3));
+        assert_eq!(p.text("--upstream"), Some("127.0.0.1:4781"));
+        assert_eq!(p.num("--fault-every"), Some(32u64));
+        assert_eq!(p.num("--max-delay-ms"), Some(3u64));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
             "loadgen --trace t.fgt --chaos --chaos-net --fault-every 48",
         ))
         .unwrap();
-        assert!(p.chaos && p.chaos_net);
+        assert!(p.switch("--chaos") && p.switch("--chaos-net"));
         assert!(p.out_of_scope_flags().is_empty());
 
         // Journal/admission flags are router-only; --upstream is
@@ -752,5 +565,80 @@ mod tests {
         assert!(matches!(parse(&args("--help")), Err(ArgError::Help)));
         assert!(matches!(parse(&args("fig7a -h")), Err(ArgError::Help)));
         assert!(matches!(parse(&args("--version")), Err(ArgError::Version)));
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_with_a_known_scope() {
+        let mut spellings: Vec<&str> = Vec::new();
+        for (name, aliases, _, scope) in FLAGS {
+            for spelling in std::iter::once(name).chain(aliases.iter()) {
+                assert!(spelling.starts_with("--"), "{spelling}");
+                assert!(
+                    !spellings.contains(spelling),
+                    "{spelling} is declared twice"
+                );
+                spellings.push(spelling);
+            }
+            for s in *scope {
+                let known = [FIG, ALL].contains(s) || crate::COMMANDS.iter().any(|c| c.0 == *s);
+                assert!(known, "{name} names an unknown subcommand {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn unrepresentable_seconds_are_refused() {
+        for (cmd, flag) in [
+            ("serve --idle-timeout 1e20", "--idle-timeout"),
+            ("router --idle-timeout 1e20", "--idle-timeout"),
+            ("loadgen --duration 1e20", "--duration"),
+        ] {
+            assert!(
+                matches!(parse(&args(cmd)), Err(ArgError::Bad(m))
+                    if m == format!("{flag} must be a positive number of seconds")),
+                "{cmd}"
+            );
+        }
+        // A `Duration` holds 1e19 s, so that still parses.
+        let p = parse(&args("router --idle-timeout 1e19")).unwrap();
+        assert_eq!(
+            p.seconds("--idle-timeout"),
+            Some(Duration::from_secs_f64(1e19))
+        );
+    }
+
+    #[test]
+    fn a_trailing_unknown_flag_is_unknown_not_valueless() {
+        assert!(matches!(
+            parse(&args("table2 --bogus")),
+            Err(ArgError::Bad(m)) if m == "unknown flag --bogus"
+        ));
+    }
+
+    #[test]
+    fn a_switch_given_a_value_is_refused() {
+        for (cmd, flag) in [("table2 --quick=1", "--quick"), ("sweep --ha=yes", "--ha")] {
+            assert!(
+                matches!(parse(&args(cmd)), Err(ArgError::Bad(m))
+                    if m == format!("flag {flag} takes no value")),
+                "{cmd}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_repeated_out_of_scope_flag_is_named_once() {
+        let p = parse(&args("serve --insts 1 --insts 2")).unwrap();
+        assert_eq!(p.out_of_scope_flags(), vec!["--insts"]);
+        let p = parse(&args("fig7a --insts 1 --insts 2")).unwrap();
+        assert_eq!(p.num("--insts"), Some(2u64), "the last value wins");
+    }
+
+    #[test]
+    fn a_stray_word_after_the_subcommand_is_named() {
+        assert!(matches!(
+            parse(&args("trace record extra")),
+            Err(ArgError::Bad(m)) if m == r#"expected one subcommand, got "trace record" and "extra""#
+        ));
     }
 }

@@ -24,19 +24,78 @@
 use fireguard_bench::figures::{find, FigOpts, FIGURES};
 use fireguard_soc::sweep::SweepGrid;
 use fireguard_soc::{
-    render, run_jobs, Cell, EngineConfig, Format, KernelId, ProgrammingModel, Report, Table,
+    render, run_jobs, Cell, EngineConfig, Format, ProgrammingModel, Report, Table,
 };
 
 mod args;
 mod service_cmds;
 
 use args::{ArgError, Parsed};
-use service_cmds::{parse_kernel, parse_model};
+use service_cmds::{default_ucores, parse_filter_width, parse_model, parse_ucores, parse_workload};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     std::process::exit(run(&argv));
 }
+
+/// A subcommand's handler; returns the process exit code.
+type Handler = fn(&Parsed) -> i32;
+
+/// Every subcommand beyond the figure registry: its name, its one-line
+/// summary for `list` and usage, and its handler. A new subcommand is one
+/// row here plus its handler.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    (
+        "sweep",
+        "ad-hoc grid over workloads × kernels × engines × widths",
+        |p| emit(p, sweep_report(p)),
+    ),
+    (
+        "trace record",
+        "capture a workload×attack stream to a .fgt file",
+        |p| emit(p, service_cmds::record_report(p, &fig_opts(p))),
+    ),
+    (
+        "trace replay",
+        "re-run a .fgt recording through FireGuard",
+        |p| emit(p, service_cmds::replay_report(p)),
+    ),
+    (
+        "serve",
+        "online streaming analysis service (TCP)",
+        service_cmds::serve_cmd,
+    ),
+    (
+        "router",
+        "fleet front-end: consistent-hash sessions over N backends",
+        service_cmds::router_cmd,
+    ),
+    (
+        "client",
+        "stream a .fgt recording to a running service",
+        |p| emit(p, service_cmds::client_report(p)),
+    ),
+    (
+        "loadgen",
+        "open N concurrent sessions, report throughput/latency",
+        |p| emit(p, service_cmds::loadgen_report(p)),
+    ),
+    (
+        "chaos-net",
+        "seeded wire-fault proxy: interpose lies between client and fleet",
+        service_cmds::chaos_net_cmd,
+    ),
+    (
+        "stats",
+        "scrape live --metrics-addr endpoints, aggregate fleet counters",
+        |p| emit(p, service_cmds::stats_report(p)),
+    ),
+    (
+        "list",
+        "list subcommands as a table (--format jsonl for tooling)",
+        |p| emit(p, Ok(list_report(p.format()))),
+    ),
+];
 
 fn run(argv: &[String]) -> i32 {
     let parsed = match args::parse(argv) {
@@ -67,36 +126,21 @@ fn run(argv: &[String]) -> i32 {
         return 2;
     }
 
-    if parsed.command == "serve" {
-        return service_cmds::serve_cmd(&parsed);
+    if let Some((.., handler)) = COMMANDS.iter().find(|c| c.0 == parsed.command) {
+        return handler(&parsed);
     }
-    if parsed.command == "router" {
-        return service_cmds::router_cmd(&parsed);
-    }
-    if parsed.command == "chaos-net" {
-        return service_cmds::chaos_net_cmd(&parsed);
-    }
-
-    let report = match parsed.command.as_str() {
-        "list" => Ok(list_report(parsed.format)),
-        "sweep" => sweep_report(&parsed),
-        "trace record" => {
-            let opts = fig_opts(&parsed);
-            service_cmds::record_report(&parsed, opts.insts, opts.seed)
+    match find(&parsed.command) {
+        Some(fig) => emit(&parsed, Ok((fig.run)(&fig_opts(&parsed)))),
+        None => {
+            eprintln!("fireguard: unknown subcommand {:?}", parsed.command);
+            eprintln!("run `fireguard list` to see the available subcommands");
+            2
         }
-        "trace replay" => service_cmds::replay_report(&parsed),
-        "client" => service_cmds::client_report(&parsed),
-        "loadgen" => service_cmds::loadgen_report(&parsed),
-        "stats" => service_cmds::stats_report(&parsed),
-        name => match find(name) {
-            Some(fig) => Ok((fig.run)(&fig_opts(&parsed))),
-            None => {
-                eprintln!("fireguard: unknown subcommand {name:?}");
-                eprintln!("run `fireguard list` to see the available subcommands");
-                return 2;
-            }
-        },
-    };
+    }
+}
+
+/// Prints a report command's outcome; returns the exit code.
+fn emit(p: &Parsed, report: Result<Report, String>) -> i32 {
     let report = match report {
         Ok(r) => r,
         Err(msg) => {
@@ -104,9 +148,7 @@ fn run(argv: &[String]) -> i32 {
             return 2;
         }
     };
-
-    let stdout = std::io::stdout();
-    match render(&report, parsed.format, &mut stdout.lock()) {
+    match render(&report, p.format(), &mut std::io::stdout().lock()) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("fireguard: writing output failed: {e}");
@@ -118,47 +160,19 @@ fn run(argv: &[String]) -> i32 {
 /// Resolves figure options: flags beat environment variables.
 fn fig_opts(p: &Parsed) -> FigOpts {
     let env = FigOpts::from_env();
+    let quick = p.switch("--quick").then_some(fireguard_bench::QUICK_INSTS);
     FigOpts {
-        insts: p.insts.unwrap_or(if p.quick {
-            fireguard_bench::QUICK_INSTS
-        } else {
-            env.insts
-        }),
-        seed: p.seed.unwrap_or(env.seed),
-        workers: p.jobs.unwrap_or(env.workers),
+        insts: p.num("--insts").or(quick).unwrap_or(env.insts),
+        seed: p.num("--seed").unwrap_or(env.seed),
+        workers: p.num("--jobs").unwrap_or(env.workers),
     }
 }
 
-/// Subcommands beyond the figure registry, for `list` and `usage`.
-const EXTRA_COMMANDS: &[(&str, &str)] = &[
-    (
-        "sweep",
-        "ad-hoc grid over workloads × kernels × engines × widths",
-    ),
-    (
-        "trace record",
-        "capture a workload×attack stream to a .fgt file",
-    ),
-    ("trace replay", "re-run a .fgt recording through FireGuard"),
-    ("serve", "online streaming analysis service (TCP)"),
-    (
-        "router",
-        "fleet front-end: consistent-hash sessions over N backends",
-    ),
-    ("client", "stream a .fgt recording to a running service"),
-    (
-        "loadgen",
-        "open N concurrent sessions, report throughput/latency",
-    ),
-    (
-        "chaos-net",
-        "seeded wire-fault proxy: interpose lies between client and fleet",
-    ),
-    (
-        "stats",
-        "scrape live --metrics-addr endpoints, aggregate fleet counters",
-    ),
-];
+/// Every subcommand with its summary: the figures, then [`COMMANDS`].
+fn subcommands() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let figures = FIGURES.iter().map(|f| (f.name, f.summary));
+    figures.chain(COMMANDS.iter().map(|&(name, summary, _)| (name, summary)))
+}
 
 fn list_report(format: Format) -> Report {
     let mut r = Report::new();
@@ -166,10 +180,7 @@ fn list_report(format: Format) -> Report {
         // The classic human listing, unchanged.
         r.text("fireguard subcommands (paper figures/tables + sweeps + service)");
         r.blank();
-        for fig in FIGURES {
-            r.text(format!("  {:<16} {}", fig.name, fig.summary));
-        }
-        for (name, summary) in EXTRA_COMMANDS {
+        for (name, summary) in subcommands() {
             r.text(format!("  {name:<16} {summary}"));
         }
         r.blank();
@@ -188,16 +199,10 @@ fn list_report(format: Format) -> Report {
     }
     // Machine-readable registry (one row per driver) for tooling.
     let mut t = Table::new(&[("name", 16), ("summary", 60)]);
-    for fig in FIGURES {
+    for (name, summary) in subcommands() {
         t.row(vec![
-            Cell::Str(fig.name.to_owned()),
-            Cell::Str(fig.summary.to_owned()),
-        ]);
-    }
-    for (name, summary) in EXTRA_COMMANDS {
-        t.row(vec![
-            Cell::Str((*name).to_owned()),
-            Cell::Str((*summary).to_owned()),
+            Cell::Str(name.to_owned()),
+            Cell::Str(summary.to_owned()),
         ]);
     }
     r.table(t);
@@ -227,93 +232,32 @@ fn list_report(format: Format) -> Report {
 
 fn sweep_report(p: &Parsed) -> Result<Report, String> {
     let opts = fig_opts(p);
-    let workloads: Vec<String> = match p.workloads.as_deref() {
-        None | Some("all") => fireguard_soc::experiments::workloads()
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-        Some(csv) => {
-            let known = fireguard_soc::experiments::workloads();
-            let ws: Vec<String> = csv.split(',').map(str::to_owned).collect();
-            for w in &ws {
-                if !known.contains(&w.as_str()) {
-                    return Err(format!(
-                        "unknown workload {w:?} (expected one of: {})",
-                        known.join(", ")
-                    ));
-                }
-            }
-            ws
-        }
+    let workloads: Vec<&str> = match p.text("--workloads") {
+        None | Some("all") => fireguard_soc::experiments::workloads(),
+        Some(csv) => csv
+            .split(',')
+            .map(parse_workload)
+            .collect::<Result<_, _>>()?,
     };
     // `--kernel all` deploys every registered kernel *together* in one
     // system per grid point (the packet-layout-v2 wide-verdict mode);
     // a csv list still sweeps them one system each.
-    let (kernels, combined) = match p.kernels.as_deref() {
-        None => (vec![KernelId::ASAN], false),
-        Some(csv) if csv.eq_ignore_ascii_case("all") => (
-            fireguard_soc::registry().iter().map(|s| s.id()).collect(),
-            true,
-        ),
-        Some(csv) => (
-            csv.split(',')
-                .map(parse_kernel)
-                .collect::<Result<Vec<_>, _>>()?,
-            false,
-        ),
+    let (kernels, combined) = service_cmds::kernels(p)?;
+    let ha = p.switch("--ha");
+    let per_system = if combined { kernels.len() } else { 1 };
+    let mut engines = if ha && p.text("--ucores").is_none() {
+        Vec::new()
+    } else {
+        axis(p, "--ucores", default_ucores(per_system), parse_ucores)?
     };
-    let mut engines: Vec<EngineConfig> = match p.ucores.as_deref() {
-        None if p.ha => Vec::new(),
-        None if combined => {
-            // Split the fabric evenly so the full registry fits without
-            // the user having to do the engine arithmetic.
-            vec![EngineConfig::Ucores(
-                (fireguard_soc::MAX_ENGINES / kernels.len()).clamp(1, 4),
-            )]
-        }
-        None => vec![EngineConfig::Ucores(4)],
-        Some(csv) => csv
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(EngineConfig::Ucores)
-                    .ok_or_else(|| {
-                        format!("bad --ucores entry {s:?} (expected a positive integer)")
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    if p.ha {
+    if ha {
         engines.push(EngineConfig::Ha);
     }
-    let filter_widths = match p.filter_widths.as_deref() {
-        None => vec![4],
-        Some(csv) => csv
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&w| w >= 1)
-                    .ok_or_else(|| {
-                        format!("bad --filter-width entry {s:?} (expected a positive integer)")
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let models = match p.models.as_deref() {
-        None => vec![ProgrammingModel::Hybrid],
-        Some(csv) => csv
-            .split(',')
-            .map(parse_model)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let filter_widths = axis(p, "--filter-width", 4, parse_filter_width)?;
+    let models = axis(p, "--model", ProgrammingModel::Hybrid, parse_model)?;
 
     let grid = SweepGrid {
-        workloads,
+        workloads: workloads.into_iter().map(str::to_owned).collect(),
         kernels,
         combined,
         engines,
@@ -360,7 +304,7 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
         opts.insts,
         opts.seed
     ));
-    if p.format == Format::Jsonl {
+    if p.format() == Format::Jsonl {
         // Machine-readable runs surface the worker count actually used
         // (FG_JOBS / --jobs / available parallelism) so a 1-CPU container
         // showing no --jobs speedup is self-documenting. Human/CSV output
@@ -420,6 +364,18 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
     Ok(r)
 }
 
+/// A sweep axis: `flag`'s csv list, each point read by `point`, or
+/// `default` alone when the flag is absent.
+fn axis<T>(
+    p: &Parsed,
+    flag: &str,
+    default: T,
+    point: fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    p.text(flag)
+        .map_or(Ok(vec![default]), |csv| csv.split(',').map(point).collect())
+}
+
 fn usage() -> String {
     let mut s = String::from(
         "fireguard — regenerate the FireGuard (DAC 2025) evaluation\n\
@@ -429,27 +385,18 @@ fn usage() -> String {
          \n\
          SUBCOMMANDS:\n",
     );
-    for fig in FIGURES {
-        s.push_str(&format!("    {:<16} {}\n", fig.name, fig.summary));
+    for (name, summary) in subcommands() {
+        s.push_str(&format!("    {name:<16} {summary}\n"));
     }
-    let kernel_names = fireguard_soc::canonical_names().join(", ");
     s.push_str(
-        "    sweep            ad-hoc grid sweep (see sweep flags below)\n\
-         \x20   trace record     capture a workload×attack stream to a .fgt file\n\
-         \x20   trace replay     re-run a .fgt recording through FireGuard\n\
-         \x20   serve            online streaming analysis service (TCP)\n\
-         \x20   router           fleet front-end: consistent-hash sessions over N backends\n\
-         \x20   client           stream a .fgt recording to a running service\n\
-         \x20   loadgen          open N concurrent sessions, report throughput/latency\n\
-         \x20   chaos-net        seeded wire-fault proxy between clients and the fleet\n\
-         \x20   stats            scrape live --metrics-addr endpoints, aggregate fleet counters\n\
-         \x20   list             list subcommands as a table (--format jsonl for tooling)\n\
-         \x20   help             this message\n\
+        "    help             this message\n\
          \n\
          COMMON FLAGS:\n\
          \x20   --insts <N>      instructions per run (overrides FG_INSTS; default 120000)\n\
          \x20   --quick          30000-instruction smoke run (overrides FG_QUICK)\n\
-         \x20   --seed <N>       trace seed (default 42)\n\
+         \x20   --seed <N>       trace seed (default 42); also routed loadgen's session\n\
+         \x20                    ids (42), the chaos kill schedule and chaos-net's\n\
+         \x20                    fault schedule (7)\n\
          \x20   --jobs <N>       sweep workers / loadgen concurrency (overrides FG_JOBS)\n\
          \x20   --format <F>     human (default), jsonl, or csv\n\
          \n\
@@ -458,6 +405,7 @@ fn usage() -> String {
     );
     // The --kernel list comes from the plugin registry, so usage can never
     // drift from the kernels actually registered.
+    let kernel_names = fireguard_soc::canonical_names().join(", ");
     s.push_str(&format!(
         "    --kernel <csv|all>      {kernel_names} (default asan;\n\
          \x20                           `all` deploys every kernel in one system)\n"
@@ -472,7 +420,10 @@ fn usage() -> String {
          \x20   --workload <name>       workload to record (trace record)\n\
          \x20   --out <file>            output .fgt path (trace record)\n\
          \x20   --attacks <csv>         ret-hijack, oob, uaf, bounds (trace record, sweep)\n\
-         \x20   --attack-count/-start/-end/-seed   campaign shape (trace record, sweep)\n\
+         \x20   --attack-count <N>      campaign size (default 50; needs --attacks)\n\
+         \x20   --attack-start <N>      campaign window start (default insts/10)\n\
+         \x20   --attack-end <N>        campaign window end (default insts)\n\
+         \x20   --attack-seed <N>       campaign seed (default 1)\n\
          \x20   --trace <file>          .fgt recording (replay/client/loadgen)\n\
          \x20   --addr <host:port>      service address (default 127.0.0.1:4780)\n\
          \x20   --workers <N>           serve: concurrent session workers\n\
@@ -519,6 +470,8 @@ fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fireguard_soc::KernelId;
+    use service_cmds::parse_kernel;
 
     #[test]
     fn kernel_and_model_parsers() {
@@ -556,6 +509,36 @@ mod tests {
                     "{format:?} list is missing kernel {name}:\n{rendered}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn usage_and_list_name_every_command_and_flag() {
+        let u = usage();
+        for (name, summary, _) in COMMANDS {
+            let row = format!("    {name:<16} {summary}\n");
+            assert!(u.contains(&row), "usage is missing subcommand {name}");
+        }
+        for format in [Format::Human, Format::Jsonl] {
+            let rendered = fireguard_soc::render_to_string(&list_report(format), format);
+            for (name, summary, _) in COMMANDS {
+                let row = match format {
+                    Format::Human => format!("  {name:<16} {summary}\n"),
+                    _ => format!(r#""name":"{name}","summary":"{summary}""#),
+                };
+                assert!(
+                    rendered.contains(&row),
+                    "{format:?} list is missing subcommand {name}:\n{rendered}"
+                );
+            }
+        }
+        // Whole names only: `--trace` must not pass on `--trace-out`.
+        for (flag, ..) in args::FLAGS {
+            let named = u.match_indices(flag).any(|(at, _)| {
+                let next = u[at + flag.len()..].chars().next();
+                !next.is_some_and(|c| c == '-' || c.is_ascii_alphanumeric())
+            });
+            assert!(named, "usage is missing flag {flag}");
         }
     }
 }

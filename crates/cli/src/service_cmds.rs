@@ -7,6 +7,7 @@
 //! csv` works for the service layer exactly as it does for the figures.
 
 use crate::args::Parsed;
+use fireguard_bench::figures::FigOpts;
 use fireguard_server::chaos::detection_keys;
 use fireguard_server::{
     netem, run_chaos, run_loadgen, run_session, ChaosOptions, LoadgenOptions, NetemOptions, Sample,
@@ -22,9 +23,13 @@ use fireguard_trace::{AttackKind, AttackPlan, TraceInst};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Default service address when `--addr` is not given.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4780";
+
+/// Default `--idle-timeout` of serve and router.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Resolves a `--kernel` spelling through the plugin registry. Both the
 /// accepted names and the error message come from the registry, so the
@@ -66,16 +71,23 @@ fn parse_attack_kind(s: &str) -> Result<AttackKind, String> {
 /// Resolves the `--attacks` campaign flags into an [`AttackPlan`], shared
 /// by `trace record` and `sweep`. `None` when `--attacks` was not given.
 pub(crate) fn attack_plan(p: &Parsed, insts: u64) -> Result<Option<AttackPlan>, String> {
-    let Some(csv) = p.attacks.as_deref() else {
+    let Some(csv) = p.text("--attacks") else {
+        let campaign = [
+            "--attack-count",
+            "--attack-start",
+            "--attack-end",
+            "--attack-seed",
+        ];
+        p.require(&campaign, "--attacks")?;
         return Ok(None);
     };
     let kinds = csv
         .split(',')
         .map(parse_attack_kind)
         .collect::<Result<Vec<_>, _>>()?;
-    let count = p.attack_count.unwrap_or(50);
-    let start = p.attack_start.unwrap_or(insts / 10);
-    let end = p.attack_end.unwrap_or(insts);
+    let count = p.num("--attack-count").unwrap_or(50);
+    let start = p.num("--attack-start").unwrap_or(insts / 10);
+    let end = p.num("--attack-end").unwrap_or(insts);
     if start >= end {
         return Err(format!("empty attack window [{start}, {end})"));
     }
@@ -84,62 +96,86 @@ pub(crate) fn attack_plan(p: &Parsed, insts: u64) -> Result<Option<AttackPlan>, 
         count,
         start,
         end,
-        p.attack_seed.unwrap_or(1),
+        p.num("--attack-seed").unwrap_or(1),
     )))
 }
 
+/// A PARSEC workload name (`--workload`, one `--workloads` entry).
+pub fn parse_workload(s: &str) -> Result<&str, String> {
+    let known = fireguard_soc::experiments::workloads();
+    if known.contains(&s) {
+        return Ok(s);
+    }
+    Err(format!(
+        "unknown workload {s:?} (expected one of: {})",
+        known.join(", ")
+    ))
+}
+
+/// `--kernel`: a csv of registry names (default asan), or `all` for every
+/// registered kernel, which the caller deploys in one system; the flag
+/// says which. Shared by `sweep` and the session commands.
+pub fn kernels(p: &Parsed) -> Result<(Vec<KernelId>, bool), String> {
+    Ok(match p.text("--kernel") {
+        None => (vec![KernelId::ASAN], false),
+        Some(s) if s.trim().eq_ignore_ascii_case("all") => (
+            fireguard_soc::registry().iter().map(|s| s.id()).collect(),
+            true,
+        ),
+        Some(csv) => (
+            csv.split(',').map(parse_kernel).collect::<Result<_, _>>()?,
+            false,
+        ),
+    })
+}
+
+fn positive(s: &str) -> Option<usize> {
+    s.trim().parse().ok().filter(|&n| n >= 1)
+}
+
+/// One `--ucores` point: µcores per kernel.
+pub fn parse_ucores(s: &str) -> Result<EngineConfig, String> {
+    positive(s)
+        .map(EngineConfig::Ucores)
+        .ok_or_else(|| format!("bad --ucores {s:?} (expected a positive integer)"))
+}
+
+/// The µcores each of `kernels` deployed together gets without
+/// `--ucores`: 4, split evenly when a wide deployment would not fit the
+/// engine fabric, so `--kernel all` works out of the box.
+pub fn default_ucores(kernels: usize) -> EngineConfig {
+    EngineConfig::Ucores((MAX_ENGINES / kernels).clamp(1, 4))
+}
+
+/// One `--filter-width` point.
+pub fn parse_filter_width(s: &str) -> Result<usize, String> {
+    positive(s).ok_or_else(|| format!("bad --filter-width {s:?} (expected a positive integer)"))
+}
+
 /// The analysis configuration shared by `trace replay`, `client` and
-/// `loadgen`: one or more kernels (comma-separated; `all` = every
-/// registered kernel) on µcores or HAs, plus the filter, model and
-/// mapper knobs.
+/// `loadgen`: one point of `sweep`'s deployment axes, so one or more
+/// kernels (comma-separated; `all` = every registered kernel) on µcores
+/// or HAs, plus the filter, model and mapper knobs.
 /// Defaults mirror `sweep` (ASan on 4 µcores, hybrid µ-programs, 4-wide
 /// filter, scalar mapper).
 fn session_experiment(p: &Parsed, meta: &TraceMeta) -> Result<ExperimentConfig, String> {
-    let kinds: Vec<KernelId> = match p.kernels.as_deref() {
-        None => vec![KernelId::ASAN],
-        Some(csv) if csv.trim().eq_ignore_ascii_case("all") => {
-            fireguard_soc::registry().iter().map(|s| s.id()).collect()
-        }
-        Some(csv) => csv
-            .split(',')
-            .map(parse_kernel)
-            .collect::<Result<Vec<_>, _>>()?,
+    let (kinds, _) = kernels(p)?;
+    let engine = match (p.text("--ucores"), p.switch("--ha")) {
+        (Some(_), true) => return Err("--ucores and --ha are mutually exclusive".to_owned()),
+        (Some(s), false) => parse_ucores(s)?,
+        (None, true) => EngineConfig::Ha,
+        (None, false) => default_ucores(kinds.len()),
     };
-    let engine =
-        match (p.ucores.as_deref(), p.ha) {
-            (Some(_), true) => return Err("--ucores and --ha are mutually exclusive".to_owned()),
-            (None, true) => EngineConfig::Ha,
-            // Without an explicit --ucores, each kernel gets 4 µcores but
-            // wide deployments split the engine budget evenly, so
-            // `--kernel all` works out of the box.
-            (None, false) => EngineConfig::Ucores((MAX_ENGINES / kinds.len()).clamp(1, 4)),
-            (Some(s), false) => {
-                let n: usize =
-                    s.trim().parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --ucores {s:?} (expected a positive integer)")
-                    })?;
-                EngineConfig::Ucores(n)
-            }
-        };
-    let filter_width = match p.filter_widths.as_deref() {
-        None => 4,
-        Some(s) => s
-            .trim()
-            .parse()
-            .ok()
-            .filter(|&w| w >= 1)
-            .ok_or_else(|| format!("bad --filter-width {s:?} (expected a positive integer)"))?,
-    };
-    let model = match p.models.as_deref() {
-        None => ProgrammingModel::Hybrid,
-        Some(s) => parse_model(s)?,
-    };
+    let filter_width = p.text("--filter-width").map_or(Ok(4), parse_filter_width)?;
+    let model = p
+        .text("--model")
+        .map_or(Ok(ProgrammingModel::Hybrid), parse_model)?;
     let mut cfg = ExperimentConfig::new(&meta.workload)
         .seed(meta.seed)
         .insts(meta.insts)
         .model(model)
         .filter_width(filter_width)
-        .mapper_width(p.mapper_width.unwrap_or(1));
+        .mapper_width(p.num("--mapper-width").unwrap_or(1));
     cfg.kernels = kinds.into_iter().map(|k| (k, engine)).collect();
     // Capacity and structural limits fail here as a clean CLI error — the
     // same validation a served HELLO goes through — never a panic inside
@@ -155,17 +191,9 @@ fn read_trace_file(path: &str) -> Result<(TraceMeta, Vec<TraceInst>), String> {
     codec::read_trace(&mut BufReader::new(f)).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Resolves `--idle-timeout` (seconds, default 30) for serve and router.
-fn idle_timeout(p: &Parsed) -> std::time::Duration {
-    p.idle_timeout_secs
-        .map_or(std::time::Duration::from_secs(30), |s| {
-            std::time::Duration::from_secs_f64(s)
-        })
-}
-
 /// Opens the `--trace-out` span sink, if the flag was given.
 fn trace_sink(p: &Parsed) -> Result<Option<Arc<TraceSink>>, String> {
-    match p.trace_out.as_deref() {
+    match p.text("--trace-out") {
         None => Ok(None),
         Some(path) => TraceSink::to_file(path)
             .map(Some)
@@ -245,21 +273,14 @@ fn result_table(cfg: &ExperimentConfig, r: &RunResult) -> Table {
 
 // ---- trace record ----------------------------------------------------------
 
-pub fn record_report(p: &Parsed, insts: u64, seed: u64) -> Result<Report, String> {
+pub fn record_report(p: &Parsed, opts: &FigOpts) -> Result<Report, String> {
+    let (insts, seed) = (opts.insts, opts.seed);
     let workload = p
-        .workload
-        .as_deref()
+        .text("--workload")
         .ok_or("trace record requires --workload <name>")?;
-    let known = fireguard_soc::experiments::workloads();
-    if !known.contains(&workload) {
-        return Err(format!(
-            "unknown workload {workload:?} (expected one of: {})",
-            known.join(", ")
-        ));
-    }
+    let workload = parse_workload(workload)?;
     let out_path = p
-        .out
-        .as_deref()
+        .text("--out")
         .ok_or("trace record requires --out <file>")?;
 
     let mut cfg = ExperimentConfig::new(workload).seed(seed).insts(insts);
@@ -313,8 +334,7 @@ pub fn record_report(p: &Parsed, insts: u64, seed: u64) -> Result<Report, String
 
 pub fn replay_report(p: &Parsed) -> Result<Report, String> {
     let path = p
-        .trace_file
-        .as_deref()
+        .text("--trace")
         .ok_or("trace replay requires --trace <file>")?;
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
@@ -333,15 +353,12 @@ pub fn replay_report(p: &Parsed) -> Result<Report, String> {
 // ---- client ----------------------------------------------------------------
 
 pub fn client_report(p: &Parsed) -> Result<Report, String> {
-    let path = p
-        .trace_file
-        .as_deref()
-        .ok_or("client requires --trace <file>")?;
-    let addr = p.addr.as_deref().unwrap_or(DEFAULT_ADDR);
+    let path = p.text("--trace").ok_or("client requires --trace <file>")?;
+    let addr = p.text("--addr").unwrap_or(DEFAULT_ADDR);
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
     let session = SessionConfig::from_experiment(&cfg, meta.baseline_cycles);
-    let batch = p.batch.unwrap_or(fireguard_server::DEFAULT_BATCH);
+    let batch = p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH);
     let trace = trace_sink(p)?;
     let out = run_session(addr, &session, Arc::new(events), batch)
         .map_err(|e| format!("session against {addr} failed: {e}"))?;
@@ -392,36 +409,36 @@ pub fn client_report(p: &Parsed) -> Result<Report, String> {
 // ---- loadgen ---------------------------------------------------------------
 
 pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
-    let path = p
-        .trace_file
-        .as_deref()
-        .ok_or("loadgen requires --trace <file>")?;
+    let path = p.text("--trace").ok_or("loadgen requires --trace <file>")?;
     // --chaos-net layers the seeded wire-fault proxy onto the chaos
     // fleet, so the gate asserts parity while the network lies too.
-    if p.chaos || p.chaos_net {
-        if p.addr.is_some() {
+    if p.switch("--chaos") || p.switch("--chaos-net") {
+        if p.text("--addr").is_some() {
             return Err("--chaos spawns its own router fleet; --addr does not apply".to_owned());
         }
-        if p.routed {
+        if p.switch("--routed") {
             return Err("--routed is implied by --chaos".to_owned());
         }
         return chaos_report(p, path);
     }
-    for (flag, set) in [
-        ("--backends", p.backends.is_some()),
-        ("--backend-workers", p.backend_workers.is_some()),
-        ("--kills", p.kills.is_some()),
-        ("--fault-every", p.fault_every.is_some()),
-        ("--max-delay-ms", p.max_delay_ms.is_some()),
-        ("--journal-tail", p.journal_tail.is_some()),
-    ] {
-        if set {
-            return Err(format!("{flag} requires --chaos (the spawned-fleet mode)"));
-        }
+    let fleet = [
+        "--backends",
+        "--backend-workers",
+        "--kills",
+        "--fault-every",
+        "--max-delay-ms",
+        "--journal-tail",
+    ];
+    p.require(&fleet, "--chaos (the spawned-fleet mode)")?;
+    // Only resumable sessions draw ids from the seed.
+    if !p.switch("--routed") {
+        p.require(&["--seed"], "--routed or --chaos")?;
     }
-    let addr = p.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let sessions = p.sessions.unwrap_or(4);
-    let concurrency = p.jobs.unwrap_or_else(fireguard_soc::default_workers);
+    let addr = p.text("--addr").unwrap_or(DEFAULT_ADDR);
+    let sessions = p.num("--sessions").unwrap_or(4);
+    let concurrency = p
+        .num("--jobs")
+        .unwrap_or_else(fireguard_soc::default_workers);
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
     let session = SessionConfig::from_experiment(&cfg, meta.baseline_cycles);
@@ -431,10 +448,10 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
     let opts = LoadgenOptions {
         sessions,
         concurrency,
-        batch: p.batch.unwrap_or(fireguard_server::DEFAULT_BATCH),
-        duration: p.duration_secs.map(std::time::Duration::from_secs_f64),
-        bucket: std::time::Duration::from_millis(p.bucket_ms.unwrap_or(1000)),
-        routed: p.routed.then(|| p.seed.unwrap_or(42)),
+        batch: p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH),
+        duration: p.seconds("--duration"),
+        bucket: Duration::from_millis(p.num("--bucket-ms").unwrap_or(1000)),
+        routed: p.switch("--routed").then(|| p.num("--seed").unwrap_or(42)),
         trace: trace_sink(p)?,
     };
     let agg = run_loadgen(addr, &session, Arc::new(events), &opts);
@@ -470,7 +487,7 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
                 .to_owned(),
         );
     }
-    if p.format == fireguard_soc::Format::Jsonl {
+    if p.format() == fireguard_soc::Format::Jsonl {
         // Machine-readable runs surface the pool shape (mirrors the
         // sweep's workers= line) so throughput numbers are
         // self-documenting.
@@ -612,33 +629,35 @@ fn bucket_table(buckets: &[fireguard_server::LatencyBucket]) -> Table {
 /// assertion is a command error (non-zero exit), because this subcommand
 /// doubles as the CI chaos gate.
 fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
-    if !p.chaos_net && (p.fault_every.is_some() || p.max_delay_ms.is_some()) {
+    let (fault_every, max_delay_ms) = (p.num("--fault-every"), p.num("--max-delay-ms"));
+    let chaos_net = p.switch("--chaos-net");
+    if !chaos_net && (fault_every.is_some() || max_delay_ms.is_some()) {
         return Err("--fault-every / --max-delay-ms require --chaos-net".to_owned());
     }
-    let wire_faults = p.chaos_net.then(|| {
+    let wire_faults = chaos_net.then(|| {
         let d = WireFaults::default();
         WireFaults {
-            fault_every: p.fault_every.unwrap_or(d.fault_every),
-            max_delay_ms: p.max_delay_ms.unwrap_or(d.max_delay_ms),
+            fault_every: fault_every.unwrap_or(d.fault_every),
+            max_delay_ms: max_delay_ms.unwrap_or(d.max_delay_ms),
         }
     });
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
     let session = SessionConfig::from_experiment(&cfg, meta.baseline_cycles);
     let opts = ChaosOptions {
-        sessions: p.sessions.unwrap_or(8),
-        concurrency: p.jobs.unwrap_or(8),
-        batch: p.batch.unwrap_or(fireguard_server::DEFAULT_BATCH),
-        duration: p.duration_secs.map(std::time::Duration::from_secs_f64),
-        backends: p.backends.unwrap_or(2),
-        backend_workers: p.backend_workers.unwrap_or(2),
-        kills: p.kills.unwrap_or(4),
-        seed: p.seed.unwrap_or(7),
+        sessions: p.num("--sessions").unwrap_or(8),
+        concurrency: p.num("--jobs").unwrap_or(8),
+        batch: p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH),
+        duration: p.seconds("--duration"),
+        backends: p.num("--backends").unwrap_or(2),
+        backend_workers: p.num("--backend-workers").unwrap_or(2),
+        kills: p.num("--kills").unwrap_or(4),
+        seed: p.num("--seed").unwrap_or(7),
         drop_client_after_acks: None,
         observe_every: fireguard_server::OBSERVE_EVERY,
         wire_faults,
         journal_tail: p
-            .journal_tail
+            .num("--journal-tail")
             .unwrap_or(fireguard_server::DEFAULT_JOURNAL_TAIL),
         trace: trace_sink(p)?,
     };
@@ -687,7 +706,7 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
          ({} detections each)",
         reference.detections.len()
     ));
-    if p.format == fireguard_soc::Format::Jsonl {
+    if p.format() == fireguard_soc::Format::Jsonl {
         r.text(format!("workers={}", opts.concurrency));
         r.text(format!("backends={}", opts.backends));
         if opts.wire_faults.is_some() {
@@ -747,7 +766,7 @@ fn run_foreground<A>(
     args: Result<A, String>,
     start: impl FnOnce(A, Option<Arc<TraceSink>>) -> Result<Started, (i32, String)>,
 ) -> i32 {
-    if p.format != fireguard_soc::Format::Human {
+    if p.format() != fireguard_soc::Format::Human {
         // These commands print plain announcement lines, not a Report;
         // honoring the never-silently-ignore contract beats accepting the
         // flag.
@@ -783,12 +802,14 @@ fn run_foreground<A>(
 pub fn serve_cmd(p: &Parsed) -> i32 {
     run_foreground(p, "serve", Ok(()), |(), trace| {
         let opts = fireguard_server::ServeOptions {
-            addr: p.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
-            workers: p.workers.unwrap_or_else(fireguard_soc::default_workers),
-            max_sessions: p.max_sessions,
+            addr: p.text("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+            workers: p
+                .num("--workers")
+                .unwrap_or_else(fireguard_soc::default_workers),
+            max_sessions: p.num("--max-sessions"),
             observe_every: fireguard_server::OBSERVE_EVERY,
-            metrics_addr: p.metrics_addr.clone(),
-            idle_timeout: idle_timeout(p),
+            metrics_addr: p.text("--metrics-addr").map(str::to_owned),
+            idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
             trace,
         };
         let workers = opts.workers;
@@ -813,7 +834,7 @@ pub const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:4781";
 
 /// Runs the router tier in the foreground; returns the process exit code.
 pub fn router_cmd(p: &Parsed) -> i32 {
-    let backends = match (p.backends, p.backend_addrs.as_deref()) {
+    let backends = match (p.num("--backends"), p.text("--backend-addrs")) {
         (Some(_), Some(_)) => {
             Err("--backends (spawn) and --backend-addrs (extern) are mutually exclusive".to_owned())
         }
@@ -826,7 +847,8 @@ pub fn router_cmd(p: &Parsed) -> i32 {
         // `--resume-journals <dir>` implies journaling into that directory;
         // naming a *different* `--journal-dir` alongside it would recover
         // into one place while journaling into another — reject the split.
-        let journal_dir = match (p.journal_dir.as_deref(), p.resume_journals.as_deref()) {
+        let resume = p.text("--resume-journals");
+        let journal_dir = match (p.text("--journal-dir"), resume) {
             (Some(a), Some(b)) if a != b => {
                 return Err((
                     2,
@@ -840,22 +862,20 @@ pub fn router_cmd(p: &Parsed) -> i32 {
             (None, None) => None,
         };
         let defaults = fireguard_server::RouterOptions::default();
-        let journal_tail = p.journal_tail.unwrap_or(defaults.journal_tail);
         let opts = fireguard_server::RouterOptions {
-            addr: p
-                .addr
-                .clone()
-                .unwrap_or_else(|| DEFAULT_ROUTER_ADDR.to_owned()),
+            addr: p.text("--addr").unwrap_or(DEFAULT_ROUTER_ADDR).to_owned(),
             backends,
-            backend_workers: p.backend_workers.unwrap_or(2),
-            max_sessions: p.max_sessions,
-            metrics_addr: p.metrics_addr.clone(),
-            idle_timeout: idle_timeout(p),
-            max_live_sessions: p.max_live_sessions,
-            max_buffered_bytes: p.max_buffered_mb.map(|mb| mb * (1 << 20)),
+            backend_workers: p.num("--backend-workers").unwrap_or(2),
+            max_sessions: p.num("--max-sessions"),
+            metrics_addr: p.text("--metrics-addr").map(str::to_owned),
+            idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
+            max_live_sessions: p.num("--max-live-sessions"),
+            max_buffered_bytes: p
+                .num("--max-buffered-mb")
+                .map(|mb: u64| mb.saturating_mul(1 << 20)),
             journal_dir,
-            resume_journals: p.resume_journals.is_some(),
-            journal_tail,
+            resume_journals: resume.is_some(),
+            journal_tail: p.num("--journal-tail").unwrap_or(defaults.journal_tail),
             trace,
             ..defaults
         };
@@ -891,20 +911,16 @@ pub const DEFAULT_NETEM_ADDR: &str = "127.0.0.1:4782";
 /// (drops, delays, duplicates, truncations, corruptions, disconnects).
 pub fn chaos_net_cmd(p: &Parsed) -> i32 {
     let upstream = p
-        .upstream
-        .clone()
+        .text("--upstream")
         .ok_or_else(|| "chaos-net requires --upstream <host:port> (the honest address)".to_owned());
     run_foreground(p, "chaos-net", upstream, |upstream, trace| {
         let defaults = NetemOptions::default();
         let opts = NetemOptions {
-            listen: p
-                .addr
-                .clone()
-                .unwrap_or_else(|| DEFAULT_NETEM_ADDR.to_owned()),
-            upstream: upstream.clone(),
-            seed: p.seed.unwrap_or(defaults.seed),
-            fault_every: p.fault_every.unwrap_or(defaults.fault_every),
-            max_delay_ms: p.max_delay_ms.unwrap_or(defaults.max_delay_ms),
+            listen: p.text("--addr").unwrap_or(DEFAULT_NETEM_ADDR).to_owned(),
+            upstream: upstream.to_owned(),
+            seed: p.num("--seed").unwrap_or(defaults.seed),
+            fault_every: p.num("--fault-every").unwrap_or(defaults.fault_every),
+            max_delay_ms: p.num("--max-delay-ms").unwrap_or(defaults.max_delay_ms),
             trace,
         };
         let (seed, fault_every) = (opts.seed, opts.fault_every);
@@ -940,7 +956,7 @@ fn series_total(samples: &[Sample], name: &str) -> Option<u64> {
 /// (`backend`-labelled series), so scraping a router counts its whole
 /// fleet.
 pub fn stats_report(p: &Parsed) -> Result<Report, String> {
-    let spec = p.addr.as_deref().ok_or(
+    let spec = p.text("--addr").ok_or(
         "stats requires --addr <host:port[,host:port,...]> naming one or more \
          --metrics-addr endpoints",
     )?;

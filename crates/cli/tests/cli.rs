@@ -493,6 +493,87 @@ fn trace_subcommand_errors_are_actionable() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
 }
 
+/// A flag whose mode is off would be silently ignored, so it is refused
+/// instead: campaign flags need `--attacks`, fleet flags need `--chaos`,
+/// and plain loadgen has no use for `--seed`.
+#[test]
+fn flags_without_their_mode_are_refused() {
+    let dir = std::env::temp_dir().join(format!("fgt-mode-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fgt = dir.join("dedup.fgt");
+    let fgt_s = fgt.to_str().unwrap();
+    for (args, message) in [
+        (
+            &[
+                "sweep",
+                "--workloads",
+                "dedup",
+                "--kernel",
+                "pmc",
+                "--attack-count",
+                "5",
+            ][..],
+            "--attack-count requires --attacks",
+        ),
+        (
+            &[
+                "trace",
+                "record",
+                "--workload",
+                "dedup",
+                "--insts",
+                "2000",
+                "--out",
+                fgt_s,
+                "--attack-start",
+                "100",
+            ],
+            "--attack-start requires --attacks",
+        ),
+        (
+            &["loadgen", "--trace", fgt_s, "--seed", "5"],
+            "--seed requires --routed or --chaos",
+        ),
+        (
+            &["loadgen", "--trace", fgt_s, "--kills", "2"],
+            "--kills requires --chaos (the spawned-fleet mode)",
+        ),
+    ] {
+        let out = fireguard(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, format!("fireguard: {message}\n"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    assert!(!fgt.exists(), "a refused recording must not be written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal-spill budget too large to count in bytes is no budget, not
+/// an overflow (a panic in debug builds, a wrap to zero in release).
+#[test]
+fn an_uncountable_spill_budget_does_not_overflow() {
+    let out = fireguard(&[
+        "router",
+        "--addr",
+        "127.0.0.1:0",
+        "--backends",
+        "1",
+        "--backend-workers",
+        "1",
+        "--max-sessions",
+        "0",
+        "--max-buffered-mb",
+        "17592186044416", // 2^44 MiB = 2^64 bytes
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn help_and_version_exit_0() {
     let help = fireguard(&["--help"]);

@@ -1391,7 +1391,7 @@ impl<'a> Driver<'a> {
             let wait = if self.client_alive {
                 // Twice the per-read idle budget: both legs must be
                 // silent that long before the session counts as wedged.
-                self.shared.idle_timeout * 2
+                self.shared.idle_timeout.saturating_mul(2)
             } else {
                 Duration::from_millis(25)
             };

@@ -502,6 +502,45 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An idle timeout too long to double (`--idle-timeout 1e19` on the
+/// CLI) must not overflow the router's wedge budget: a plain session
+/// through such a router still ends with the offline summary.
+#[test]
+fn an_unbounded_idle_timeout_still_serves_a_session() {
+    let router = route(RouterOptions {
+        idle_timeout: Duration::MAX,
+        ..router_opts()
+    })
+    .expect("router starts");
+    let cfg = attack_experiment("ferret", 3_000);
+    let offline = run_fireguard(&cfg);
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let session = SessionConfig::from_experiment(&cfg, base);
+    let events = Arc::new(capture_events(&cfg));
+    // On a deadline, so a router session that dies midway fails the test
+    // instead of leaving the client waiting forever.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let addr = router.local_addr().to_string();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(run_session(&addr, &session, events, 512));
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the routed session ends within 60 s")
+        .expect("the routed session completes");
+    client.join().expect("the client thread exits cleanly");
+    assert_eq!(out.summary.committed, offline.committed);
+    assert_eq!(out.summary.cycles, offline.cycles);
+    assert_eq!(out.summary.packets, offline.packets);
+    assert_eq!(out.summary.slowdown.to_bits(), offline.slowdown.to_bits());
+    assert_eq!(out.summary.detections as usize, offline.detections.len());
+    assert_eq!(
+        detection_keys(&out.alarms),
+        detection_keys(&offline.detections)
+    );
+    router.shutdown();
+}
+
 /// A plain `serve` is not a router: the SESSION frame is refused with an
 /// ERROR, so a misdirected resumable client fails fast and loudly.
 #[test]
