@@ -419,6 +419,9 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         if p.switch("--routed") {
             return Err("--routed is implied by --chaos".to_owned());
         }
+        if p.num::<u64>("--bucket-ms").is_some() {
+            return Err("--chaos has no latency histogram; --bucket-ms does not apply".to_owned());
+        }
         return chaos_report(p, path);
     }
     let fleet = [

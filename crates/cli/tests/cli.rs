@@ -538,6 +538,10 @@ fn flags_without_their_mode_are_refused() {
             &["loadgen", "--trace", fgt_s, "--kills", "2"],
             "--kills requires --chaos (the spawned-fleet mode)",
         ),
+        (
+            &["loadgen", "--trace", fgt_s, "--chaos", "--bucket-ms", "5"],
+            "--chaos has no latency histogram; --bucket-ms does not apply",
+        ),
     ] {
         let out = fireguard(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -1,5 +1,6 @@
-//! The client side of a streaming session: connect, negotiate, stream a
-//! pre-captured event vector, and collect the online alarms + summary.
+//! The client side of a streaming session: connect, send the HELLO,
+//! stream a pre-captured event vector, and collect the online alarms +
+//! summary.
 //!
 //! Sending and receiving run on separate threads (events out, frames in),
 //! so a long session can never deadlock on full TCP buffers in both
@@ -11,7 +12,7 @@
 use crate::net::lock;
 use crate::proto::{
     decode_ack, decode_alarms, FrameReader, FrameWriter, SessionConfig, SessionTicket, Summary,
-    ACK, ALARMS, BUSY, CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, SESSION, SUMMARY,
+    ACK, ALARMS, BUSY, END, ERROR, EVENTS, HELLO, SESSION, SUMMARY,
 };
 use fireguard_soc::Detection;
 use fireguard_trace::codec::EventEncoder;
@@ -224,13 +225,7 @@ pub fn run_routed_session(
     events: Arc<Vec<TraceInst>>,
     opts: RoutedOptions,
 ) -> Result<RoutedOutcome, ClientError> {
-    // Routed sessions always negotiate per-frame checksums: the wire
-    // between client, router, and backend is exactly where failover and
-    // resume make silent corruption most dangerous (a duplicated or
-    // damaged delta batch decodes to *plausible* garbage).
-    let hello = cfg
-        .encode_with_caps(CAP_FRAME_CHECKSUM)
-        .map_err(ClientError::Config)?;
+    let hello = cfg.encode().map_err(ClientError::Config)?;
     let started = Instant::now();
     let batch = opts.batch.max(1);
 
@@ -335,15 +330,12 @@ fn attempt(
 ) -> Result<(Attempt, Sent), ClientError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    // Everything a router sends after the handshake is checksummed (the
-    // routed HELLO always carries CAP_FRAME_CHECKSUM); ERROR and BUSY are
-    // exempt by protocol, so pre-handshake refusals still parse.
     let routed = ticket.is_some();
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?), routed);
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
 
-    // The handshake frames (SESSION, HELLO) travel plain; a resume sends
-    // its ticket alone.
-    let mut writer = FrameWriter::new(BufWriter::new(stream.try_clone()?), false);
+    // The handshake: a routed ticket, then the HELLO; a resume sends its
+    // ticket alone.
+    let mut writer = FrameWriter::new(BufWriter::new(stream.try_clone()?));
     if let Some(t) = ticket {
         writer.write(SESSION, &t.encode())?;
     }
@@ -352,7 +344,6 @@ fn attempt(
         writer.write(HELLO, hello)?;
     }
     writer.flush()?;
-    writer.set_checked(routed);
 
     // Where the (re)play starts: a fresh session streams everything; a
     // resume first hears the router's ACK for what it already buffered.
@@ -385,8 +376,8 @@ fn attempt(
     };
 
     // The write side is shared with the sender thread: a routed session's
-    // terminal delivery ACK (below) must ride the *same* checked writer so
-    // the per-connection frame index stays continuous.
+    // terminal delivery ACK (below) must ride the *same* writer so the
+    // per-connection frame index stays continuous.
     let writer = Arc::new(Mutex::new(writer));
     let sender = {
         let events = Arc::clone(events);

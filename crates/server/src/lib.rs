@@ -4,7 +4,7 @@
 //! stream off a fast core into decoupled guardian engines at line rate.
 //! This crate turns the closed-loop simulator into a long-lived service:
 //! a std-only threaded TCP server ([`serve`]) accepts concurrent client
-//! sessions, each negotiating a per-session [`SessionConfig`] in a HELLO
+//! sessions, each declaring a per-session [`SessionConfig`] in a HELLO
 //! frame, streaming framed commit events (the same binary batches a
 //! `.fgt` recording holds), and receiving alarm/summary frames online
 //! while the analysis runs.
@@ -61,10 +61,7 @@ pub use journal::{recover_journals, Journal, JournalGauges, DEFAULT_JOURNAL_TAIL
 pub use loadgen::{run_loadgen, LatencyBucket, LoadgenOptions, LoadgenOutcome};
 pub use metrics::{scrape, serve_metrics, MetricsHandle, SampleSource};
 pub use netem::{netem, NetemHandle, NetemOptions};
-pub use proto::{
-    SessionConfig, SessionTicket, Summary, CAP_FRAME_CHECKSUM, CAP_WIDE_VERDICT, PROTO_V1,
-    PROTO_V2, PROTO_VERSION, V1_MAX_KERNELS,
-};
+pub use proto::{SessionConfig, SessionTicket, Summary, PROTO_VERSION};
 pub use ring::{Ring, DEFAULT_REPLICAS};
 pub use router::{route, BackendMode, RouterHandle, RouterOptions};
 pub use service::{fleet_samples, serve, ServeOptions, ServerHandle, OBSERVE_EVERY};

@@ -18,8 +18,8 @@
 //! Every lossy fault also severs the connection immediately after the
 //! damage: a real broken link does not politely resynchronize, and the
 //! framed protocol has no way to skip garbage mid-stream — recovery is
-//! the *session* layer's job (resume tickets + [`CAP_FRAME_CHECKSUM`]
-//! detection), which is exactly the machinery under test.
+//! the *session* layer's job (resume tickets + frame-checksum detection),
+//! which is exactly the machinery under test.
 //!
 //! Two frame classes are never faulted: the first `HANDSHAKE_GRACE` (2)
 //! frames of each direction (SESSION/HELLO — damaging the handshake
@@ -30,18 +30,17 @@
 //! fair game; the chaos contract (zero lost sessions, detections
 //! bit-identical to offline) must hold anyway.
 //!
-//! The proxy parses frames (it must know byte boundaries and whether a
-//! trailing checksum word is present) but never re-encodes them:
-//! forwarded frames are bit-identical to what was read. It accepts
+//! The proxy parses frames (it must know byte boundaries; the tag says
+//! whether a checksum word follows, [`checksummed`]) but never re-encodes
+//! them: forwarded frames are bit-identical to what was read. It accepts
 //! through the tier's one `Listener` and splices each connection on its
 //! own thread pair.
 
 use crate::net::{lock, Listener};
-use crate::proto::{hello_caps, BUSY, CAP_FRAME_CHECKSUM, ERROR, HELLO, MAX_FRAME, SESSION};
+use crate::proto::{checksummed, BUSY, ERROR, MAX_FRAME};
 use fireguard_telemetry::TraceSink;
 use fireguard_trace::codec::{put_uvarint, read_uvarint};
 use fireguard_trace::SimRng;
-use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,12 +146,6 @@ pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
     let faults = Arc::new(AtomicU64::new(0));
     let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
     let pairs: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    // Session id → negotiated capability bits, shared across connections.
-    // A resume connection opens with SESSION alone (no HELLO), yet both
-    // sides immediately speak checksummed frames under the caps agreed on
-    // the *original* connection — the proxy must remember them to keep
-    // parsing frame boundaries correctly.
-    let registry: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
 
     let listener = {
         let faults = Arc::clone(&faults);
@@ -168,9 +161,8 @@ pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
             let opts = opts.clone();
             let faults = Arc::clone(&faults);
             let conns = Arc::clone(&conns);
-            let registry = Arc::clone(&registry);
             let h = std::thread::spawn(move || {
-                splice(client, index, &opts, &faults, &conns, &registry);
+                splice(client, index, &opts, &faults, &conns);
             });
             lock(&pairs).push(h);
         })?
@@ -191,7 +183,6 @@ fn splice(
     opts: &NetemOptions,
     faults: &Arc<AtomicU64>,
     conns: &Arc<Mutex<Vec<TcpStream>>>,
-    registry: &Arc<Mutex<HashMap<u64, u64>>>,
 ) {
     let _ = client.set_nodelay(true);
     let upstream = match TcpStream::connect(&opts.upstream) {
@@ -206,21 +197,11 @@ fn splice(
         lock(conns).push(u);
     }
 
-    // The client→server pump parses the handshake (SESSION ticket and/or
-    // HELLO) and publishes the session's capability bits so both
-    // directions agree on whether frames carry a trailing checksum word.
-    // A fresh connection learns caps from its HELLO; a resume connection
-    // carries only a SESSION ticket, so caps come from the proxy-global
-    // registry populated when the session first negotiated.
-    let caps = Arc::new(AtomicU64::new(0));
-    let pump_cfg = |dir: &'static str, dir_salt: u64, parse_handshake: bool| PumpCfg {
+    let pump_cfg = |dir: &'static str, dir_salt: u64| PumpCfg {
         dir,
         seed: pump_seed(opts.seed, index, dir_salt),
         fault_every: opts.fault_every,
         max_delay_ms: opts.max_delay_ms,
-        parse_handshake,
-        caps: Arc::clone(&caps),
-        registry: Arc::clone(registry),
         faults: Arc::clone(faults),
         trace: opts.trace.clone(),
     };
@@ -230,10 +211,10 @@ fn splice(
             let _ = upstream.shutdown(Shutdown::Both);
             return;
         };
-        let cfg = pump_cfg("c2s", 0x0C25, true);
+        let cfg = pump_cfg("c2s", 0x0C25);
         std::thread::spawn(move || pump(from, to, cfg))
     };
-    pump(upstream, client, pump_cfg("s2c", 0x52C5, false));
+    pump(upstream, client, pump_cfg("s2c", 0x52C5));
     let _ = c2s.join();
 }
 
@@ -246,46 +227,18 @@ struct PumpCfg {
     seed: u64,
     fault_every: u64,
     max_delay_ms: u64,
-    parse_handshake: bool,
-    caps: Arc<AtomicU64>,
-    registry: Arc<Mutex<HashMap<u64, u64>>>,
     faults: Arc<AtomicU64>,
     trace: Option<Arc<TraceSink>>,
 }
 
-/// ERROR and BUSY are checksum-exempt on the wire *and* fault-exempt in
-/// the proxy (see module docs).
+/// ERROR and BUSY pass the proxy unfaulted (see module docs).
 fn exempt(tag: u8) -> bool {
     tag == ERROR || tag == BUSY
 }
 
-/// Frames that are always plain regardless of negotiated caps: the
-/// checksum-exempt verdict frames plus the handshake frames themselves
-/// (SESSION/HELLO precede — or on resume, replace — the negotiation).
-fn always_plain(tag: u8) -> bool {
-    exempt(tag) || tag == SESSION || tag == HELLO
-}
-
-/// One raw frame as it appeared on the wire: the tag, the full byte
-/// image (header ‖ payload ‖ optional checksum word), and where the
-/// payload starts within it.
-struct RawFrame {
-    tag: u8,
-    bytes: Vec<u8>,
-    payload_at: usize,
-    payload_len: usize,
-}
-
-/// Reads one raw frame. Whether a trailing checksum word follows the
-/// payload depends on the *tag* (ERROR/BUSY and the handshake frames are
-/// always plain) and on capability bits that another thread may publish
-/// while this read is blocked — so the decision is made by the
-/// `is_checked` callback only *after* the tag byte has arrived, never
-/// from a value snapshotted before the blocking read began.
-fn read_raw<R: Read>(
-    r: &mut R,
-    is_checked: impl FnOnce(u8) -> bool,
-) -> io::Result<Option<RawFrame>> {
+/// Reads one raw frame: its tag and its full byte image (header ‖ payload
+/// ‖ the checksum word, when the tag carries one).
+fn read_raw<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut tag = [0u8; 1];
     loop {
         match r.read(&mut tag) {
@@ -306,19 +259,10 @@ fn read_raw<R: Read>(
     let mut bytes = vec![tag[0]];
     put_uvarint(&mut bytes, len);
     let payload_at = bytes.len();
-    bytes.resize(payload_at + len as usize, 0);
+    let sum = if checksummed(tag[0]) { 4 } else { 0 };
+    bytes.resize(payload_at + len as usize + sum, 0);
     r.read_exact(&mut bytes[payload_at..])?;
-    if is_checked(tag[0]) {
-        let mut sum = [0u8; 4];
-        r.read_exact(&mut sum)?;
-        bytes.extend_from_slice(&sum);
-    }
-    Ok(Some(RawFrame {
-        tag: tag[0],
-        bytes,
-        payload_at,
-        payload_len: len as usize,
-    }))
+    Ok(Some((tag[0], bytes)))
 }
 
 fn sever(a: &TcpStream, b: &TcpStream) {
@@ -349,43 +293,15 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
     } else {
         gap(&mut rng)
     };
-    let mut pending_session: Option<u64> = None;
     let mut forwarded = 0u64;
     loop {
-        let caps = &cfg.caps;
-        let frame = match read_raw(&mut r, |tag| {
-            !always_plain(tag) && caps.load(Ordering::Relaxed) & CAP_FRAME_CHECKSUM != 0
-        }) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => {
-                sever(&from_raw, &to);
-                return;
-            }
+        let Ok(Some((tag, mut bytes))) = read_raw(&mut r) else {
+            sever(&from_raw, &to);
+            return;
         };
-        if cfg.parse_handshake {
-            let payload = &frame.bytes[frame.payload_at..frame.payload_at + frame.payload_len];
-            if frame.tag == SESSION {
-                // Ticket payload leads with `uvarint id`. A resume ticket
-                // for a session this proxy has seen negotiate restores its
-                // caps *before* the frame is forwarded, so the upstream's
-                // immediate checksummed ACK parses correctly.
-                if let Ok(id) = read_uvarint(&mut &payload[..]) {
-                    if let Some(&c) = lock(&cfg.registry).get(&id) {
-                        cfg.caps.store(c, Ordering::Relaxed);
-                    }
-                    pending_session = Some(id);
-                }
-            } else if frame.tag == HELLO {
-                let c = hello_caps(payload);
-                cfg.caps.store(c, Ordering::Relaxed);
-                if let Some(id) = pending_session {
-                    lock(&cfg.registry).insert(id, c);
-                }
-            }
-        }
         // ERROR/BUSY pass untouched and don't advance the fault clock.
-        if exempt(frame.tag) {
-            if to.write_all(&frame.bytes).is_err() {
+        if exempt(tag) {
+            if to.write_all(&bytes).is_err() {
                 sever(&from_raw, &to);
                 return;
             }
@@ -397,7 +313,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
             due == 0
         };
         if !fire {
-            if to.write_all(&frame.bytes).is_err() {
+            if to.write_all(&bytes).is_err() {
                 sever(&from_raw, &to);
                 return;
             }
@@ -414,7 +330,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
                     ("dir", cfg.dir.into()),
                     ("kind", FAULT_KINDS[kind].into()),
                     ("frame", forwarded.into()),
-                    ("tag", u64::from(frame.tag).into()),
+                    ("tag", u64::from(tag).into()),
                 ],
             );
         }
@@ -423,7 +339,7 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
             0 => {
                 let ms = rng.range_u64(0, cfg.max_delay_ms.max(1) + 1);
                 std::thread::sleep(Duration::from_millis(ms));
-                if to.write_all(&frame.bytes).is_err() {
+                if to.write_all(&bytes).is_err() {
                     sever(&from_raw, &to);
                     return;
                 }
@@ -436,7 +352,6 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
             // corrupt: flip one byte past the tag (never the tag itself —
             // a forged ERROR tag would fake a terminal verdict).
             2 => {
-                let mut bytes = frame.bytes;
                 let at = 1 + rng.range_usize(bytes.len() - 1);
                 bytes[at] ^= 1 + rng.range_usize(255) as u8;
                 let _ = to.write_all(&bytes);
@@ -445,16 +360,16 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
             }
             // truncate: a prefix leaves, the tail never does.
             3 => {
-                let cut = rng.range_usize(frame.bytes.len());
-                let _ = to.write_all(&frame.bytes[..cut]);
+                let cut = rng.range_usize(bytes.len());
+                let _ = to.write_all(&bytes[..cut]);
                 sever(&from_raw, &to);
                 return;
             }
             // duplicate: the frame arrives twice (index-bound checksums
             // make the receiver catch the replay).
             4 => {
-                let _ = to.write_all(&frame.bytes);
-                let _ = to.write_all(&frame.bytes);
+                let _ = to.write_all(&bytes);
+                let _ = to.write_all(&bytes);
                 sever(&from_raw, &to);
                 return;
             }

@@ -1,17 +1,29 @@
 //! The `fireguard-serve` wire protocol: framed messages over TCP.
 //!
 //! Every message is one **frame**: a 1-byte tag, a varint payload length,
-//! and the payload. Client→server tags are [`HELLO`], [`EVENTS`] and
-//! [`END`]; server→client tags are [`ALARMS`], [`SUMMARY`] and [`ERROR`].
+//! the payload and, on most frames, a 4-byte checksum word.
 //!
-//! | frame   | direction | payload                                          |
-//! |---------|-----------|--------------------------------------------------|
-//! | HELLO   | c → s     | protocol version + [`SessionConfig`]             |
-//! | EVENTS  | c → s     | an [`EventEncoder`] batch (`varint count ‖ events`) |
-//! | END     | c → s     | empty — the commit stream is complete            |
-//! | ALARMS  | s → c     | a batch of [`Detection`]s raised since the last   |
-//! | SUMMARY | s → c     | the session's final [`Summary`]                  |
-//! | ERROR   | s → c     | a UTF-8 message; the session is over             |
+//! | tag | frame   | direction | payload                                          |
+//! |-----|---------|-----------|--------------------------------------------------|
+//! | 1   | HELLO   | c → s     | `uvarint` [`PROTO_VERSION`] ‖ [`SessionConfig`]  |
+//! | 2   | EVENTS  | c → s     | an [`EventEncoder`] batch (`varint count ‖ events`) |
+//! | 3   | END     | c → s     | empty — the commit stream is complete            |
+//! | 4   | SESSION | c → r     | a [`SessionTicket`]; precedes HELLO when present |
+//! | 16  | ALARMS  | s → c     | a batch of [`Detection`]s raised since the last   |
+//! | 17  | SUMMARY | s → c     | the session's final [`Summary`]                  |
+//! | 18  | ERROR   | s → c     | a UTF-8 message; the session is over             |
+//! | 19  | ACK     | r ↔ c     | r → c: `uvarint` events buffered; c → r: empty, the verdict arrived |
+//! | 21  | BUSY    | r → c     | a UTF-8 reason; the fresh session is refused     |
+//!
+//! **Checksums.** Every frame except SESSION and HELLO (the handshake) and
+//! ERROR and BUSY (which can come before it) carries a trailing
+//! FNV-1a-32 word over `tag ‖ LE64 frame-index ‖ payload`, where the
+//! index counts checksummed frames per connection and direction from 0.
+//! Binding the index detects duplication, reordering and silent frame
+//! loss as well as payload corruption — essential for the stateful event
+//! delta codec, where a damaged or replayed EVENTS frame would otherwise
+//! decode into plausible garbage. The rule depends on the tag alone
+//! ([`checksummed`]), so it holds on every connection, plain or routed.
 //!
 //! Event payloads are byte-identical to the batches inside a `.fgt` file
 //! (both sides keep a stateful [`EventEncoder`]/`EventDecoder` pair per
@@ -30,23 +42,9 @@ use fireguard_trace::codec::{put_string, put_uvarint, read_uvarint, CodecError, 
 use fireguard_ucore::IsaxMode;
 use std::io::{self, Read, Write};
 
-/// Protocol version 1: the original HELLO (no capability field, verdict
-/// nibble semantics — at most [`V1_MAX_KERNELS`] kernels per session).
-pub const PROTO_V1: u64 = 1;
-/// Protocol version 2: HELLO carries a capability uvarint after the
-/// version; sessions may request packet-layout-v2 features.
-pub const PROTO_V2: u64 = 2;
-/// The newest protocol version this build speaks. A client only *emits*
-/// v2 when its config needs a v2 capability; v2 is negotiated, never
-/// assumed, so v1 peers interoperate unchanged.
-pub const PROTO_VERSION: u64 = PROTO_V2;
-/// Capability bit (v2 HELLO): the session uses the layout-v2 8-bit
-/// verdict field, lifting the kernel ceiling from [`V1_MAX_KERNELS`] to
-/// [`fireguard_soc::MAX_KERNELS`].
-pub const CAP_WIDE_VERDICT: u64 = 1 << 0;
-/// The v1 kernel ceiling (the packet layout v1 verdict nibble). A HELLO
-/// naming more kernels must negotiate [`CAP_WIDE_VERDICT`] via v2.
-pub const V1_MAX_KERNELS: usize = 4;
+/// The one protocol version this build speaks. A HELLO naming any other
+/// is refused with [`CodecError::UnsupportedVersion`].
+pub const PROTO_VERSION: u64 = 3;
 /// Hard bound on any frame payload (4 MiB) — enforced on both sides.
 pub const MAX_FRAME: u64 = 1 << 22;
 
@@ -77,24 +75,15 @@ pub const ACK: u8 = 19;
 /// router already accepted is always allowed back in.
 pub const BUSY: u8 = 21;
 
-/// Capability bit (v2 HELLO): every post-handshake frame in **both**
-/// directions carries a trailing 4-byte FNV-1a-32 checksum over
-/// `tag ‖ LE64 frame-index ‖ payload`, where the frame index counts
-/// checksummed frames per direction from 0 on each connection. Binding the
-/// index detects duplication, reordering and silent frame loss as well as
-/// payload corruption — essential for the stateful event delta codec, where
-/// a replayed EVENTS frame would otherwise decode into plausible garbage.
-/// ERROR and BUSY frames are exempt (they can precede or outlive the
-/// negotiated session) and do not advance the index.
-pub const CAP_FRAME_CHECKSUM: u64 = 1 << 1;
-
 /// ERROR payloads with this prefix mark a *transport* failure between a
 /// router and its backend (the stream died mid-session), as opposed to a
 /// semantic refusal. The router treats them as retryable: it discards the
 /// incarnation and fails the session over instead of surfacing the error.
 pub const RETRYABLE_ERROR_PREFIX: &str = "stream error: ";
 
-/// Writes one frame (`tag ‖ varint len ‖ payload`).
+/// Writes one frame with no checksum word (`tag ‖ varint len ‖ payload`):
+/// the shape of the frames [`checksummed`] exempts. Connections write
+/// through a [`FrameWriter`].
 ///
 /// # Errors
 ///
@@ -106,7 +95,8 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<(
     w.write_all(payload)
 }
 
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Reads one frame with no checksum word; `Ok(None)` on clean EOF at a
+/// frame boundary. Connections read through a [`FrameReader`].
 ///
 /// # Errors
 ///
@@ -134,11 +124,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, CodecErro
     Ok(Some((tag[0], payload)))
 }
 
-// ---- checked framing (CAP_FRAME_CHECKSUM) -----------------------------------
+/// Whether a frame with `tag` carries the trailing checksum word: every
+/// frame except the handshake (SESSION, HELLO) and the two that can come
+/// before it (ERROR, BUSY). Exempt frames do not advance the frame index.
+pub fn checksummed(tag: u8) -> bool {
+    !matches!(tag, SESSION | HELLO | ERROR | BUSY)
+}
 
-// FNV-1a-32 over `tag ‖ LE64 frame-index ‖ payload` — the per-frame
-// integrity word appended after the payload when CAP_FRAME_CHECKSUM is
-// negotiated.
+// FNV-1a-32 over `tag ‖ LE64 frame-index ‖ payload`.
 fn frame_checksum(tag: u8, index: u64, payload: &[u8]) -> u32 {
     const FNV_OFFSET: u32 = 0x811c_9dc5;
     const FNV_PRIME: u32 = 0x0100_0193;
@@ -157,56 +150,33 @@ fn frame_checksum(tag: u8, index: u64, payload: &[u8]) -> u32 {
     h
 }
 
-// ERROR and BUSY frames are never checksummed: they can be emitted before
-// the HELLO that negotiates the capability (ticket refusals, admission
-// shedding) and after a session's framing state is already torn down.
-fn checksum_exempt(tag: u8) -> bool {
-    tag == ERROR || tag == BUSY
-}
-
-/// A per-connection framed writer. In *checked* mode (negotiated via
-/// [`CAP_FRAME_CHECKSUM`]) every non-exempt frame carries a trailing
-/// 4-byte index-bound checksum; in plain mode it writes classic
-/// `tag ‖ varint len ‖ payload` frames, byte-identical to [`write_frame`].
+/// A per-connection framed writer: a [`checksummed`] frame gets its
+/// trailing index-bound checksum word, an exempt one is written as by
+/// [`write_frame`].
 #[derive(Debug)]
 pub struct FrameWriter<W: Write> {
     w: W,
-    checked: bool,
     index: u64,
 }
 
 impl<W: Write> FrameWriter<W> {
-    /// Wraps `w`; `checked` selects checksummed framing.
-    pub fn new(w: W, checked: bool) -> Self {
-        FrameWriter {
-            w,
-            checked,
-            index: 0,
-        }
+    /// Wraps `w`, a fresh connection (frame index 0).
+    pub fn new(w: W) -> Self {
+        FrameWriter { w, index: 0 }
     }
 
-    /// Switches checksummed framing on/off (used right after the
-    /// handshake frames, which always travel plain).
-    pub fn set_checked(&mut self, on: bool) {
-        self.checked = on;
-    }
-
-    /// Writes one frame under the connection's negotiated framing.
+    /// Writes one frame.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn write(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        if !self.checked || checksum_exempt(tag) {
-            return write_frame(&mut self.w, tag, payload);
+        write_frame(&mut self.w, tag, payload)?;
+        if checksummed(tag) {
+            let sum = frame_checksum(tag, self.index, payload);
+            self.w.write_all(&sum.to_le_bytes())?;
+            self.index += 1;
         }
-        let sum = frame_checksum(tag, self.index, payload);
-        let mut head = vec![tag];
-        put_uvarint(&mut head, payload.len() as u64);
-        self.w.write_all(&head)?;
-        self.w.write_all(payload)?;
-        self.w.write_all(&sum.to_le_bytes())?;
-        self.index += 1;
         Ok(())
     }
 
@@ -225,31 +195,20 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
-/// A per-connection framed reader; the dual of [`FrameWriter`]. In checked
-/// mode it verifies the trailing index-bound checksum of every non-exempt
-/// frame and fails with [`CodecError::ChecksumMismatch`] on any corruption,
-/// duplication, reordering or truncation the wire introduced.
+/// A per-connection framed reader; the dual of [`FrameWriter`]. It
+/// verifies the checksum word of every [`checksummed`] frame and fails
+/// with [`CodecError::ChecksumMismatch`] on any corruption, duplication,
+/// reordering or loss the wire introduced.
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     r: R,
-    checked: bool,
     index: u64,
 }
 
 impl<R: Read> FrameReader<R> {
-    /// Wraps `r`; `checked` selects checksummed framing.
-    pub fn new(r: R, checked: bool) -> Self {
-        FrameReader {
-            r,
-            checked,
-            index: 0,
-        }
-    }
-
-    /// Switches checksum verification on/off (used right after the
-    /// handshake frames, which always travel plain).
-    pub fn set_checked(&mut self, on: bool) {
-        self.checked = on;
+    /// Wraps `r`, a fresh connection (frame index 0).
+    pub fn new(r: R) -> Self {
+        FrameReader { r, index: 0 }
     }
 
     /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
@@ -257,47 +216,34 @@ impl<R: Read> FrameReader<R> {
     /// # Errors
     ///
     /// Everything [`read_frame`] can return, plus
-    /// [`CodecError::ChecksumMismatch`] when a checked frame fails
+    /// [`CodecError::ChecksumMismatch`] when a checksummed frame fails
     /// verification and [`CodecError::Truncated`] when the checksum word
     /// itself is cut short.
     pub fn read(&mut self) -> Result<Option<(u8, Vec<u8>)>, CodecError> {
         let Some((tag, payload)) = read_frame(&mut self.r)? else {
             return Ok(None);
         };
-        if !self.checked || checksum_exempt(tag) {
-            return Ok(Some((tag, payload)));
+        if checksummed(tag) {
+            let mut sum = [0u8; 4];
+            self.r
+                .read_exact(&mut sum)
+                .map_err(|_| CodecError::Truncated("frame checksum"))?;
+            let found = u32::from_le_bytes(sum);
+            let expected = frame_checksum(tag, self.index, &payload);
+            if found != expected {
+                return Err(CodecError::ChecksumMismatch {
+                    expected: u64::from(expected),
+                    found: u64::from(found),
+                });
+            }
+            self.index += 1;
         }
-        let mut sum = [0u8; 4];
-        self.r
-            .read_exact(&mut sum)
-            .map_err(|_| CodecError::Truncated("frame checksum"))?;
-        let found = u32::from_le_bytes(sum);
-        let expected = frame_checksum(tag, self.index, &payload);
-        if found != expected {
-            return Err(CodecError::ChecksumMismatch {
-                expected: u64::from(expected),
-                found: u64::from(found),
-            });
-        }
-        self.index += 1;
         Ok(Some((tag, payload)))
     }
 
     /// The underlying reader.
     pub fn get_mut(&mut self) -> &mut R {
         &mut self.r
-    }
-}
-
-/// Peeks the capability bits out of a HELLO payload without fully decoding
-/// it (tolerant: any malformation reads as "no capabilities"). The router
-/// uses this to pick the framing discipline for each leg while forwarding
-/// the HELLO bytes verbatim, so backends negotiate identically.
-pub fn hello_caps(payload: &[u8]) -> u64 {
-    let mut cur = Cursor::new(payload);
-    match cur.uvarint("hello version") {
-        Ok(v) if v >= PROTO_V2 => cur.uvarint("hello caps").unwrap_or(0),
-        _ => 0,
     }
 }
 
@@ -388,7 +334,7 @@ pub fn decode_ack(payload: &[u8]) -> Result<u64, CodecError> {
 
 // ---- session configuration -------------------------------------------------
 
-/// The per-session experiment negotiation carried by the HELLO frame: the
+/// The per-session experiment configuration carried by the HELLO frame: the
 /// full [`ExperimentConfig`] surface (minus the attack plan, which lives in
 /// the event stream itself) plus the pinned baseline-cycle denominator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -519,29 +465,7 @@ impl SessionConfig {
         Ok(())
     }
 
-    /// The protocol version this config goes on the wire as: [`PROTO_V1`]
-    /// whenever the session fits v1 semantics (so the bytes stay identical
-    /// to what historical encoders produced), [`PROTO_V2`] only when a v2
-    /// capability is actually needed. v2 is negotiated, never assumed.
-    pub fn wire_version(&self) -> u64 {
-        if self.kernels.len() > V1_MAX_KERNELS {
-            PROTO_V2
-        } else {
-            PROTO_V1
-        }
-    }
-
-    /// The capability bits a v2 HELLO for this config carries.
-    pub fn caps(&self) -> u64 {
-        if self.kernels.len() > V1_MAX_KERNELS {
-            CAP_WIDE_VERDICT
-        } else {
-            0
-        }
-    }
-
-    /// Encodes the HELLO payload (including the protocol version; a v2
-    /// HELLO additionally carries the capability bits right after it).
+    /// Encodes the HELLO payload (`uvarint PROTO_VERSION ‖ config`).
     ///
     /// Encoding validates first — an out-of-range config (e.g. more
     /// kernels than the verdict field holds) is refused here rather than
@@ -553,11 +477,7 @@ impl SessionConfig {
     pub fn encode(&self) -> Result<Vec<u8>, String> {
         self.validate()?;
         let mut b = Vec::new();
-        let version = self.wire_version();
-        put_uvarint(&mut b, version);
-        if version >= PROTO_V2 {
-            put_uvarint(&mut b, self.caps());
-        }
+        put_uvarint(&mut b, PROTO_VERSION);
         put_string(&mut b, &self.workload);
         put_uvarint(&mut b, self.seed);
         put_uvarint(&mut b, self.insts);
@@ -584,56 +504,18 @@ impl SessionConfig {
         Ok(b)
     }
 
-    /// Encodes the HELLO payload with `extra` capability bits OR-ed into
-    /// the negotiated set. Any extra bit forces a v2 HELLO (capabilities
-    /// only exist in v2); `encode_with_caps(0)` is byte-identical to
-    /// [`encode`](Self::encode), so historical v1 wire bytes never move.
+    /// Decodes a HELLO payload.
     ///
     /// # Errors
     ///
-    /// The [`validate`](Self::validate) refusal reason.
-    pub fn encode_with_caps(&self, extra: u64) -> Result<Vec<u8>, String> {
-        if extra == 0 {
-            return self.encode();
-        }
-        self.validate()?;
-        let mut b = Vec::new();
-        put_uvarint(&mut b, PROTO_V2);
-        put_uvarint(&mut b, self.caps() | extra);
-        let tail = self.encode()?;
-        let skip = if self.wire_version() >= PROTO_V2 {
-            2
-        } else {
-            1
-        };
-        b.extend_from_slice(&tail[skip..]);
-        Ok(b)
-    }
-
-    /// Decodes a HELLO payload (v1 or v2).
-    ///
-    /// A v1 HELLO implies an empty capability set; a v2 HELLO carries its
-    /// capability bits after the version (unknown bits are ignored for
-    /// forward compatibility). Either way, a session naming more than
-    /// [`V1_MAX_KERNELS`] kernels without [`CAP_WIDE_VERDICT`] negotiated
-    /// is refused — a v1 peer can never be handed 8-bit verdict state it
-    /// does not understand.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::UnsupportedVersion`] for a future protocol, or any
-    /// structural decode failure.
+    /// [`CodecError::UnsupportedVersion`] for any version but
+    /// [`PROTO_VERSION`], or any structural decode failure.
     pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
         let mut cur = Cursor::new(payload);
         let version = cur.uvarint("hello version")?;
-        if version != PROTO_V1 && version != PROTO_V2 {
+        if version != PROTO_VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let caps = if version >= PROTO_V2 {
-            cur.uvarint("hello caps")?
-        } else {
-            0
-        };
         let workload = cur.string(1024, "hello workload")?;
         let seed = cur.uvarint("hello seed")?;
         let insts = cur.uvarint("hello insts")?;
@@ -641,9 +523,6 @@ impl SessionConfig {
         let n_kernels = cur.u8("hello kernel count")?;
         if n_kernels as usize > MAX_KERNELS {
             return Err(CodecError::Corrupt("implausible kernel count"));
-        }
-        if n_kernels as usize > V1_MAX_KERNELS && caps & CAP_WIDE_VERDICT == 0 {
-            return Err(CodecError::Corrupt("wide verdict not negotiated"));
         }
         let mut kernels = Vec::with_capacity(n_kernels as usize);
         for _ in 0..n_kernels {
@@ -893,8 +772,8 @@ mod tests {
         }
     }
 
-    /// All six registered kernels, one µcore each — a layout-v2 session
-    /// that can only travel as a v2 HELLO.
+    /// All six registered kernels, one µcore each — a session past the
+    /// four paper kernels, using verdict bits 4 and 5.
     fn wide_config() -> SessionConfig {
         let mut cfg = sample_config();
         cfg.kernels = fireguard_soc::registry()
@@ -906,9 +785,11 @@ mod tests {
 
     #[test]
     fn hello_round_trips() {
-        let cfg = sample_config();
-        assert_eq!(SessionConfig::decode(&cfg.encode().unwrap()).unwrap(), cfg);
-        cfg.validate().expect("sample config is valid");
+        for cfg in [sample_config(), wide_config()] {
+            assert_eq!(SessionConfig::decode(&cfg.encode().unwrap()).unwrap(), cfg);
+            cfg.validate().expect("sample config is valid");
+        }
+        assert_eq!(wide_config().kernels.len(), 6, "all registered kernels");
     }
 
     /// Wire-format regression pin: the kernel bytes 0–3 decode to the four
@@ -937,13 +818,13 @@ mod tests {
         ));
         assert!(kernel_from_u8(250).is_err());
 
-        // A byte-level HELLO fixture: version 1, workload "x", seed 0,
+        // A byte-level HELLO fixture: version 3, workload "x", seed 0,
         // insts 1, baseline 0, one kernel (id byte ‖ 4 µcores), hybrid
         // model, filter width 4, MA-stage ISAX, mapper width 1. Each paper
         // kernel id must decode from these exact bytes.
         for &(wire, _) in expected {
             let payload: Vec<u8> = vec![
-                1, // protocol version
+                3, // protocol version
                 1, b'x', // workload
                 0,    // seed
                 1,    // insts
@@ -963,13 +844,13 @@ mod tests {
             );
             // And the encoder reproduces the same kernel byte (offset 7:
             // version ‖ len ‖ "x" ‖ seed ‖ insts ‖ baseline ‖ count) —
-            // a ≤4-kernel session re-encodes as byte-identical v1.
-            assert_eq!(cfg.encode().unwrap(), payload, "v1 HELLO bytes moved");
+            // the session re-encodes byte-identically.
+            assert_eq!(cfg.encode().unwrap(), payload, "HELLO bytes moved");
             assert_eq!(cfg.encode().unwrap()[7], wire, "kernel id byte moved");
         }
 
         // The same fixture with an unregistered id byte fails cleanly.
-        let mut bad: Vec<u8> = vec![1, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
+        let mut bad: Vec<u8> = vec![3, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
         assert!(SessionConfig::decode(&bad).is_err());
         bad[7] = 5; // highest registered id still decodes
         assert!(SessionConfig::decode(&bad).is_ok());
@@ -989,71 +870,16 @@ mod tests {
     fn hello_decode_rejects_garbage() {
         assert!(SessionConfig::decode(&[]).is_err());
         assert!(SessionConfig::decode(&[0xFF; 64]).is_err());
-        let mut future = sample_config().encode().unwrap();
-        future[0] = 9; // protocol version 9
-        assert!(matches!(
-            SessionConfig::decode(&future),
-            Err(CodecError::UnsupportedVersion(9))
-        ));
-    }
-
-    /// The v1↔v2 negotiation matrix: small sessions stay v1 on the wire,
-    /// wide sessions carry the capability bit, and a wide session that
-    /// *didn't* negotiate it is refused.
-    #[test]
-    fn wide_sessions_negotiate_v2() {
-        // ≤4 kernels: v1 on the wire, no caps field.
-        let small = sample_config();
-        assert_eq!(small.wire_version(), PROTO_V1);
-        assert_eq!(small.caps(), 0);
-        assert_eq!(small.encode().unwrap()[0], PROTO_V1 as u8);
-
-        // >4 kernels: v2 + CAP_WIDE_VERDICT, and it round-trips.
-        let wide = wide_config();
-        assert_eq!(wide.kernels.len(), 6, "all registered kernels");
-        assert_eq!(wide.wire_version(), PROTO_V2);
-        assert_eq!(wide.caps(), CAP_WIDE_VERDICT);
-        let bytes = wide.encode().unwrap();
-        assert_eq!(bytes[0], PROTO_V2 as u8);
-        assert_eq!(bytes[1] as u64, CAP_WIDE_VERDICT);
-        assert_eq!(SessionConfig::decode(&bytes).unwrap(), wide);
-    }
-
-    #[test]
-    fn wide_session_without_negotiated_cap_is_refused() {
-        // A v2 HELLO whose caps field lacks CAP_WIDE_VERDICT but names
-        // more than four kernels: refused, never silently accepted.
-        let mut bytes = wide_config().encode().unwrap();
-        assert_eq!(bytes[1] as u64, CAP_WIDE_VERDICT);
-        bytes[1] = 0;
-        assert!(matches!(
-            SessionConfig::decode(&bytes),
-            Err(CodecError::Corrupt("wide verdict not negotiated"))
-        ));
-
-        // A hand-built *v1* HELLO naming five kernels (caps implicitly
-        // empty) is refused the same way — a v1 peer cannot smuggle a
-        // wide session in.
-        let mut v1: Vec<u8> = vec![1, 1, b'x', 0, 1, 0, 5];
-        for wire in 0..5u8 {
-            v1.push(wire); // kernel id
-            v1.push(1); // one µcore
+        // Every version but 3 — the retired 1 and 2, and any future one —
+        // is refused before the config is read.
+        let mut other = sample_config().encode().unwrap();
+        for version in [1u8, 2, 4, 9] {
+            other[0] = version;
+            assert!(matches!(
+                SessionConfig::decode(&other),
+                Err(CodecError::UnsupportedVersion(v)) if v == u64::from(version)
+            ));
         }
-        v1.extend_from_slice(&[3, 4, 0, 1]); // model, filter, isax, mapper
-        assert!(matches!(
-            SessionConfig::decode(&v1),
-            Err(CodecError::Corrupt("wide verdict not negotiated"))
-        ));
-    }
-
-    #[test]
-    fn unknown_v2_capability_bits_are_ignored() {
-        // Forward compatibility: a future client may set bits we don't
-        // know; the session still decodes on this build.
-        let wide = wide_config();
-        let mut bytes = wide.encode().unwrap();
-        bytes[1] = (CAP_WIDE_VERDICT | (1 << 3)) as u8;
-        assert_eq!(SessionConfig::decode(&bytes).unwrap(), wide);
     }
 
     #[test]
@@ -1237,19 +1063,24 @@ mod tests {
 
     #[test]
     fn checked_frames_round_trip_and_plain_mode_matches_classic() {
-        // Plain mode: byte-identical to write_frame.
-        let mut plain = Vec::new();
-        write_frame(&mut plain, EVENTS, b"abc").unwrap();
-        let mut fw = FrameWriter::new(Vec::new(), false);
-        fw.write(EVENTS, b"abc").unwrap();
-        assert_eq!(fw.get_mut().as_slice(), plain.as_slice());
+        // An exempt frame is byte-identical to write_frame; a checksummed
+        // one is write_frame's bytes plus the 4-byte word.
+        for (tag, extra) in [(HELLO, 0), (EVENTS, 4)] {
+            let mut plain = Vec::new();
+            write_frame(&mut plain, tag, b"abc").unwrap();
+            let mut fw = FrameWriter::new(Vec::new());
+            fw.write(tag, b"abc").unwrap();
+            let framed = fw.get_mut().as_slice();
+            assert_eq!(framed.len(), plain.len() + extra, "tag {tag}");
+            assert_eq!(&framed[..plain.len()], plain.as_slice(), "tag {tag}");
+        }
 
-        // Checked mode round-trips through a checked reader.
-        let mut fw = FrameWriter::new(Vec::new(), true);
+        // Checked frames round-trip through a reader.
+        let mut fw = FrameWriter::new(Vec::new());
         fw.write(EVENTS, b"abc").unwrap();
         fw.write(END, b"").unwrap();
         let buf = std::mem::take(fw.get_mut());
-        let mut fr = FrameReader::new(buf.as_slice(), true);
+        let mut fr = FrameReader::new(buf.as_slice());
         assert_eq!(fr.read().unwrap(), Some((EVENTS, b"abc".to_vec())));
         assert_eq!(fr.read().unwrap(), Some((END, Vec::new())));
         assert_eq!(fr.read().unwrap(), None);
@@ -1257,7 +1088,7 @@ mod tests {
 
     #[test]
     fn checked_reader_detects_corruption_duplication_and_truncation() {
-        let mut fw = FrameWriter::new(Vec::new(), true);
+        let mut fw = FrameWriter::new(Vec::new());
         fw.write(EVENTS, b"payload").unwrap();
         let good = std::mem::take(fw.get_mut());
 
@@ -1265,7 +1096,7 @@ mod tests {
         let mut bad = good.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
-        let mut fr = FrameReader::new(bad.as_slice(), true);
+        let mut fr = FrameReader::new(bad.as_slice());
         assert!(matches!(
             fr.read(),
             Err(CodecError::ChecksumMismatch { .. })
@@ -1277,7 +1108,7 @@ mod tests {
         // refuses it instead.
         let mut dup = good.clone();
         dup.extend_from_slice(&good);
-        let mut fr = FrameReader::new(dup.as_slice(), true);
+        let mut fr = FrameReader::new(dup.as_slice());
         assert!(fr.read().unwrap().is_some());
         assert!(matches!(
             fr.read(),
@@ -1286,65 +1117,42 @@ mod tests {
 
         // Cut the checksum word short: clean truncation error.
         let cut = &good[..good.len() - 2];
-        let mut fr = FrameReader::new(cut, true);
+        let mut fr = FrameReader::new(cut);
         assert!(matches!(fr.read(), Err(CodecError::Truncated(_))));
     }
 
     #[test]
     fn error_and_busy_frames_are_checksum_exempt() {
-        let mut fw = FrameWriter::new(Vec::new(), true);
+        let mut fw = FrameWriter::new(Vec::new());
         fw.write(ERROR, b"nope").unwrap();
         fw.write(BUSY, b"shed").unwrap();
+        fw.write(SESSION, b"id").unwrap();
+        fw.write(HELLO, b"cfg").unwrap();
         fw.write(ALARMS, b"x").unwrap();
         let buf = std::mem::take(fw.get_mut());
 
         // The exempt frames parse with a *plain* reader…
         let mut plain = buf.as_slice();
-        assert_eq!(
-            read_frame(&mut plain).unwrap(),
-            Some((ERROR, b"nope".to_vec()))
-        );
-        assert_eq!(
-            read_frame(&mut plain).unwrap(),
-            Some((BUSY, b"shed".to_vec()))
-        );
+        for (tag, payload) in [
+            (ERROR, &b"nope"[..]),
+            (BUSY, b"shed"),
+            (SESSION, b"id"),
+            (HELLO, b"cfg"),
+        ] {
+            assert_eq!(
+                read_frame(&mut plain).unwrap(),
+                Some((tag, payload.to_vec()))
+            );
+        }
 
-        // …and a checked reader sees all three, with ALARMS carrying
+        // …and a checked reader sees all five, with ALARMS carrying
         // frame index 0 (exempt frames do not advance the index).
-        let mut fr = FrameReader::new(buf.as_slice(), true);
+        let mut fr = FrameReader::new(buf.as_slice());
         assert_eq!(fr.read().unwrap(), Some((ERROR, b"nope".to_vec())));
         assert_eq!(fr.read().unwrap(), Some((BUSY, b"shed".to_vec())));
+        assert_eq!(fr.read().unwrap(), Some((SESSION, b"id".to_vec())));
+        assert_eq!(fr.read().unwrap(), Some((HELLO, b"cfg".to_vec())));
         assert_eq!(fr.read().unwrap(), Some((ALARMS, b"x".to_vec())));
-    }
-
-    #[test]
-    fn hello_caps_peeks_without_decoding() {
-        let small = sample_config();
-        assert_eq!(hello_caps(&small.encode().unwrap()), 0);
-        let wide = wide_config();
-        assert_eq!(hello_caps(&wide.encode().unwrap()), CAP_WIDE_VERDICT);
-        let checked = small.encode_with_caps(CAP_FRAME_CHECKSUM).unwrap();
-        assert_eq!(hello_caps(&checked), CAP_FRAME_CHECKSUM);
-        // Tolerant on garbage: no capabilities, never an error.
-        assert_eq!(hello_caps(&[]), 0);
-        assert_eq!(hello_caps(&[0xFF]), 0);
-    }
-
-    #[test]
-    fn encode_with_caps_forces_v2_and_preserves_the_config() {
-        let small = sample_config();
-        // Zero extra caps: byte-identical to the classic encoding.
-        assert_eq!(small.encode_with_caps(0).unwrap(), small.encode().unwrap());
-        // An extra cap forces v2; the config still round-trips (the
-        // checksum bit is unknown to decode() and ignored).
-        let bytes = small.encode_with_caps(CAP_FRAME_CHECKSUM).unwrap();
-        assert_eq!(bytes[0] as u64, PROTO_V2);
-        assert_eq!(bytes[1] as u64, CAP_FRAME_CHECKSUM);
-        assert_eq!(SessionConfig::decode(&bytes).unwrap(), small);
-        // A wide config keeps its own caps alongside the extra one.
-        let wide = wide_config();
-        let bytes = wide.encode_with_caps(CAP_FRAME_CHECKSUM).unwrap();
-        assert_eq!(bytes[1] as u64, CAP_WIDE_VERDICT | CAP_FRAME_CHECKSUM);
-        assert_eq!(SessionConfig::decode(&bytes).unwrap(), wide);
+        assert_eq!(fr.read().unwrap(), None);
     }
 }

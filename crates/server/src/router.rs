@@ -12,10 +12,10 @@
 //! ```
 //!
 //! The router speaks the existing framed protocol *transparently*: a
-//! HELLO payload is stored opaque and forwarded verbatim (v1 and v2
-//! wide-verdict negotiation pass through unchanged), EVENTS batches are
-//! decoded into a per-session buffer and re-encoded per backend
-//! incarnation, ALARMS are decoded only to deduplicate across failovers.
+//! HELLO payload is stored opaque and forwarded verbatim (the backend
+//! judges its version and config), EVENTS batches are decoded into a
+//! per-session buffer and re-encoded per backend incarnation, ALARMS are
+//! decoded only to deduplicate across failovers.
 //! A plain [`run_session`](crate::run_session) client works unmodified; a
 //! client that opens with a [`SessionTicket`] additionally gets ACK
 //! frames and may *resume* the session on a fresh connection if its
@@ -40,8 +40,8 @@ use crate::journal::{recover_journals, Journal, JournalGauges, DEFAULT_JOURNAL_T
 use crate::metrics::{serve_metrics, MetricsHandle};
 use crate::net::{lock, send_error, Listener, LOCK_POISONS};
 use crate::proto::{
-    self, hello_caps, FrameReader, FrameWriter, SessionTicket, ACK, ALARMS, BUSY,
-    CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, RETRYABLE_ERROR_PREFIX, SESSION, SUMMARY,
+    self, FrameReader, FrameWriter, SessionTicket, ACK, ALARMS, BUSY, END, ERROR, EVENTS, HELLO,
+    RETRYABLE_ERROR_PREFIX, SESSION, SUMMARY,
 };
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
 use crate::service::{fleet_samples, serve, ServeOptions, ServerHandle};
@@ -978,19 +978,17 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
     let mut reader = match stream.try_clone() {
-        Ok(s) => FrameReader::new(BufReader::new(s), false),
+        Ok(s) => FrameReader::new(BufReader::new(s)),
         Err(_) => return,
     };
     let mut writer = match stream.try_clone() {
-        Ok(s) => FrameWriter::new(BufWriter::new(s), false),
+        Ok(s) => FrameWriter::new(BufWriter::new(s)),
         Err(_) => return,
     };
     let (_live, live_now) = LiveGuard::enter(&shared.stats.live);
 
     // Frame 1: SESSION (ticketed, resumable) or HELLO (anonymous
-    // passthrough — byte-transparent for existing clients). The
-    // handshake frames always travel plain; once the HELLO's capability
-    // bits are known, both directions switch to the negotiated framing.
+    // passthrough — byte-transparent for existing clients).
     let (key, session, ticketed, resume_from) = match reader.read() {
         Ok(Some((SESSION, payload))) => {
             let ticket = match SessionTicket::decode(&payload) {
@@ -1162,13 +1160,11 @@ impl Backend {
             .is_ok()
     }
 
-    /// Replays the journaled prefix to this incarnation. The HELLO is
-    /// plain — checked framing starts after it, per the handshake
-    /// contract — and spilled batches are decoded from disk and
-    /// re-encoded so the new backend sees one continuous delta stream.
-    fn replay(&mut self, s: &mut SessionBuf, checked: bool) -> bool {
+    /// Replays the journaled prefix to this incarnation: the stored HELLO,
+    /// then the spilled batches decoded from disk and re-encoded, so the
+    /// new backend sees one continuous delta stream.
+    fn replay(&mut self, s: &mut SessionBuf) -> bool {
         let mut ok = self.writer.write(HELLO, &s.hello).is_ok();
-        self.writer.set_checked(checked);
         if ok {
             let (w, enc) = (&mut self.writer, &mut self.enc);
             ok = s
@@ -1203,8 +1199,6 @@ struct Driver<'a> {
     key: u64,
     session: SessionRef,
     ticketed: bool,
-    /// Both legs speak checked framing (the HELLO negotiated it).
-    checked: bool,
     client: TcpStream,
     writer: FrameWriter<BufWriter<TcpStream>>,
     client_reader: JoinHandle<()>,
@@ -1230,17 +1224,12 @@ impl<'a> Driver<'a> {
     fn new(
         shared: &'a Shared,
         client: TcpStream,
-        mut reader: FrameReader<BufReader<TcpStream>>,
-        mut writer: FrameWriter<BufWriter<TcpStream>>,
+        reader: FrameReader<BufReader<TcpStream>>,
+        writer: FrameWriter<BufWriter<TcpStream>>,
         key: u64,
         session: SessionRef,
         ticketed: bool,
     ) -> Self {
-        // Both legs of a session speak the framing its HELLO negotiated —
-        // resumes included (the stored HELLO remembers).
-        let checked = hello_caps(&lock(&session).hello) & CAP_FRAME_CHECKSUM != 0;
-        reader.set_checked(checked);
-        writer.set_checked(checked);
         // The driver inbox. Unbounded by design: the router buffers the
         // whole stream anyway, and a bounded inbox could deadlock the
         // driver↔backend↔reader cycle (driver blocked writing EVENTS, the
@@ -1252,7 +1241,6 @@ impl<'a> Driver<'a> {
             key,
             session,
             ticketed,
-            checked,
             client,
             writer,
             client_reader,
@@ -1360,8 +1348,8 @@ impl<'a> Driver<'a> {
         socket: TcpStream,
     ) -> std::io::Result<Backend> {
         let _ = socket.set_nodelay(true);
-        let writer = FrameWriter::new(BufWriter::new(socket.try_clone()?), false);
-        let reader = FrameReader::new(BufReader::new(socket.try_clone()?), self.checked);
+        let writer = FrameWriter::new(BufWriter::new(socket.try_clone()?));
+        let reader = FrameReader::new(BufReader::new(socket.try_clone()?));
         self.inc += 1;
         spawn_reader(reader, Leg::Backend(self.inc), self.tx.clone());
         Ok(Backend {
@@ -1379,7 +1367,7 @@ impl<'a> Driver<'a> {
     /// Replays the journal to incarnation `b`, then pumps the inbox until
     /// a handler stops it.
     fn pump(&mut self, b: &mut Backend) -> Stop {
-        if !b.replay(&mut lock(&self.session), self.checked) {
+        if !b.replay(&mut lock(&self.session)) {
             return Stop::FailOver;
         }
         loop {
@@ -1469,8 +1457,8 @@ impl<'a> Driver<'a> {
                 self.verdict_acked = true;
                 None
             }
-            // An impossible tag on a negotiated connection is wire
-            // damage, not a client bug.
+            // An impossible tag after the handshake is wire damage, not
+            // a client bug.
             tag => self.client_fault(format!("unexpected frame tag {tag}")),
         }
     }

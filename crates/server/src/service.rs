@@ -27,8 +27,7 @@
 use crate::metrics::{serve_metrics, MetricsHandle};
 use crate::net::{lock, send_error, Listener};
 use crate::proto::{
-    self, hello_caps, FrameReader, FrameWriter, SessionConfig, Summary, ALARMS, CAP_FRAME_CHECKSUM,
-    END, EVENTS, HELLO, SUMMARY,
+    self, FrameReader, FrameWriter, SessionConfig, Summary, ALARMS, END, EVENTS, HELLO, SUMMARY,
 };
 use fireguard_soc::{try_build_system, Detection};
 use fireguard_telemetry::{FleetCounters, Sample, TraceSink};
@@ -332,11 +331,11 @@ fn handle_session(
     // with an ERROR frame.
     let _ = stream.set_read_timeout(Some(idle_timeout));
     let reader = match stream.try_clone() {
-        Ok(s) => FrameReader::new(BufReader::new(s), false),
+        Ok(s) => FrameReader::new(BufReader::new(s)),
         Err(_) => return,
     };
     let drain = stream.try_clone();
-    let mut writer = FrameWriter::new(BufWriter::new(stream), false);
+    let mut writer = FrameWriter::new(BufWriter::new(stream));
     session_inner(reader, &mut writer, observe_every, session_id, fleet, trace);
     let _ = writer.flush();
     // The session may not have consumed the client's whole stream (the
@@ -391,11 +390,6 @@ fn session_inner(
     if let Err(msg) = cfg.validate() {
         return send_error(writer, &format!("refused session: {msg}"));
     }
-    // The HELLO is plain; every frame after it speaks whatever integrity
-    // framing the client's capability bits asked for.
-    let checked = hello_caps(&hello) & CAP_FRAME_CHECKSUM != 0;
-    reader.set_checked(checked);
-    writer.set_checked(checked);
     // From here on the session counts: a decoded, validated HELLO started
     // it, and every exit path below is either ok or failed.
     fleet.sessions_started.fetch_add(1, Ordering::Relaxed);

@@ -7,8 +7,8 @@
 
 use fireguard_server::chaos::detection_keys;
 use fireguard_server::proto::{
-    self, FrameReader, FrameWriter, SessionTicket, Summary, ACK, ALARMS, BUSY, CAP_FRAME_CHECKSUM,
-    END, ERROR, EVENTS, HELLO, MAX_FRAME, SESSION, SUMMARY,
+    self, FrameReader, FrameWriter, SessionTicket, Summary, ACK, ALARMS, BUSY, END, ERROR, EVENTS,
+    HELLO, MAX_FRAME, SESSION, SUMMARY,
 };
 use fireguard_server::{
     route, run_chaos, run_routed_session, run_session, serve, BackendMode, ChaosOptions,
@@ -112,10 +112,10 @@ proptest! {
             // is a valid refusal, not a test failure.
             let _ = s.write_all(&bytes);
             let _ = s.shutdown(Shutdown::Write);
-            let mut reader = BufReader::new(s);
+            let mut reader = FrameReader::new(BufReader::new(s));
             // Anything short of a frame (clean close, torn frame) ends
             // the conversation; whole frames must be refusals.
-            while let Ok(Some((tag, _))) = proto::read_frame(&mut reader) {
+            while let Ok(Some((tag, _))) = reader.read() {
                 prop_assert!(
                     tag == ERROR || tag == BUSY || tag == ACK,
                     "garbage drew unexpected frame tag {tag}"
@@ -147,9 +147,10 @@ fn fuzzed_servers_still_complete_good_sessions() {
 // ---- mid-session corrupted frames ---------------------------------------
 
 /// A connection that completes its handshake honestly and then turns
-/// hostile — an undecodable EVENTS payload, or a frame header promising
-/// more than MAX_FRAME — draws a clean ERROR frame and a teardown, on
-/// both the serve and the router path. Never a panic, never silence.
+/// hostile — an undecodable EVENTS payload under a valid checksum, so the
+/// batch decoder is what refuses it, or a frame header promising more
+/// than MAX_FRAME — draws a clean ERROR frame and a teardown, on both the
+/// serve and the router path. Never a panic, never silence.
 #[test]
 fn corrupted_and_oversized_frames_get_clean_errors() {
     let (_, session, _) = fixture("ferret", 3_000);
@@ -179,38 +180,44 @@ fn corrupted_and_oversized_frames_get_clean_errors() {
         eprintln!("=== target {who} at {addr}");
         for payload in hostile_payloads {
             eprintln!("  case: payload len {}", payload.len());
-            assert_error_after_hello(&addr, &hello, |w| proto::write_frame(w, EVENTS, payload));
+            assert_error_after_hello(&addr, &hello, "bad EVENTS frame", |w| {
+                w.write(EVENTS, payload)
+            });
         }
         // An oversized frame header: tag + a length past MAX_FRAME. The
         // reader must reject the header without trying to buffer it.
         eprintln!("  case: oversized header");
-        assert_error_after_hello(&addr, &hello, |w| {
+        assert_error_after_hello(&addr, &hello, "frame declares", |w| {
             let mut head = vec![EVENTS];
             put_uvarint(&mut head, MAX_FRAME + 1);
-            w.write_all(&head)
+            w.get_mut().write_all(&head)
         });
     }
 }
 
 /// Sends a valid HELLO then `hostile` bytes; asserts the peer answers
-/// with an ERROR frame and then closes.
-fn assert_error_after_hello<F>(addr: &str, hello: &[u8], hostile: F)
+/// with an ERROR frame whose reason contains `want`, and then closes.
+fn assert_error_after_hello<F>(addr: &str, hello: &[u8], want: &str, hostile: F)
 where
-    F: FnOnce(&mut BufWriter<TcpStream>) -> std::io::Result<()>,
+    F: FnOnce(&mut FrameWriter<BufWriter<TcpStream>>) -> std::io::Result<()>,
 {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    let mut w = BufWriter::new(s.try_clone().expect("clone"));
-    proto::write_frame(&mut w, HELLO, hello).expect("hello");
+    let mut w = FrameWriter::new(BufWriter::new(s.try_clone().expect("clone")));
+    w.write(HELLO, hello).expect("hello");
     hostile(&mut w).expect("hostile bytes sent");
     w.flush().expect("flush");
-    let mut reader = BufReader::new(s);
+    let mut reader = FrameReader::new(BufReader::new(s));
     let mut saw_error = false;
     loop {
-        match proto::read_frame(&mut reader) {
+        match reader.read() {
             Ok(Some((ERROR, msg))) => {
-                assert!(!msg.is_empty(), "{addr}: ERROR frame carries a reason");
+                let msg = String::from_utf8_lossy(&msg);
+                assert!(
+                    msg.contains(want),
+                    "{addr}: ERROR reason {msg:?} lacks {want:?}"
+                );
                 saw_error = true;
             }
             Ok(Some(_)) => {} // ACKs and alarms racing the teardown
@@ -230,9 +237,7 @@ fn corrupted_checked_frame_is_severed_then_resume_completes() {
     let (offline, session, events) = fixture("dedup", 5_000);
     let router = route(router_opts()).expect("router starts");
     let addr = router.local_addr().to_string();
-    let hello = session
-        .encode_with_caps(CAP_FRAME_CHECKSUM)
-        .expect("valid config");
+    let hello = session.encode().expect("valid config");
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
@@ -254,7 +259,7 @@ fn corrupted_checked_frame_is_severed_then_resume_completes() {
     let payload = EventEncoder::new().encode_batch(&events[..256]);
     let mut raw = Vec::new();
     {
-        let mut fw = FrameWriter::new(&mut raw, true);
+        let mut fw = FrameWriter::new(&mut raw);
         fw.write(EVENTS, &payload).expect("render frame");
         fw.flush().expect("flush");
     }
@@ -262,7 +267,7 @@ fn corrupted_checked_frame_is_severed_then_resume_completes() {
     stream.write_all(&raw).expect("send corrupted frame");
 
     // Ticketed wire damage severs without a verdict: EOF, no ERROR.
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")), true);
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
     match reader.read() {
         Ok(None) | Err(_) => {}
         Ok(Some((tag, _))) => panic!("expected a quiet sever, got frame tag {tag}"),
@@ -286,8 +291,7 @@ fn corrupted_checked_frame_is_severed_then_resume_completes() {
 
 /// Hand-rolled SESSION-ticket resume: ACK tells us where the buffered
 /// prefix ends; we re-send the rest (freshly delta-encoded) and collect
-/// the verdict. Checked framing throughout — the session's HELLO
-/// negotiated CAP_FRAME_CHECKSUM.
+/// the verdict.
 fn manual_resume(
     addr: &str,
     id: u64,
@@ -300,7 +304,7 @@ fn manual_resume(
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")), true);
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
     {
         let mut w = BufWriter::new(stream.try_clone().expect("clone"));
         let ticket = SessionTicket {
@@ -316,7 +320,7 @@ fn manual_resume(
         other => panic!("expected ACK on resume, got {other:?}"),
     };
     assert!(start <= events.len(), "ACK within the stream");
-    let mut w = FrameWriter::new(BufWriter::new(stream), true);
+    let mut w = FrameWriter::new(BufWriter::new(stream));
     let mut enc = EventEncoder::new();
     for chunk in events[start..].chunks(batch) {
         w.write(EVENTS, &enc.encode_batch(chunk)).expect("events");
@@ -518,9 +522,7 @@ fn crashed_router_journals_are_recovered_by_resume_journals() {
 
     // The crashed router's legacy: 500 events journaled with a 64-event
     // tail, so 448 made it to disk and the RAM tail died with the process.
-    let hello = session
-        .encode_with_caps(CAP_FRAME_CHECKSUM)
-        .expect("valid config");
+    let hello = session.encode().expect("valid config");
     const PUSHED: usize = 500;
     let spilled = {
         let mut j =
@@ -556,6 +558,73 @@ fn crashed_router_journals_are_recovered_by_resume_journals() {
     assert_eq!(summary.slowdown.to_bits(), offline.slowdown.to_bits());
     let _ = spilled; // the resume ACK asserted `start <= events`; the
                      // journal's own unit tests pin start == spilled.
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable journal left by an older build fails its resume cleanly. Its
+/// `H` record holds a version-1 HELLO, which the backend refuses when the
+/// router replays it; the router forwards that refusal as the session's
+/// terminal ERROR — no panic, no hang — and then serves a fresh session.
+#[test]
+fn older_build_journal_fails_its_resume_cleanly() {
+    let dir = std::env::temp_dir().join(format!("fg-faults-old-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    // `77.idx` is one `u8 kind ‖ u32le len ‖ payload` record: kind `H`,
+    // the 13-byte version-1 HELLO for workload "x", seed 0, insts 1,
+    // baseline 0, PMC on 4 µcores, hybrid model, filter width 4, MA-stage
+    // ISAX and mapper width 1.
+    let v1_hello = [1, 1, b'x', 0, 1, 0, 1, 0, 4, 3, 4, 0, 1];
+    let mut idx = vec![b'H'];
+    idx.extend_from_slice(&(v1_hello.len() as u32).to_le_bytes());
+    idx.extend_from_slice(&v1_hello);
+    std::fs::write(dir.join("77.idx"), idx).expect("idx written");
+
+    let router = route(RouterOptions {
+        journal_dir: Some(dir.clone()),
+        resume_journals: true,
+        ..router_opts()
+    })
+    .expect("recovering router starts");
+    let addr = router.local_addr().to_string();
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let ticket = SessionTicket {
+        id: 77,
+        resume: true,
+        alarms_received: 0,
+    };
+    let mut w = FrameWriter::new(&stream);
+    w.write(SESSION, &ticket.encode()).expect("ticket");
+    let mut reader = FrameReader::new(BufReader::new(&stream));
+    match reader.read().expect("resume preamble") {
+        Some((ACK, p)) => assert_eq!(proto::decode_ack(&p).expect("ack decodes"), 0),
+        other => panic!("expected ACK on resume, got {other:?}"),
+    }
+    let msg = match reader.read().expect("a refusal, not a timeout") {
+        Some((ERROR, m)) => String::from_utf8_lossy(&m).into_owned(),
+        other => panic!("expected a terminal ERROR, got {other:?}"),
+    };
+    assert!(msg.contains("unsupported format version 1"), "got: {msg}");
+    assert!(
+        matches!(reader.read(), Ok(None)),
+        "the router closes after the verdict"
+    );
+    drop((reader, w));
+    drop(stream);
+
+    let (offline, session, events) = fixture("ferret", 3_000);
+    let out = run_routed_session(&addr, &session, events, RoutedOptions::new(78))
+        .expect("the same router serves a fresh session");
+    assert_eq!(
+        detection_keys(&out.outcome.alarms),
+        detection_keys(&offline.detections)
+    );
+    assert_eq!(out.outcome.summary.committed, offline.committed);
+    router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,14 +10,13 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Hand-encodes a HELLO in the *v1* wire shape, bypassing the library
-/// encoder's validation — for playing a legacy (or hostile) client
-/// against the server. Assumes the hybrid-model/MA-stage defaults the
-/// loopback configs here use.
+/// Hand-encodes a HELLO, bypassing the library encoder's validation —
+/// for playing a hostile client against the server. Assumes the
+/// hybrid-model/MA-stage defaults the loopback configs here use.
 fn raw_hello(cfg: &SessionConfig) -> Vec<u8> {
     use fireguard_trace::codec::{put_string, put_uvarint};
     let mut b = Vec::new();
-    put_uvarint(&mut b, 1); // protocol v1: no capability field
+    put_uvarint(&mut b, fireguard_server::PROTO_VERSION);
     put_string(&mut b, &cfg.workload);
     put_uvarint(&mut b, cfg.seed);
     put_uvarint(&mut b, cfg.insts);
@@ -343,58 +342,10 @@ fn truncated_stream_yields_partial_summary_and_error() {
     handle.shutdown();
 }
 
-/// The v1×v2 compatibility matrix, client side up: a legacy client that
-/// speaks only protocol v1 (hand-built HELLO bytes, no capability field)
-/// gets a complete session from the v2 server, and for a ≤4-kernel
-/// config the library encoder still emits those exact v1 bytes.
-#[test]
-fn v1_hello_client_still_gets_a_full_session() {
-    use fireguard_server::proto::{read_frame, write_frame, ALARMS, END, EVENTS, HELLO, SUMMARY};
-
-    let exp = ExperimentConfig::new("swaptions")
-        .kernel(KernelId::PMC, 2)
-        .insts(3_000);
-    let events = capture_events(&exp);
-    let session = SessionConfig::from_experiment(&exp, 0);
-    let payload = raw_hello(&session);
-    assert_eq!(payload[0], 1, "hand-built HELLO is protocol v1");
-    assert_eq!(
-        session.encode().expect("valid config encodes"),
-        payload,
-        "small sessions still encode as byte-identical v1"
-    );
-
-    let handle = serve(loopback_opts(1, None)).expect("bind loopback");
-    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
-    write_frame(&mut s, HELLO, &payload).unwrap();
-    let mut enc = fireguard_trace::codec::EventEncoder::new();
-    for chunk in events.chunks(512) {
-        write_frame(&mut s, EVENTS, &enc.encode_batch(chunk)).unwrap();
-    }
-    write_frame(&mut s, END, &[]).unwrap();
-    s.flush().unwrap();
-
-    let summary = loop {
-        match read_frame(&mut s).unwrap() {
-            Some((ALARMS, _)) => {}
-            Some((SUMMARY, payload)) => {
-                break fireguard_server::Summary::decode(&payload).unwrap();
-            }
-            Some((tag, msg)) => {
-                panic!("frame {tag}: {}", String::from_utf8_lossy(&msg));
-            }
-            None => panic!("connection closed before SUMMARY"),
-        }
-    };
-    assert!(summary.committed >= 3_000, "v1 session ran to completion");
-    drop(s);
-    handle.shutdown();
-}
-
-/// The tentpole end-to-end proof over the wire: all six registered
-/// kernels in one session — verdict bits 0..=5, beyond the v1 nibble —
-/// negotiate a v2 HELLO and report exactly the offline result, including
-/// alarms attributed to the high (≥4) verdict slots.
+/// The wide-verdict proof over the wire: all six registered kernels in
+/// one session — verdict bits 0..=5, beyond the paper's four kernels —
+/// report exactly the offline result, including alarms attributed to the
+/// high (≥4) verdict slots.
 #[test]
 fn six_kernel_session_matches_offline_run() {
     let plan = AttackPlan::campaign(
@@ -418,7 +369,6 @@ fn six_kernel_session_matches_offline_run() {
     let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
     let events = Arc::new(capture_events(&cfg));
     let session = SessionConfig::from_experiment(&cfg, base);
-    assert_eq!(session.wire_version(), fireguard_server::PROTO_V2);
 
     let handle = serve(loopback_opts(2, None)).expect("bind loopback");
     let out = run_session(
@@ -447,13 +397,13 @@ fn six_kernel_session_matches_offline_run() {
     assert_eq!(served, off, "per-kernel verdict slots match offline");
     assert!(
         out.alarms.iter().any(|d| d.kernel_slot >= 4),
-        "a verdict slot beyond the v1 nibble raised alarms over the wire"
+        "a verdict slot beyond the paper kernels raised alarms over the wire"
     );
 }
 
 /// Hostile capacity abuse: a HELLO naming more kernels than the verdict
-/// field holds — or a wide session without the negotiated capability —
-/// gets an ERROR frame, never a worker panic, and the service survives.
+/// field holds gets an ERROR frame, never a worker panic, and the service
+/// survives.
 #[test]
 fn oversized_hello_gets_an_error_frame() {
     use fireguard_server::proto::{read_frame, write_frame, ERROR, HELLO};
@@ -473,20 +423,6 @@ fn oversized_hello_gets_an_error_frame() {
     assert_eq!(tag, ERROR);
     assert!(
         String::from_utf8_lossy(&msg).contains("implausible kernel count"),
-        "got: {}",
-        String::from_utf8_lossy(&msg)
-    );
-    drop(s);
-
-    // Five kernels in a v1 HELLO: structurally fine, but the wide-verdict
-    // capability was never negotiated.
-    cfg.kernels = vec![(KernelId::PMC, fireguard_soc::EngineConfig::Ucores(1)); 5];
-    let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(&mut s, HELLO, &raw_hello(&cfg)).unwrap();
-    let (tag, msg) = read_frame(&mut s).unwrap().expect("server answers");
-    assert_eq!(tag, ERROR);
-    assert!(
-        String::from_utf8_lossy(&msg).contains("wide verdict not negotiated"),
         "got: {}",
         String::from_utf8_lossy(&msg)
     );
@@ -518,12 +454,13 @@ fn max_sessions_budget_stops_the_service() {
 }
 
 /// A raw listener standing in for `serve` pins the bytes a plain session
-/// puts on the wire: HELLO, the EVENTS batches and END, with nothing
-/// after them — no SESSION ticket, no checksum word, no terminal ACK.
+/// puts on the wire: HELLO, the EVENTS batches and END, each after the
+/// HELLO with its checksum word, and nothing after them — no SESSION
+/// ticket, no terminal ACK.
 #[test]
 fn plain_session_sends_hello_events_end_and_nothing_more() {
     use fireguard_server::proto::{
-        encode_alarms, read_frame, write_frame, ALARMS, END, EVENTS, HELLO, SUMMARY,
+        encode_alarms, FrameReader, FrameWriter, ALARMS, END, EVENTS, HELLO, SUMMARY,
     };
     use fireguard_server::Summary;
     use fireguard_soc::{Detection, RunResult};
@@ -554,11 +491,14 @@ fn plain_session_sends_hello_events_end_and_nothing_more() {
         let (alarms, summary) = (alarms.clone(), summary.clone());
         std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            // The reader verifies each checksummed frame's word against
+            // its tag, payload and frame index.
+            let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
             let mut frames = Vec::new();
             loop {
-                let frame = read_frame(&mut reader)
-                    .expect("whole frame")
+                let frame = reader
+                    .read()
+                    .expect("whole frame, checksum intact")
                     .expect("END before EOF");
                 let end = frame.0 == END;
                 frames.push(frame);
@@ -566,12 +506,15 @@ fn plain_session_sends_hello_events_end_and_nothing_more() {
                     break;
                 }
             }
-            let mut w = &stream;
-            write_frame(&mut w, ALARMS, &encode_alarms(&alarms)).expect("ALARMS");
-            write_frame(&mut w, SUMMARY, &summary.encode()).expect("SUMMARY");
+            let mut w = FrameWriter::new(&stream);
+            w.write(ALARMS, &encode_alarms(&alarms)).expect("ALARMS");
+            w.write(SUMMARY, &summary.encode()).expect("SUMMARY");
             stream.shutdown(Shutdown::Write).expect("close");
             let mut after = Vec::new();
-            reader.read_to_end(&mut after).expect("read to EOF");
+            reader
+                .get_mut()
+                .read_to_end(&mut after)
+                .expect("read to EOF");
             (frames, after)
         })
     };
@@ -595,4 +538,106 @@ fn plain_session_sends_hello_events_end_and_nothing_more() {
     assert_eq!(out.alarms, alarms);
     assert_eq!(out.summary, summary);
     assert_eq!(out.events_sent, events.len() as u64);
+}
+
+/// A plain session carries the frame checksum too. One flipped bit in a
+/// mid-stream EVENTS payload — a flip the event codec alone decodes into
+/// a valid batch of different events — ends the session with an ERROR
+/// naming the checksum mismatch. The partial SUMMARY comes before that
+/// ERROR, so `run_session` returns the error, never a summary computed
+/// from damaged events.
+#[test]
+fn plain_session_detects_a_corrupted_events_frame() {
+    use fireguard_server::proto::{FrameReader, FrameWriter, END, ERROR, EVENTS, HELLO, SUMMARY};
+    use fireguard_trace::codec::{EventDecoder, EventEncoder};
+    use std::io::{BufReader, Read};
+    use std::net::{Shutdown, TcpListener};
+
+    let exp = ExperimentConfig::new("swaptions")
+        .kernel(KernelId::PMC, 2)
+        .insts(3_000);
+    let events = capture_events(&exp);
+    let session = SessionConfig::from_experiment(&exp, 0);
+
+    // The bytes a client sends in 256-event frames, and a bit to flip in
+    // the third EVENTS payload.
+    let mut w = FrameWriter::new(Vec::new());
+    w.write(HELLO, &session.encode().expect("valid config"))
+        .unwrap();
+    let (mut enc, mut dec) = (EventEncoder::new(), EventDecoder::new());
+    let mut flip = None;
+    for (i, chunk) in events.chunks(256).enumerate() {
+        let payload = enc.encode_batch(chunk);
+        w.write(EVENTS, &payload).unwrap();
+        if i == 2 {
+            let at = (payload.len() / 2..payload.len())
+                .find(|&k| {
+                    let mut bad = payload.clone();
+                    bad[k] ^= 1;
+                    dec.clone()
+                        .decode_batch(&bad)
+                        .is_ok_and(|batch| batch != chunk)
+                })
+                .expect("a flip that still decodes");
+            // The 4-byte checksum word follows the payload.
+            flip = Some(w.get_mut().len() - 4 - payload.len() + at);
+        }
+        dec.decode_batch(&payload).expect("the stream decodes");
+    }
+    w.write(END, &[]).unwrap();
+    let flip = flip.expect("the session has a third EVENTS frame");
+    let mut wire = std::mem::take(w.get_mut());
+    wire[flip] ^= 1;
+
+    let handle = serve(loopback_opts(1, None)).expect("bind loopback");
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    (&stream).write_all(&wire).unwrap();
+    let mut reader = FrameReader::new(BufReader::new(&stream));
+    let mut tags = Vec::new();
+    let mut last = Vec::new();
+    while let Some((tag, payload)) = reader.read().expect("the server's frames verify") {
+        tags.push(tag);
+        last = payload;
+    }
+    drop(reader);
+    drop(stream);
+    let msg = String::from_utf8_lossy(&last).into_owned();
+    assert_eq!(tags.last(), Some(&ERROR), "the session ends with an ERROR");
+    assert!(msg.contains("checksum mismatch"), "got: {msg}");
+    let summary_at = tags.iter().position(|&t| t == SUMMARY);
+    assert_eq!(summary_at, Some(tags.len() - 2), "SUMMARY, then the ERROR");
+
+    // The same bit flipped between `run_session` and the service.
+    let relay = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let relay_addr = relay.local_addr().unwrap().to_string();
+    let upstream = handle.local_addr();
+    let relay = std::thread::spawn(move || {
+        let (mut client, _) = relay.accept().expect("accept");
+        let mut server = TcpStream::connect(upstream).expect("connect");
+        let (mut down, mut up) = (server.try_clone().unwrap(), client.try_clone().unwrap());
+        let back = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut down, &mut up);
+            let _ = up.shutdown(Shutdown::Write);
+        });
+        let (mut seen, mut buf) = (0, [0u8; 4096]);
+        while let Ok(n @ 1..) = client.read(&mut buf) {
+            if (seen..seen + n).contains(&flip) {
+                buf[flip - seen] ^= 1;
+            }
+            seen += n;
+            if server.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = server.shutdown(Shutdown::Write);
+        back.join().expect("relay back-copy");
+    });
+    let err = run_session(&relay_addr, &session, Arc::new(events), 256)
+        .expect_err("a damaged stream is an error, not a summary");
+    match err {
+        ClientError::Server(msg) => assert!(msg.contains("checksum mismatch"), "got: {msg}"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    relay.join().expect("relay");
+    handle.shutdown();
 }

@@ -5,8 +5,7 @@
 
 use fireguard_server::chaos::detection_keys;
 use fireguard_server::proto::{
-    self, FrameReader, FrameWriter, Summary, ACK, ALARMS, CAP_FRAME_CHECKSUM, END, ERROR, EVENTS,
-    SESSION, SUMMARY,
+    self, FrameReader, FrameWriter, Summary, ACK, ALARMS, END, ERROR, EVENTS, SESSION, SUMMARY,
 };
 use fireguard_server::{
     route, run_routed_session, run_session, serve, BackendMode, ClientError, RoutedOptions,
@@ -279,16 +278,15 @@ fn duplicate_session_ids_are_refused() {
         resume: false,
         alarms_received: 0,
     };
-    let mut w = first.try_clone().expect("clone");
-    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
-    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let mut w = FrameWriter::new(first.try_clone().expect("clone"));
+    w.write(SESSION, &ticket.encode()).expect("ticket");
+    w.write(proto::HELLO, &hello).expect("hello");
     let events = EventEncoder::new().encode_batch(&capture_events(&cfg)[..64]);
-    proto::write_frame(&mut w, proto::EVENTS, &events).expect("events");
-    use std::io::Write as _;
+    w.write(proto::EVENTS, &events).expect("events");
     w.flush().expect("flush");
-    let mut r1 = BufReader::new(first.try_clone().expect("clone"));
+    let mut r1 = FrameReader::new(BufReader::new(first.try_clone().expect("clone")));
     loop {
-        match proto::read_frame(&mut r1).expect("frames until ACK") {
+        match r1.read().expect("frames until ACK") {
             Some((proto::ACK, _)) => break,
             Some(_) => continue,
             None => panic!("first session closed before its ACK"),
@@ -297,14 +295,14 @@ fn duplicate_session_ids_are_refused() {
 
     // Second connection, same id.
     let second = TcpStream::connect(addr).expect("connect");
-    let mut w2 = second.try_clone().expect("clone");
-    proto::write_frame(&mut w2, SESSION, &ticket.encode()).expect("ticket");
-    proto::write_frame(&mut w2, proto::HELLO, &hello).expect("hello");
+    let mut w2 = FrameWriter::new(second.try_clone().expect("clone"));
+    w2.write(SESSION, &ticket.encode()).expect("ticket");
+    w2.write(proto::HELLO, &hello).expect("hello");
     w2.flush().expect("flush");
-    let mut r2 = BufReader::new(second);
+    let mut r2 = FrameReader::new(BufReader::new(second));
     // The router may interleave ACKs before the refusal; scan for ERROR.
     let msg = loop {
-        match proto::read_frame(&mut r2).expect("frames until refusal") {
+        match r2.read().expect("frames until refusal") {
             Some((proto::ERROR, payload)) => break String::from_utf8_lossy(&payload).into_owned(),
             Some(_) => continue,
             None => panic!("closed without an ERROR frame"),
@@ -337,15 +335,15 @@ fn shutdown_parks_a_ghost_session_at_once() {
         resume: false,
         alarms_received: 0,
     };
-    let mut w = stream.try_clone().expect("clone");
-    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
-    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let mut w = FrameWriter::new(stream.try_clone().expect("clone"));
+    w.write(SESSION, &ticket.encode()).expect("ticket");
+    w.write(proto::HELLO, &hello).expect("hello");
     let events = EventEncoder::new().encode_batch(&capture_events(&cfg)[..64]);
-    proto::write_frame(&mut w, EVENTS, &events).expect("events");
+    w.write(EVENTS, &events).expect("events");
     w.flush().expect("flush");
-    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut r = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
     loop {
-        match proto::read_frame(&mut r).expect("frames until ACK") {
+        match r.read().expect("frames until ACK") {
             Some((ACK, _)) => break,
             Some(_) => continue,
             None => panic!("session closed before its ACK"),
@@ -384,7 +382,7 @@ fn resume_finished(addr: SocketAddr, id: u64, confirm: bool) -> (u64, Vec<Detect
     let mut w = BufWriter::new(stream.try_clone().expect("clone"));
     proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
     w.flush().expect("flush");
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")), true);
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
     let ack = match reader.read().expect("resume preamble") {
         Some((ACK, p)) => proto::decode_ack(&p).expect("ack decodes"),
         other => panic!("expected ACK on resume, got {other:?}"),
@@ -402,7 +400,7 @@ fn resume_finished(addr: SocketAddr, id: u64, confirm: bool) -> (u64, Vec<Detect
         "the router half-closes after a buffered verdict"
     );
     if confirm {
-        let mut w = FrameWriter::new(BufWriter::new(stream), true);
+        let mut w = FrameWriter::new(BufWriter::new(stream));
         w.write(ACK, &[])
             .and_then(|()| w.flush())
             .expect("terminal ACK");
@@ -422,7 +420,7 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
     let events = capture_events(&cfg);
     let hello = SessionConfig::from_experiment(&cfg, base)
-        .encode_with_caps(CAP_FRAME_CHECKSUM)
+        .encode()
         .expect("valid config");
     let dir = std::env::temp_dir().join(format!("fg-routed-buffer-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -445,7 +443,7 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     };
     proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
     proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
-    let mut w = FrameWriter::new(w, true);
+    let mut w = FrameWriter::new(w);
     let mut enc = EventEncoder::new();
     for chunk in events.chunks(512) {
         w.write(EVENTS, &enc.encode_batch(chunk)).expect("events");
