@@ -448,7 +448,7 @@ fn usage() -> String {
          \n\
          ROBUSTNESS FLAGS:\n\
          \x20   --idle-timeout <SECS>   serve/router: reap silent connections (default 30)\n\
-         \x20   --journal-dir <DIR>     router: durable session journals + recovery sidecars\n\
+         \x20   --journal-dir <DIR>     router: durable, crash-recoverable session journals\n\
          \x20   --resume-journals <DIR> router: recover crashed sessions from DIR at boot\n\
          \x20   --max-live-sessions <N> router: refuse fresh sessions over N live (BUSY)\n\
          \x20   --max-buffered-mb <N>   router: refuse fresh sessions past this journal spill\n\

@@ -170,11 +170,6 @@ impl Allocator {
     pub fn candidate_engines(&self, gid: Gid) -> u16 {
         self.candidates[gid.index()]
     }
-
-    /// Number of registered SEs.
-    pub fn se_count(&self) -> usize {
-        self.ses.len()
-    }
 }
 
 #[cfg(test)]

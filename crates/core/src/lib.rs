@@ -3,10 +3,11 @@
 //!
 //! The paper's three key mechanisms, each a module here:
 //!
-//! * **Buffer-free data-forwarding channel** ([`dfc`]): read-only bypass
-//!   taps at the ROB/PRF/LSQ/FTQ that extract debug data at commit without
-//!   new intermediate storage, at the cost of occasional PRF read-port
-//!   preemption (Fig. 2's "added contention").
+//! * **Buffer-free data-forwarding channel** (in [`filter`]): read-only
+//!   bypass taps at the ROB/PRF/LSQ/FTQ that extract debug data at commit
+//!   without new intermediate storage, at the cost of occasional PRF
+//!   read-port preemption (Fig. 2's "added contention",
+//!   [`EventFilter::prf_ports_stolen`]).
 //! * **Superscalar event filter** ([`filter`], [`minifilter`]): one
 //!   SRAM-based mini-filter per commit path (indexed by `funct3 ‖ opcode`),
 //!   paired FIFOs and a reordering arbiter that re-serialises packets into
@@ -35,14 +36,12 @@
 
 pub mod allocator;
 pub mod cdc;
-pub mod dfc;
 pub mod filter;
 pub mod minifilter;
 pub mod packet;
 
 pub use allocator::{Allocator, Policy, SchedulingEngine, MAX_ENGINES, MAX_GIDS};
 pub use cdc::{CdcQueue, ClockDivider};
-pub use dfc::DataForwardingChannel;
 pub use filter::{EventFilter, FilterConfig};
 pub use minifilter::{DpSel, FilterEntry, MiniFilter};
 pub use packet::{groups, layout, Gid, Packet};

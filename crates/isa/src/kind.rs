@@ -88,14 +88,6 @@ impl InstClass {
         )
     }
 
-    /// True if the control transfer target is computed from a register.
-    ///
-    /// Indirect calls exist too, but the trace model treats all calls
-    /// uniformly, so a call through a register still classifies as `Call`.
-    pub fn is_indirect(self) -> bool {
-        matches!(self, InstClass::IndirectJump | InstClass::Ret)
-    }
-
     /// A short lower-case mnemonic-ish name for reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -5,7 +5,6 @@
 //! kernel-specific behaviour (semantics, µ-program, backend) is resolved
 //! through the plugin registry (see [`crate::spec`]).
 
-use crate::semantics::Semantics;
 use crate::spec::KernelId;
 use fireguard_core::packet::layout;
 use fireguard_ucore::backend::CustomResult;
@@ -157,11 +156,6 @@ impl GuardianKernel {
     /// The µ-program for this kernel under its programming model.
     pub fn program(&self) -> fireguard_ucore::UProgram {
         self.id.spec().program(self.model)
-    }
-
-    /// A fresh commit-order semantics state machine for this kernel.
-    pub fn fresh_semantics(&self) -> Box<dyn Semantics> {
-        self.id.spec().semantics()
     }
 
     /// Shared timing state (tests/reports).

@@ -228,11 +228,6 @@ impl MemoryHierarchy {
         self.l1.stats()
     }
 
-    /// L2 statistics, if an L2 is configured.
-    pub fn l2_stats(&self) -> Option<CacheStats> {
-        self.l2.as_ref().map(|c| c.stats())
-    }
-
     /// Total accesses made.
     pub fn accesses(&self) -> u64 {
         self.accesses

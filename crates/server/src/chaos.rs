@@ -251,8 +251,6 @@ pub fn run_chaos(
                     Arc::clone(&events),
                     RoutedOptions {
                         batch: opts.batch,
-                        // Chaos piles failures up; be patient.
-                        max_reconnects: 64,
                         ..RoutedOptions::new(opts.seed.wrapping_add(1 + i as u64))
                     },
                 )

@@ -25,6 +25,11 @@ use std::time::{Duration, Instant};
 /// Events per EVENTS frame (amortizes framing without growing latency).
 pub const DEFAULT_BATCH: usize = 512;
 
+/// Consecutive reconnects without progress before a routed session gives
+/// up. An attempt made progress if an ACK passed every earlier ACK or new
+/// alarms arrived; progress also resets the backoff.
+const MAX_RECONNECTS: u32 = 8;
+
 /// Everything a finished session produced.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -106,7 +111,7 @@ pub fn run_session(
         None,
         batch.max(1),
         &mut alarms,
-        &mut None,
+        &mut Acks::default(),
     )?;
     // A panicked sender is a session error, not a client-process abort.
     let sent =
@@ -143,17 +148,14 @@ pub struct RoutedOptions {
     pub session_id: u64,
     /// Events per EVENTS frame.
     pub batch: usize,
-    /// Reconnect-and-resume attempts before giving up.
-    pub max_reconnects: u32,
 }
 
 impl RoutedOptions {
-    /// Defaults for `session_id`: [`DEFAULT_BATCH`], 8 reconnects.
+    /// Defaults for `session_id`: [`DEFAULT_BATCH`] events per frame.
     pub fn new(session_id: u64) -> Self {
         RoutedOptions {
             session_id,
             batch: DEFAULT_BATCH,
-            max_reconnects: 8,
         }
     }
 }
@@ -191,6 +193,14 @@ enum Attempt {
 /// How an attempt's sender thread ended.
 type Sent = std::thread::Result<std::io::Result<()>>;
 
+/// The ACKs a routed session has heard: the highest event count any ACK
+/// carried, and when the latest attempt's resume was acknowledged.
+#[derive(Default)]
+struct Acks {
+    high: u64,
+    resumed_at: Option<Instant>,
+}
+
 /// Capped exponential backoff with deterministic, seeded jitter: attempt
 /// `n` sleeps a uniform draw from `[cap/2, cap]` where
 /// `cap = min(5ms << n, 500ms)`. Seeding by `(session_id, attempt)` keeps
@@ -218,7 +228,7 @@ fn reconnect_backoff(session_id: u64, attempt: u32) -> Duration {
 /// # Errors
 ///
 /// Any [`ClientError`]; transport failures surface only after
-/// `max_reconnects` resumes also failed.
+/// `MAX_RECONNECTS` (8) consecutive attempts made no progress.
 pub fn run_routed_session(
     addr: &str,
     cfg: &SessionConfig,
@@ -230,14 +240,17 @@ pub fn run_routed_session(
     let batch = opts.batch.max(1);
 
     let mut alarms: Vec<Detection> = Vec::new();
+    let mut acks = Acks::default();
     let mut reconnects = 0u32;
+    // Attempts since the last one that made progress.
+    let mut stalled = 0u32;
     let mut first = true;
     // Recovery-latency clock: set when a transport dies, cleared when a
     // resume's ACK lands — the gap is one reconnect latency sample.
     let mut disconnected_at: Option<Instant> = None;
     let mut reconnect_latencies: Vec<Duration> = Vec::new();
     loop {
-        let mut resumed_at = None;
+        let before = (acks.high, alarms.len());
         let ticket = SessionTicket {
             id: opts.session_id,
             resume: !first,
@@ -250,10 +263,10 @@ pub fn run_routed_session(
             Some(ticket),
             batch,
             &mut alarms,
-            &mut resumed_at,
+            &mut acks,
         )
         .map(|(verdict, _)| verdict);
-        if let (Some(death), Some(ack)) = (disconnected_at, resumed_at) {
+        if let (Some(death), Some(ack)) = (disconnected_at, acks.resumed_at.take()) {
             reconnect_latencies.push(ack.saturating_duration_since(death));
             disconnected_at = None;
         }
@@ -306,19 +319,21 @@ pub fn run_routed_session(
                 }
             }
         };
-        if reconnects >= opts.max_reconnects {
+        let progress = acks.high > before.0 || alarms.len() > before.1;
+        stalled = if progress { 1 } else { stalled + 1 };
+        if stalled > MAX_RECONNECTS {
             return Err(give_up);
         }
         reconnects += 1;
-        std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
+        std::thread::sleep(reconnect_backoff(opts.session_id, stalled));
     }
 }
 
 /// One connection's worth of a session: the handshake (a plain HELLO, or
 /// a routed ticket), the event stream from wherever the server says it
 /// starts, and frames collected until SUMMARY or transport death.
-/// `alarms` accumulates across attempts — its length doubles as the
-/// resume ticket's `alarms_received`.
+/// `alarms` and `acks` accumulate across attempts — the alarm count
+/// doubles as the resume ticket's `alarms_received`.
 fn attempt(
     addr: &str,
     hello: &[u8],
@@ -326,7 +341,7 @@ fn attempt(
     ticket: Option<SessionTicket>,
     batch: usize,
     alarms: &mut Vec<Detection>,
-    resumed_at: &mut Option<Instant>,
+    acks: &mut Acks,
 ) -> Result<(Attempt, Sent), ClientError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -350,8 +365,10 @@ fn attempt(
     let start = if resume {
         match reader.read() {
             Ok(Some((ACK, payload))) => {
-                *resumed_at = Some(Instant::now());
-                decode_ack(&payload)? as usize
+                acks.resumed_at = Some(Instant::now());
+                let n = decode_ack(&payload)?;
+                acks.high = acks.high.max(n);
+                n as usize
             }
             refusal => {
                 let verdict = match refusal {
@@ -406,7 +423,7 @@ fn attempt(
             Some((ALARMS, payload)) => alarms.extend(decode_alarms(&payload)?),
             Some((ACK, payload)) if routed => {
                 // Progress bookkeeping only; correctness needs no action.
-                decode_ack(&payload)?;
+                acks.high = acks.high.max(decode_ack(&payload)?);
             }
             Some((SUMMARY, payload)) => {
                 let summary = Summary::decode(&payload)?;
@@ -431,11 +448,11 @@ fn attempt(
         }
     };
     if routed {
-        if matches!(verdict, Attempt::Finished(..)) {
-            // Terminal delivery ACK: through a faulting wire, the router's
-            // successful SUMMARY write proves nothing — it holds the
-            // session resumable until this frame confirms the verdict
-            // arrived.
+        if matches!(verdict, Attempt::Finished(..) | Attempt::Refused(_)) {
+            // Terminal delivery ACK, after a SUMMARY or an ERROR: through
+            // a faulting wire, the router's successful verdict write
+            // proves nothing — it holds the session resumable until this
+            // frame confirms the verdict arrived.
             let mut w = lock(&writer);
             let _ = w.write(ACK, &[]).and_then(|()| w.flush());
         }

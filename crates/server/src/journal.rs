@@ -1,48 +1,58 @@
-//! Disk-backed session journals: bounded-memory event buffering for the
-//! router tier.
+//! Session journals: the one record of a routed session.
 //!
 //! A routed session must be replayable — failover re-feeds a fresh backend
-//! the full event prefix, and a SESSION-ticket resume needs to know how
-//! much of the stream is safely buffered. Keeping that prefix in RAM makes
-//! router memory O(events) per session; a [`Journal`] makes it
-//! O(tail + file handle) instead. Events accumulate in a small in-RAM
-//! tail ring; when the ring fills, the whole tail is *spilled* to a
-//! journal file as one freshly-delta-encoded `.fgt` event batch (the
-//! [`EventEncoder`] starts cleanly at any seq, a property the workspace
-//! proptests pin). Replay walks the spilled batches — each decoded with a
-//! fresh [`EventDecoder`] — followed by the live tail, handing the caller
-//! contiguous event slices to re-encode onto whatever connection is being
-//! rebuilt.
+//! the full event prefix — and resumable: a SESSION-ticket resume needs
+//! how much of the stream is safely buffered, which alarms the client was
+//! shown and whether the verdict is in. A [`Journal`] holds all of it: the
+//! HELLO, the event prefix, whether END was seen, the alarm log and the
+//! final SUMMARY or ERROR. Only the methods that write the durable frame
+//! first can change that state.
 //!
-//! Journals come in two flavors:
+//! Events accumulate in a small in-RAM tail ring; when the ring fills, the
+//! whole tail is *spilled* to the journal file as one freshly
+//! delta-encoded EVENTS frame (the [`EventEncoder`] starts cleanly at any
+//! seq, a property the workspace proptests pin), so router memory is
+//! O(tail + file handle) per session, not O(events). Replay walks the
+//! spilled frames — each decoded with a fresh [`EventDecoder`] — followed
+//! by the live tail, handing the caller contiguous event slices to
+//! re-encode onto whatever connection is being rebuilt.
 //!
-//! - **Ephemeral** (no `--journal-dir`): the spill file lives in the OS
-//!   temp directory under a process-unique name and is unconditionally
-//!   removed on drop. Survives backend failover, not a router crash.
-//! - **Durable** (`--journal-dir <dir>`): the spill file `<id>.fgj` is
-//!   paired with an fsync'd append-only index sidecar `<id>.idx` recording
-//!   the session HELLO, every alarm batch *before* it is released to the
-//!   client, the END marker, and the terminal SUMMARY/ERROR. Files are
-//!   removed only once the session reaches a terminal state, so a router
-//!   *process* crash (`kill -9`) leaves enough on disk for a new router
-//!   started with `--resume-journals <dir>` to rebuild the session table
-//!   via [`recover_journals`] and let clients resume. Events still in the
-//!   RAM tail at crash time are simply absent from the recovered journal;
-//!   the resume ACK shrinks accordingly and the client re-sends them.
+//! The file is a stream of protocol frames written by a [`FrameWriter`]
+//! and read back by a [`FrameReader`], so it has the wire's framing and
+//! index-bound checksums. Journals come in two flavors:
 //!
-//! The spill file is a sequence of `u32le byte-len ‖ u32le event-count ‖
-//! batch` records; the index sidecar is a sequence of `u8 type ‖ u32le
-//! len ‖ payload` records with types `H`/`A`/`E`/`S`/`R`. Both are
-//! truncation-tolerant on recovery: a record cut short by the crash is
-//! discarded, never misparsed.
+//! - **Ephemeral** (no `--journal-dir`): the file holds EVENTS frames only,
+//!   lives in the OS temp directory under a process-unique name, is
+//!   created at the first spill and removed on drop. Survives backend
+//!   failover, not a router crash.
+//! - **Durable** (`--journal-dir <dir>`): `<id>.fgj` is created anew with
+//!   the HELLO frame and also gets an ALARMS frame per alarm batch, END,
+//!   SUMMARY and ERROR, each synced to disk before the method recording it
+//!   returns — so before the router acts on it. Once the session has its
+//!   verdict the file is removed on drop; until then a router *process*
+//!   crash (`kill -9`) leaves enough on disk for a router started with
+//!   `--resume-journals <dir>` to rebuild the session via
+//!   [`recover_journals`]. Events still in the RAM tail at crash time are
+//!   absent from the recovered journal; the resume ACK shrinks accordingly
+//!   and the client re-sends them.
+//!
+//! Recovery reads frames until the first one it cannot use — cut short by
+//! the crash or failing its checksum — truncates the file there and keeps
+//! appending after it. A file that does not start with a HELLO frame is
+//! skipped and left untouched.
 
-use crate::proto::{decode_alarms, encode_alarms};
+use crate::proto::{
+    checksummed, decode_alarms, encode_alarms, FrameReader, FrameWriter, ALARMS, END, ERROR,
+    EVENTS, HELLO, SUMMARY,
+};
 use fireguard_soc::Detection;
-use fireguard_trace::codec::{CodecError, EventDecoder, EventEncoder, MAX_BATCH_EVENTS};
+use fireguard_trace::codec::{
+    read_uvarint, CodecError, EventDecoder, EventEncoder, MAX_BATCH_EVENTS,
+};
 use fireguard_trace::TraceInst;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,20 +71,24 @@ pub struct JournalGauges {
     pub spilled_events: Arc<AtomicU64>,
 }
 
-/// A bounded-memory event buffer for one routed session: RAM tail ring +
-/// disk spill file (+ fsync'd recovery sidecar when durable).
+/// The record of one routed session: its HELLO, a bounded-memory event
+/// buffer (RAM tail ring + disk spill), END, the alarm log and the
+/// verdict, in one file of frames.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    idx_path: PathBuf,
     durable: bool,
+    hello: Vec<u8>,
+    ended: bool,
+    alarms: Vec<Detection>,
+    summary: Option<Vec<u8>>,
+    error: Option<Vec<u8>>,
     tail: VecDeque<TraceInst>,
     tail_cap: usize,
     spilled: u64,
-    spill: Option<BufWriter<File>>,
+    file: Option<FrameWriter<BufWriter<File>>>,
     bytes: u64,
     gauges: JournalGauges,
-    idx: Option<File>,
     remove_on_drop: bool,
 }
 
@@ -83,17 +97,47 @@ pub struct Journal {
 // sessions with identical ids without clobbering each other.
 static EPHEMERAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+// Bytes one frame takes in the file: tag, varint length, payload and, on a
+// checksummed frame, the checksum word.
+fn frame_bytes(tag: u8, len: usize) -> u64 {
+    let varint = (u64::BITS - (len as u64 | 1).leading_zeros()).div_ceil(7);
+    1 + u64::from(varint) + len as u64 + if checksummed(tag) { 4 } else { 0 }
+}
+
 impl Journal {
-    /// Opens a journal for session `name`. `dir = Some(..)` selects
-    /// durable mode (crash-recoverable, files named by `name`);
-    /// `None` selects an ephemeral journal in the OS temp directory.
+    // A journal with no state yet; `open` and recovery fill it in.
+    fn blank(path: PathBuf, durable: bool, tail_cap: usize, gauges: JournalGauges) -> Self {
+        let tail_cap = tail_cap.clamp(1, MAX_BATCH_EVENTS as usize);
+        Journal {
+            path,
+            durable,
+            hello: Vec::new(),
+            ended: false,
+            alarms: Vec::new(),
+            summary: None,
+            error: None,
+            tail: VecDeque::with_capacity(tail_cap.min(DEFAULT_JOURNAL_TAIL)),
+            tail_cap,
+            spilled: 0,
+            file: None,
+            bytes: 0,
+            gauges,
+            remove_on_drop: !durable,
+        }
+    }
+
+    /// Opens a fresh journal for session `name`, registered with `hello`.
+    /// `dir = Some(..)` selects durable mode: `<name>.fgj` is created anew
+    /// there, replacing any stale file, and starts with the synced HELLO
+    /// frame. `None` selects an ephemeral journal in the OS temp
+    /// directory.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures (the spill file itself is
-    /// created lazily, on first spill).
+    /// Directory-creation failures and, when durable, the HELLO write.
     pub fn open(
         name: &str,
+        hello: Vec<u8>,
         tail_cap: usize,
         dir: Option<&Path>,
         gauges: JournalGauges,
@@ -111,20 +155,42 @@ impl Journal {
             ),
         };
         fs::create_dir_all(&dir)?;
-        let tail_cap = tail_cap.clamp(1, MAX_BATCH_EVENTS as usize);
-        Ok(Journal {
-            path: dir.join(format!("{file_stem}.fgj")),
-            idx_path: dir.join(format!("{file_stem}.idx")),
-            durable,
-            tail: VecDeque::with_capacity(tail_cap.min(DEFAULT_JOURNAL_TAIL)),
-            tail_cap,
-            spilled: 0,
-            spill: None,
-            bytes: 0,
-            gauges,
-            idx: None,
-            remove_on_drop: !durable,
-        })
+        let path = dir.join(format!("{file_stem}.fgj"));
+        let mut j = Journal::blank(path, durable, tail_cap, gauges);
+        // A file that never got its HELLO holds no session.
+        j.remove_on_drop = true;
+        j.record(HELLO, &hello)?;
+        j.remove_on_drop = !durable;
+        j.hello = hello;
+        Ok(j)
+    }
+
+    /// Appends one frame to the file, creating the file anew on first use.
+    fn append(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+        let w = match &mut self.file {
+            Some(w) => w,
+            None => self
+                .file
+                .insert(FrameWriter::new(BufWriter::new(File::create(&self.path)?))),
+        };
+        w.write(tag, payload)?;
+        w.flush()?;
+        let grew = frame_bytes(tag, payload.len());
+        self.bytes += grew;
+        self.gauges.bytes.fetch_add(grew, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Writes a state frame to a durable journal and syncs it, so the disk
+    /// learns it before the router acts on it. An ephemeral journal keeps
+    /// its state in memory only.
+    fn record(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+        if !self.durable {
+            return Ok(());
+        }
+        self.append(tag, payload)?;
+        let w = self.file.as_mut().expect("the frame was just written");
+        w.get_mut().get_ref().sync_data()
     }
 
     /// Appends one event; spills the whole RAM tail to disk when the ring
@@ -136,38 +202,15 @@ impl Journal {
     pub fn push(&mut self, ev: TraceInst) -> io::Result<()> {
         self.tail.push_back(ev);
         if self.tail.len() >= self.tail_cap {
-            self.spill_tail()?;
+            let batch: Vec<TraceInst> = self.tail.drain(..).collect();
+            // Flushed, not synced: a spill lost to a crash only shrinks
+            // the recovery ACK, and the client re-sends the tail.
+            self.append(EVENTS, &EventEncoder::new().encode_batch(&batch))?;
+            self.spilled += batch.len() as u64;
+            self.gauges
+                .spilled_events
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
-        Ok(())
-    }
-
-    fn spill_tail(&mut self) -> io::Result<()> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
-        if self.spill.is_none() {
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?;
-            self.spill = Some(BufWriter::new(f));
-        }
-        let batch: Vec<TraceInst> = self.tail.drain(..).collect();
-        let encoded = EventEncoder::new().encode_batch(&batch);
-        let w = self.spill.as_mut().expect("spill writer just ensured");
-        w.write_all(&(encoded.len() as u32).to_le_bytes())?;
-        w.write_all(&(batch.len() as u32).to_le_bytes())?;
-        w.write_all(&encoded)?;
-        // Flushed (not fsync'd): an un-flushed spill lost to a crash only
-        // shrinks the recovery ACK, and the client re-sends the tail.
-        w.flush()?;
-        let grew = 8 + encoded.len() as u64;
-        self.spilled += batch.len() as u64;
-        self.bytes += grew;
-        self.gauges.bytes.fetch_add(grew, Ordering::Relaxed);
-        self.gauges
-            .spilled_events
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -187,50 +230,120 @@ impl Journal {
         self.spilled
     }
 
-    /// Bytes currently held in the spill file.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+    /// The verbatim HELLO payload the session registered with.
+    pub fn hello(&self) -> &[u8] {
+        &self.hello
     }
 
-    /// Replays the full buffered prefix — every spilled batch (decoded
-    /// with a fresh [`EventDecoder`]) and then the RAM tail — through `f`
-    /// as contiguous event slices, in order. The caller re-encodes them
-    /// with whatever per-connection encoder the new incarnation uses;
-    /// spilled bytes are never forwarded verbatim because the receiving
-    /// decoder's delta state is continuous across the whole connection.
+    /// Whether the client's END is recorded.
+    pub fn ended(&self) -> bool {
+        self.ended
+    }
+
+    /// Every alarm released to the client, in order.
+    pub fn alarms(&self) -> &[Detection] {
+        &self.alarms
+    }
+
+    /// Whether the session has its verdict (a SUMMARY or an ERROR).
+    pub fn done(&self) -> bool {
+        self.summary.is_some() || self.error.is_some()
+    }
+
+    /// The verdict frames, SUMMARY before ERROR; empty while the session
+    /// runs.
+    pub fn verdict(&self) -> Vec<(u8, Vec<u8>)> {
+        [(SUMMARY, &self.summary), (ERROR, &self.error)]
+            .into_iter()
+            .filter_map(|(tag, p)| Some((tag, p.clone()?)))
+            .collect()
+    }
+
+    /// Records that the client finished its commit stream.
     ///
     /// # Errors
     ///
-    /// Spill-file I/O or decode failures (a decode failure means the
-    /// journal file itself was corrupted on disk), or whatever `f` raises.
+    /// Journal write failures.
+    pub fn end(&mut self) -> io::Result<()> {
+        if !self.ended {
+            self.record(END, &[])?;
+            self.ended = true;
+        }
+        Ok(())
+    }
+
+    /// Logs an alarm batch **before** it is released to the client, so a
+    /// post-crash router never re-delivers (or loses) a detection.
+    ///
+    /// # Errors
+    ///
+    /// Journal write failures.
+    pub fn log_alarms(&mut self, fresh: &[Detection]) -> io::Result<()> {
+        if self.durable {
+            self.record(ALARMS, &encode_alarms(fresh))?;
+        }
+        self.alarms.extend_from_slice(fresh);
+        Ok(())
+    }
+
+    /// Records the SUMMARY. The file goes on drop: the session needs
+    /// nothing more from it.
+    ///
+    /// # Errors
+    ///
+    /// Journal write failures.
+    pub fn set_summary(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.remove_on_drop = true;
+        self.record(SUMMARY, payload)?;
+        self.summary = Some(payload.to_vec());
+        Ok(())
+    }
+
+    /// Records the terminal ERROR, unless one is recorded already. The
+    /// file goes on drop.
+    ///
+    /// # Errors
+    ///
+    /// Journal write failures.
+    pub fn set_error(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.remove_on_drop = true;
+        if self.error.is_some() {
+            return Ok(());
+        }
+        self.record(ERROR, payload)?;
+        self.error = Some(payload.to_vec());
+        Ok(())
+    }
+
+    /// Replays the full buffered prefix — every spilled EVENTS frame
+    /// (decoded with a fresh [`EventDecoder`]) and then the RAM tail —
+    /// through `f` as contiguous event slices, in order. The caller
+    /// re-encodes them with whatever per-connection encoder the new
+    /// incarnation uses; spilled bytes are never forwarded verbatim because
+    /// the receiving decoder's delta state is continuous across the whole
+    /// connection.
+    ///
+    /// # Errors
+    ///
+    /// Journal-file I/O, checksum or decode failures (the file was damaged
+    /// on disk), or whatever `f` raises.
     pub fn replay<F>(&mut self, mut f: F) -> Result<(), CodecError>
     where
         F: FnMut(&[TraceInst]) -> io::Result<()>,
     {
         if self.spilled > 0 {
-            if let Some(w) = self.spill.as_mut() {
+            if let Some(w) = self.file.as_mut() {
                 w.flush()?;
             }
-            let mut r = File::open(&self.path)?;
+            let mut r = FrameReader::new(BufReader::new(File::open(&self.path)?));
             let mut replayed = 0u64;
             while replayed < self.spilled {
-                let mut head = [0u8; 8];
-                r.read_exact(&mut head)
-                    .map_err(|_| CodecError::Truncated("journal batch header"))?;
-                let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-                let count = u64::from(u32::from_le_bytes(head[4..].try_into().expect("4 bytes")));
-                let mut payload = vec![0u8; len as usize];
-                r.read_exact(&mut payload)
-                    .map_err(|_| CodecError::Truncated("journal batch payload"))?;
-                let events = EventDecoder::new().decode_batch(&payload)?;
-                if events.len() as u64 != count {
-                    return Err(CodecError::CountMismatch {
-                        expected: count,
-                        found: events.len() as u64,
-                    });
+                let (tag, payload) = r.read()?.ok_or(CodecError::Truncated("journal"))?;
+                if tag == EVENTS {
+                    let events = EventDecoder::new().decode_batch(&payload)?;
+                    f(&events)?;
+                    replayed += events.len() as u64;
                 }
-                f(&events)?;
-                replayed += count;
             }
         }
         let (a, b) = self.tail.as_slices();
@@ -242,126 +355,24 @@ impl Journal {
         }
         Ok(())
     }
-
-    // ---- durable sidecar ----------------------------------------------
-
-    fn idx_append(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        if !self.durable {
-            return Ok(());
-        }
-        if self.idx.is_none() {
-            self.idx = Some(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.idx_path)?,
-            );
-        }
-        let f = self.idx.as_mut().expect("idx file just ensured");
-        let mut rec = vec![kind];
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        f.write_all(&rec)?;
-        // The sidecar is the crash-recovery source of truth for what the
-        // client has already been shown — it must hit the platter before
-        // the client does.
-        f.sync_data()
-    }
-
-    /// Records the session HELLO (durable journals only; no-op otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Sidecar I/O failures.
-    pub fn record_hello(&mut self, hello: &[u8]) -> io::Result<()> {
-        self.idx_append(b'H', hello)
-    }
-
-    /// Records an alarm batch **before** it is released to the client, so
-    /// a post-crash router never re-delivers (or loses) a detection.
-    ///
-    /// # Errors
-    ///
-    /// Sidecar I/O failures.
-    pub fn record_alarms(&mut self, alarms: &[Detection]) -> io::Result<()> {
-        if !self.durable || alarms.is_empty() {
-            return Ok(());
-        }
-        self.idx_append(b'A', &encode_alarms(alarms))
-    }
-
-    /// Records that the client finished its commit stream (END seen).
-    ///
-    /// # Errors
-    ///
-    /// Sidecar I/O failures.
-    pub fn record_ended(&mut self) -> io::Result<()> {
-        self.idx_append(b'E', &[])
-    }
-
-    /// Records the terminal SUMMARY payload and marks the journal
-    /// completed (files are removed on drop — nothing left to recover).
-    ///
-    /// # Errors
-    ///
-    /// Sidecar I/O failures.
-    pub fn record_summary(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.remove_on_drop = true;
-        self.idx_append(b'S', payload)
-    }
-
-    /// Records the terminal ERROR payload and marks the journal completed.
-    ///
-    /// # Errors
-    ///
-    /// Sidecar I/O failures.
-    pub fn record_error(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.remove_on_drop = true;
-        self.idx_append(b'R', payload)
-    }
 }
 
 impl Drop for Journal {
     fn drop(&mut self) {
         self.gauges.bytes.fetch_sub(self.bytes, Ordering::Relaxed);
         if self.remove_on_drop {
-            self.spill = None;
-            self.idx = None;
+            self.file = None;
             let _ = fs::remove_file(&self.path);
-            let _ = fs::remove_file(&self.idx_path);
         }
     }
 }
 
 // ---- crash recovery ---------------------------------------------------------
 
-/// One session rebuilt from a durable journal directory by
-/// [`recover_journals`]: everything the router's session table needs to
-/// let the session's client resume as if the crash were an ordinary
-/// transport fault.
-#[derive(Debug)]
-pub struct RecoveredSession {
-    /// The session id (`<id>.idx` file stem).
-    pub id: u64,
-    /// The verbatim HELLO payload the session registered with.
-    pub hello: Vec<u8>,
-    /// Whether the client's END was recorded before the crash.
-    pub ended: bool,
-    /// Every alarm released to the client before the crash, in order.
-    pub alarms: Vec<Detection>,
-    /// Terminal SUMMARY payload, if the session finished before the crash.
-    pub summary: Option<Vec<u8>>,
-    /// Terminal ERROR payload, if the session failed before the crash.
-    pub error: Option<Vec<u8>>,
-    /// The reopened journal, positioned to keep appending.
-    pub journal: Journal,
-}
-
 /// Scans a `--journal-dir` for sessions a crashed router left behind and
-/// rebuilds them. Only sessions with a recorded HELLO are recoverable;
-/// both the spill file and the sidecar tolerate a trailing record the
-/// crash cut short (it is discarded, and the spill file is truncated back
-/// to its last complete batch so appends stay well-formed).
+/// rebuilds their journals, as `(id, journal)` in id order. Each journal
+/// ends at its first frame that is cut short or fails its checksum: the
+/// file is truncated there, and the journal keeps appending after it.
 ///
 /// # Errors
 ///
@@ -371,12 +382,11 @@ pub fn recover_journals(
     dir: &Path,
     tail_cap: usize,
     gauges: &JournalGauges,
-) -> io::Result<Vec<RecoveredSession>> {
+) -> io::Result<Vec<(u64, Journal)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("idx") {
+        let path = entry?.path();
+        if path.extension().and_then(|e| e.to_str()) != Some("fgj") {
             continue;
         }
         let Some(id) = path
@@ -386,108 +396,56 @@ pub fn recover_journals(
         else {
             continue;
         };
-        if let Some(s) = recover_one(dir, id, tail_cap, gauges) {
-            out.push(s);
+        if let Some(j) = recover_one(path, tail_cap, gauges) {
+            out.push((id, j));
         }
     }
-    out.sort_by_key(|s| s.id);
+    out.sort_by_key(|(id, _)| *id);
     Ok(out)
 }
 
-fn recover_one(
-    dir: &Path,
-    id: u64,
-    tail_cap: usize,
-    gauges: &JournalGauges,
-) -> Option<RecoveredSession> {
-    let idx_path = dir.join(format!("{id}.idx"));
-    let bytes = fs::read(&idx_path).ok()?;
-    let mut hello = None;
-    let mut ended = false;
-    let mut alarms = Vec::new();
-    let mut summary = None;
-    let mut error = None;
-    let mut at = 0usize;
-    while at + 5 <= bytes.len() {
-        let kind = bytes[at];
-        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().expect("4 bytes")) as usize;
-        if at + 5 + len > bytes.len() {
-            break; // record cut short by the crash — discard
-        }
-        let payload = &bytes[at + 5..at + 5 + len];
-        at += 5 + len;
-        match kind {
-            b'H' => hello = Some(payload.to_vec()),
-            b'A' => match decode_alarms(payload) {
-                Ok(mut batch) => alarms.append(&mut batch),
-                Err(_) => return None, // sidecar corrupted beyond trust
+fn recover_one(path: PathBuf, tail_cap: usize, gauges: &JournalGauges) -> Option<Journal> {
+    let mut r = FrameReader::new(BufReader::new(File::open(&path).ok()?));
+    // Not a journal this build wrote: leave it untouched.
+    let Ok(Some((HELLO, hello))) = r.read() else {
+        return None;
+    };
+    let mut j = Journal::blank(path, true, tail_cap, gauges.clone());
+    let (mut valid, mut frames) = (frame_bytes(HELLO, hello.len()), 0u64);
+    j.hello = hello;
+    while let Ok(Some((tag, payload))) = r.read() {
+        let size = frame_bytes(tag, payload.len());
+        match tag {
+            EVENTS => match read_uvarint(&mut payload.as_slice()) {
+                Ok(n) => j.spilled += n,
+                Err(_) => break,
             },
-            b'E' => ended = true,
-            b'S' => summary = Some(payload.to_vec()),
-            b'R' => error = Some(payload.to_vec()),
-            _ => return None,
+            ALARMS => match decode_alarms(&payload) {
+                Ok(a) => j.alarms.extend(a),
+                Err(_) => break,
+            },
+            END => j.ended = true,
+            SUMMARY => j.summary = Some(payload),
+            ERROR => j.error = Some(payload),
+            _ => break,
         }
+        valid += size;
+        frames += u64::from(checksummed(tag));
     }
-    let hello = hello?;
-
-    // Walk the spill file to its last complete batch.
-    let spill_path = dir.join(format!("{id}.fgj"));
-    let (mut spilled, mut valid) = (0u64, 0u64);
-    if let Ok(mut f) = File::open(&spill_path) {
-        // Bound every record by the file's real length: seeking past EOF
-        // silently succeeds, so only the metadata length can prove the
-        // final payload wasn't cut short by the crash.
-        let file_len = f.metadata().ok()?.len();
-        loop {
-            let mut head = [0u8; 8];
-            if f.read_exact(&mut head).is_err() {
-                break;
-            }
-            let len = u64::from(u32::from_le_bytes(head[..4].try_into().expect("4 bytes")));
-            let count = u64::from(u32::from_le_bytes(head[4..].try_into().expect("4 bytes")));
-            let end = valid + 8 + len;
-            if end > file_len {
-                break; // payload cut short
-            }
-            if f.seek(SeekFrom::Current(len as i64)).is_err() {
-                break;
-            }
-            spilled += count;
-            valid = end;
-        }
-    }
-
-    let mut journal = Journal::open(&id.to_string(), tail_cap, Some(dir), gauges.clone()).ok()?;
-    journal.spilled = spilled;
-    journal.bytes = valid;
+    let f = OpenOptions::new().append(true).open(&j.path).ok()?;
+    f.set_len(valid).ok()?;
+    j.file = Some(FrameWriter::continuing(BufWriter::new(f), frames));
+    j.bytes = valid;
     gauges.bytes.fetch_add(valid, Ordering::Relaxed);
-    if valid > 0 {
-        let f = OpenOptions::new().write(true).open(&spill_path).ok()?;
-        f.set_len(valid).ok()?; // drop any partial trailing batch
-        let mut f = OpenOptions::new().append(true).open(&spill_path).ok()?;
-        f.seek(SeekFrom::End(0)).ok()?;
-        journal.spill = Some(BufWriter::new(f));
-    } else {
-        let _ = fs::remove_file(&spill_path);
-    }
-    if summary.is_some() || error.is_some() {
-        journal.remove_on_drop = true;
-    }
-    Some(RecoveredSession {
-        id,
-        hello,
-        ended,
-        alarms,
-        summary,
-        error,
-        journal,
-    })
+    j.remove_on_drop = j.done();
+    Some(j)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fireguard_soc::{capture_events, ExperimentConfig, KernelId};
+    use fireguard_trace::codec::EventEncoder;
 
     fn events(n: u64) -> Vec<TraceInst> {
         let cfg = ExperimentConfig::new("dedup")
@@ -506,6 +464,23 @@ mod tests {
         got
     }
 
+    fn detections() -> Vec<Detection> {
+        vec![
+            Detection {
+                seq: 7,
+                latency_ns: 12.5,
+                attack: true,
+                kernel_slot: 1,
+            },
+            Detection {
+                seq: 90,
+                latency_ns: 0.25,
+                attack: false,
+                kernel_slot: 0,
+            },
+        ]
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fg-journal-test-{tag}-{}", std::process::id()));
@@ -517,13 +492,13 @@ mod tests {
     #[test]
     fn spill_and_replay_reproduce_the_stream_bit_exactly() {
         let evs = events(3000);
-        let mut j = Journal::open("t1", 64, None, JournalGauges::default()).unwrap();
+        let mut j = Journal::open("t1", Vec::new(), 64, None, JournalGauges::default()).unwrap();
         for &e in &evs {
             j.push(e).unwrap();
         }
         assert_eq!(j.len(), evs.len() as u64);
         assert!(j.spilled() >= evs.len() as u64 - 64, "spill engaged");
-        assert!(j.bytes() > 0);
+        assert!(j.bytes > 0);
         assert_eq!(collect(&mut j), evs);
         // Replay is repeatable — failover can happen more than once.
         assert_eq!(collect(&mut j), evs);
@@ -532,7 +507,7 @@ mod tests {
     #[test]
     fn ram_tail_is_bounded_by_the_cap() {
         let evs = events(2000);
-        let mut j = Journal::open("t2", 32, None, JournalGauges::default()).unwrap();
+        let mut j = Journal::open("t2", Vec::new(), 32, None, JournalGauges::default()).unwrap();
         for &e in &evs {
             j.push(e).unwrap();
             assert!(j.tail.len() < 32, "RAM tail exceeded its cap");
@@ -543,7 +518,7 @@ mod tests {
     #[test]
     fn ephemeral_journal_removes_its_file_on_drop() {
         let evs = events(500);
-        let mut j = Journal::open("t3", 16, None, JournalGauges::default()).unwrap();
+        let mut j = Journal::open("t3", Vec::new(), 16, None, JournalGauges::default()).unwrap();
         for &e in &evs {
             j.push(e).unwrap();
         }
@@ -557,11 +532,11 @@ mod tests {
     fn gauges_track_bytes_and_release_them_on_drop() {
         let gauges = JournalGauges::default();
         let evs = events(1000);
-        let mut j = Journal::open("t4", 16, None, gauges.clone()).unwrap();
+        let mut j = Journal::open("t4", Vec::new(), 16, None, gauges.clone()).unwrap();
         for &e in &evs {
             j.push(e).unwrap();
         }
-        assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes());
+        assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes);
         assert!(gauges.spilled_events.load(Ordering::Relaxed) >= 1000 - 16);
         drop(j);
         assert_eq!(gauges.bytes.load(Ordering::Relaxed), 0);
@@ -572,59 +547,47 @@ mod tests {
         let dir = temp_dir("recover");
         let gauges = JournalGauges::default();
         let evs = events(1500);
-        let alarms = vec![
-            Detection {
-                seq: 7,
-                latency_ns: 12.5,
-                attack: true,
-                kernel_slot: 1,
-            },
-            Detection {
-                seq: 90,
-                latency_ns: 0.25,
-                attack: false,
-                kernel_slot: 0,
-            },
-        ];
+        let alarms = detections();
         {
-            let mut j = Journal::open("42", 64, Some(&dir), gauges.clone()).unwrap();
-            j.record_hello(b"hello-bytes").unwrap();
+            let hello = b"hello-bytes".to_vec();
+            let mut j = Journal::open("42", hello, 64, Some(&dir), gauges.clone()).unwrap();
             for &e in &evs {
                 j.push(e).unwrap();
             }
-            j.record_alarms(&alarms).unwrap();
-            j.record_ended().unwrap();
+            j.log_alarms(&alarms).unwrap();
+            j.end().unwrap();
             // Simulated crash: leak the journal so Drop never runs and the
-            // files stay behind exactly as `kill -9` would leave them.
+            // file stays behind exactly as `kill -9` would leave it.
             std::mem::forget(j);
         }
         gauges.bytes.store(0, Ordering::Relaxed); // fresh router process
 
         let recovered = recover_journals(&dir, 64, &gauges).unwrap();
         assert_eq!(recovered.len(), 1);
-        let mut s = recovered.into_iter().next().unwrap();
-        assert_eq!(s.id, 42);
-        assert_eq!(s.hello, b"hello-bytes");
-        assert!(s.ended);
-        assert_eq!(s.alarms, alarms);
-        assert!(s.summary.is_none() && s.error.is_none());
+        let (id, mut j) = recovered.into_iter().next().unwrap();
+        assert_eq!(id, 42);
+        assert_eq!(j.hello(), b"hello-bytes");
+        assert!(j.ended());
+        assert_eq!(j.alarms(), alarms);
+        assert!(!j.done() && j.verdict().is_empty());
+        assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes);
         // The RAM tail died with the process: the recovered prefix is the
         // spilled part only, and it replays bit-exactly.
-        let n = s.journal.len() as usize;
+        let n = j.len() as usize;
         assert!(n >= evs.len() - 64 && n <= evs.len());
-        assert_eq!(collect(&mut s.journal), evs[..n]);
+        assert_eq!(collect(&mut j), evs[..n]);
         // Appending the "re-sent" tail continues the stream seamlessly.
         for &e in &evs[n..] {
-            s.journal.push(e).unwrap();
+            j.push(e).unwrap();
         }
-        assert_eq!(s.journal.len(), evs.len() as u64);
-        assert_eq!(collect(&mut s.journal), evs);
+        assert_eq!(j.len(), evs.len() as u64);
+        assert_eq!(collect(&mut j), evs);
 
-        // Terminal state reached → files removed on drop.
-        s.journal.record_summary(b"sum").unwrap();
-        let (p, ip) = (s.journal.path.clone(), s.journal.idx_path.clone());
-        drop(s);
-        assert!(!p.exists() && !ip.exists(), "completed journal cleaned up");
+        // Verdict reached → file removed on drop.
+        j.set_summary(b"sum").unwrap();
+        let p = j.path.clone();
+        drop(j);
+        assert!(!p.exists(), "completed journal cleaned up");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -634,36 +597,142 @@ mod tests {
         let gauges = JournalGauges::default();
         let evs = events(600);
         {
-            let mut j = Journal::open("7", 50, Some(&dir), gauges.clone()).unwrap();
-            j.record_hello(b"h").unwrap();
+            let mut j = Journal::open("7", b"h".to_vec(), 50, Some(&dir), gauges.clone()).unwrap();
             for &e in &evs {
                 j.push(e).unwrap();
             }
             std::mem::forget(j);
         }
-        // Chop bytes off the spill file's final record, as a crash
-        // mid-write would.
+        // Chop bytes off the file's final frame, as a crash mid-write
+        // would.
         let spill = dir.join("7.fgj");
         let full = fs::read(&spill).unwrap();
         fs::write(&spill, &full[..full.len() - 3]).unwrap();
 
         let gauges = JournalGauges::default();
-        let mut s = recover_journals(&dir, 50, &gauges)
+        let (_, mut j) = recover_journals(&dir, 50, &gauges)
             .unwrap()
             .into_iter()
             .next()
             .unwrap();
-        let n = s.journal.len() as usize;
+        let n = j.len() as usize;
         assert!(n < evs.len(), "truncated batch was discarded");
-        assert_eq!(collect(&mut s.journal), evs[..n]);
-        // The file was truncated back to a record boundary, so appending
+        assert_eq!(collect(&mut j), evs[..n]);
+        // The file was truncated back to a frame boundary, so appending
         // the missing events yields a well-formed journal again.
         for &e in &evs[n..] {
-            s.journal.push(e).unwrap();
+            j.push(e).unwrap();
         }
-        assert_eq!(collect(&mut s.journal), evs);
-        s.journal.remove_on_drop = true;
-        drop(s);
+        assert_eq!(collect(&mut j), evs);
+        j.remove_on_drop = true;
+        drop(j);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fresh_journal_replaces_a_stale_file_of_the_same_id() {
+        let dir = temp_dir("stale");
+        let evs = events(600);
+        {
+            // A crashed router's session 9.
+            let mut j = Journal::open(
+                "9",
+                b"old".to_vec(),
+                50,
+                Some(&dir),
+                JournalGauges::default(),
+            )
+            .unwrap();
+            for &e in &evs[..500] {
+                j.push(e).unwrap();
+            }
+            j.log_alarms(&detections()).unwrap();
+            j.end().unwrap();
+            std::mem::forget(j);
+        }
+        {
+            // A router that did not recover it registers id 9 afresh.
+            let mut j = Journal::open(
+                "9",
+                b"new".to_vec(),
+                50,
+                Some(&dir),
+                JournalGauges::default(),
+            )
+            .unwrap();
+            for &e in &evs[..120] {
+                j.push(e).unwrap();
+            }
+            std::mem::forget(j);
+        }
+        let mut recovered = recover_journals(&dir, 50, &JournalGauges::default()).unwrap();
+        assert_eq!(recovered.len(), 1);
+        let (id, mut j) = recovered.pop().unwrap();
+        assert_eq!(id, 9);
+        assert_eq!(j.hello(), b"new");
+        assert!(
+            !j.ended() && j.alarms().is_empty(),
+            "nothing of the old session"
+        );
+        assert_eq!(j.len(), 100, "the new session's two spilled frames");
+        assert_eq!(collect(&mut j), evs[..100]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_file_in_the_old_spill_format_is_skipped_untouched() {
+        let dir = temp_dir("old-format");
+        // `u32le byte-len ‖ u32le event-count ‖ batch`, as older builds
+        // spilled, with no HELLO frame in front.
+        let batch = EventEncoder::new().encode_batch(&events(100)[..64]);
+        let mut old = (batch.len() as u32).to_le_bytes().to_vec();
+        old.extend_from_slice(&64u32.to_le_bytes());
+        old.extend_from_slice(&batch);
+        assert_ne!(
+            old[0], HELLO,
+            "this fixture must not open like a HELLO frame"
+        );
+        let path = dir.join("5.fgj");
+        fs::write(&path, &old).unwrap();
+
+        let recovered = recover_journals(&dir, 50, &JournalGauges::default()).unwrap();
+        assert!(recovered.is_empty(), "no HELLO frame, no session");
+        assert_eq!(fs::read(&path).unwrap(), old, "the file is left as it was");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_byte_ends_recovery_at_the_frame_before_it() {
+        let dir = temp_dir("flip");
+        let evs = events(600);
+        {
+            let mut j = Journal::open("3", b"h".to_vec(), 50, Some(&dir), JournalGauges::default())
+                .unwrap();
+            for &e in &evs[..120] {
+                j.push(e).unwrap();
+            }
+            std::mem::forget(j);
+        }
+        // The file is HELLO and two EVENTS frames of 50 events each; the
+        // flipped byte sits in the second one's payload, just before its
+        // 4-byte checksum word.
+        let path = dir.join("3.fgj");
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.len() - 10;
+        bytes[at] ^= 0x20;
+        fs::write(&path, &bytes).unwrap();
+
+        let (_, mut j) = recover_journals(&dir, 50, &JournalGauges::default())
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(j.len(), 50, "recovery stops at the frame before the damage");
+        assert_eq!(collect(&mut j), evs[..50]);
+        // The damaged frame was cut off, so appending continues cleanly.
+        for &e in &evs[50..120] {
+            j.push(e).unwrap();
+        }
+        assert_eq!(collect(&mut j), evs[..120]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -15,6 +15,7 @@
 use crate::client::{run_routed_session, run_session, RoutedOptions, SessionOutcome};
 use crate::net::run_pool;
 use crate::proto::SessionConfig;
+use fireguard_soc::report::percentile;
 use fireguard_telemetry::TraceSink;
 use fireguard_trace::TraceInst;
 use std::sync::Arc;
@@ -241,19 +242,26 @@ pub fn run_loadgen(
     let buckets = accs
         .into_iter()
         .enumerate()
-        .map(|(i, mut a)| LatencyBucket {
-            start: bucket * i as u32,
-            sessions: a.sessions,
-            detections: a.lats.len() as u64,
-            p50_latency_ns: percentile_select(&mut a.lats, 50.0),
-            p99_latency_ns: percentile_select(&mut a.lats, 99.0),
-            p50_wall_ms: percentile_select(&mut a.walls, 50.0),
-            p99_wall_ms: percentile_select(&mut a.walls, 99.0),
-            reconnects: a.reconnects,
-            p50_reconnect_ms: percentile_select(&mut a.reconnect_lats, 50.0),
-            p99_reconnect_ms: percentile_select(&mut a.reconnect_lats, 99.0),
+        .map(|(i, mut a)| {
+            for v in [&mut a.lats, &mut a.walls, &mut a.reconnect_lats] {
+                v.sort_by(f64::total_cmp);
+            }
+            LatencyBucket {
+                start: bucket * i as u32,
+                sessions: a.sessions,
+                detections: a.lats.len() as u64,
+                p50_latency_ns: percentile(&a.lats, 50.0),
+                p99_latency_ns: percentile(&a.lats, 99.0),
+                p50_wall_ms: percentile(&a.walls, 50.0),
+                p99_wall_ms: percentile(&a.walls, 99.0),
+                reconnects: a.reconnects,
+                p50_reconnect_ms: percentile(&a.reconnect_lats, 50.0),
+                p99_reconnect_ms: percentile(&a.reconnect_lats, 99.0),
+            }
         })
         .collect();
+    latencies.sort_by(f64::total_cmp);
+    reconnect_lats_all.sort_by(f64::total_cmp);
     let wall = started.elapsed();
     let secs = wall.as_secs_f64();
     LoadgenOutcome {
@@ -268,51 +276,13 @@ pub fn run_loadgen(
         } else {
             0.0
         },
-        p50_latency_ns: percentile_select(&mut latencies, 50.0),
-        p99_latency_ns: percentile_select(&mut latencies, 99.0),
+        p50_latency_ns: percentile(&latencies, 50.0),
+        p99_latency_ns: percentile(&latencies, 99.0),
         workers: threads,
         reconnects,
-        p50_reconnect_ms: percentile_select(&mut reconnect_lats_all, 50.0),
-        p99_reconnect_ms: percentile_select(&mut reconnect_lats_all, 99.0),
+        p50_reconnect_ms: percentile(&reconnect_lats_all, 50.0),
+        p99_reconnect_ms: percentile(&reconnect_lats_all, 99.0),
         buckets,
         first_error,
-    }
-}
-
-/// Nearest-rank percentile via `select_nth_unstable` — O(n) instead of a
-/// full sort, and value-identical to
-/// [`fireguard_soc::report::percentile`] over the sorted slice.
-pub(crate) fn percentile_select(latencies: &mut [f64], p: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * latencies.len() as f64).ceil().max(1.0) as usize;
-    let idx = rank.min(latencies.len()) - 1;
-    let (_, v, _) = latencies
-        .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("latencies are finite"));
-    *v
-}
-
-#[cfg(test)]
-mod tests {
-    use super::percentile_select;
-    use fireguard_soc::report::percentile;
-
-    #[test]
-    fn selection_matches_full_sort_percentile() {
-        // Deterministic pseudo-random latencies (LCG).
-        let mut x = 12345u64;
-        let mut v: Vec<f64> = (0..257)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (x >> 33) as f64
-            })
-            .collect();
-        let mut sorted = v.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        for p in [1.0, 50.0, 90.0, 99.0, 100.0] {
-            assert_eq!(percentile_select(&mut v, p), percentile(&sorted, p), "p{p}");
-        }
-        assert_eq!(percentile_select(&mut [], 50.0), 0.0);
     }
 }

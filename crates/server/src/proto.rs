@@ -165,6 +165,12 @@ impl<W: Write> FrameWriter<W> {
         FrameWriter { w, index: 0 }
     }
 
+    /// Wraps `w` to continue a stream that already holds `frames`
+    /// checksummed frames, such as a reopened session journal.
+    pub fn continuing(w: W, frames: u64) -> Self {
+        FrameWriter { w, index: frames }
+    }
+
     /// Writes one frame.
     ///
     /// # Errors
@@ -228,12 +234,12 @@ impl<R: Read> FrameReader<R> {
             self.r
                 .read_exact(&mut sum)
                 .map_err(|_| CodecError::Truncated("frame checksum"))?;
-            let found = u32::from_le_bytes(sum);
-            let expected = frame_checksum(tag, self.index, &payload);
-            if found != expected {
+            let stored = u32::from_le_bytes(sum);
+            let computed = frame_checksum(tag, self.index, &payload);
+            if stored != computed {
                 return Err(CodecError::ChecksumMismatch {
-                    expected: u64::from(expected),
-                    found: u64::from(found),
+                    expected: u64::from(stored),
+                    found: u64::from(computed),
                 });
             }
             self.index += 1;
@@ -1097,10 +1103,17 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut fr = FrameReader::new(bad.as_slice());
-        assert!(matches!(
-            fr.read(),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
+        // `expected` is the word the frame carries, `found` the sum of
+        // the damaged payload (after the tag and the 1-byte length).
+        let stored = u32::from_le_bytes(bad[bad.len() - 4..].try_into().unwrap());
+        let computed = frame_checksum(EVENTS, 0, &bad[2..bad.len() - 4]);
+        match fr.read() {
+            Err(CodecError::ChecksumMismatch { expected, found }) => {
+                assert_eq!(expected, u64::from(stored), "expected is the stored word");
+                assert_eq!(found, u64::from(computed), "found is recomputed");
+            }
+            other => panic!("expected a checksum mismatch, got {other:?}"),
+        }
 
         // Duplicate the frame verbatim: the second copy carries the
         // index-0 checksum where index 1 is expected — the delta codec

@@ -45,12 +45,12 @@ use crate::proto::{
 };
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
 use crate::service::{fleet_samples, serve, ServeOptions, ServerHandle};
-use fireguard_soc::Detection;
 use fireguard_telemetry::{FieldVal, Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, EventEncoder};
 use fireguard_trace::TraceInst;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -141,10 +141,11 @@ pub struct RouterOptions {
     /// Admission budget (`--max-buffered-mb`, stored in bytes): when the
     /// aggregate journal spill exceeds it, fresh sessions get BUSY.
     pub max_buffered_bytes: Option<u64>,
-    /// Durable journal directory (`--journal-dir`): ticketed sessions
-    /// journal their state here with an fsync'd recovery sidecar, so a
-    /// router *process* crash is resumable. `None` = ephemeral journals
-    /// in the OS temp dir (failover-safe, not crash-safe).
+    /// Durable journal directory (`--journal-dir`): each ticketed
+    /// session's state is one `<id>.fgj` file here, synced before the
+    /// router acts on it, so a router *process* crash is resumable.
+    /// `None` = ephemeral journals in the OS temp dir (failover-safe, not
+    /// crash-safe).
     pub journal_dir: Option<PathBuf>,
     /// Scan `journal_dir` at startup (`--resume-journals`) and rebuild
     /// the session table from the journals a crashed router left behind.
@@ -409,57 +410,15 @@ fn spawn_backend(workers: usize, observe_every: u64) -> std::io::Result<ServerHa
 
 // ---- session state ---------------------------------------------------------
 
-/// Everything the router remembers about one session — enough to replay
-/// it to a fresh backend and to resume a returning client losslessly.
+/// One routed session: its journal, which is everything the router
+/// remembers about it (the HELLO, the event prefix, END, the alarm log
+/// deduplicated across failovers, the verdict), and which driver owns it.
 struct SessionBuf {
-    /// The opaque HELLO payload, forwarded verbatim to every incarnation.
-    hello: Vec<u8>,
-    /// The contiguous event prefix received from the client (journal
-    /// index == absolute seq): a bounded RAM tail + disk spill, so the
-    /// router's per-session memory is O(tail), not O(events).
     journal: Journal,
-    /// The client has sent END.
-    ended: bool,
-    /// Every alarm the analysis has produced, deduplicated across
-    /// failovers — also the re-delivery log for resumes.
-    alarms: Vec<Detection>,
-    /// Stored terminal frames once the analysis finished — replayed to a
-    /// client that resumes afterwards.
-    summary: Option<Vec<u8>>,
-    error: Option<Vec<u8>>,
     /// A driver currently owns this session.
     attached: bool,
     /// A resuming connection asked the current (ghost) driver to let go.
     takeover: bool,
-}
-
-impl SessionBuf {
-    fn fresh(hello: Vec<u8>, journal: Journal) -> Self {
-        SessionBuf {
-            hello,
-            journal,
-            ended: false,
-            alarms: Vec::new(),
-            summary: None,
-            error: None,
-            attached: true,
-            takeover: false,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.summary.is_some() || self.error.is_some()
-    }
-
-    fn set_summary(&mut self, payload: Vec<u8>) {
-        let _ = self.journal.record_summary(&payload);
-        self.summary = Some(payload);
-    }
-
-    fn set_error(&mut self, payload: Vec<u8>) {
-        let _ = self.journal.record_error(&payload);
-        self.error = Some(payload);
-    }
 }
 
 type SessionRef = Arc<Mutex<SessionBuf>>;
@@ -629,11 +588,6 @@ impl RouterHandle {
         self.shared.stats.shed.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently spilled to session journals on disk.
-    pub fn journal_bytes(&self) -> u64 {
-        self.shared.gauges.bytes.load(Ordering::Relaxed)
-    }
-
     /// Events spilled from RAM tails to journal files since startup —
     /// nonzero proves the bounded-memory path actually engaged.
     pub fn events_spilled(&self) -> u64 {
@@ -721,16 +675,17 @@ impl Shared {
         self.trace.as_deref()
     }
 
-    /// Opens the journal for a new session (`name` keys the durable
-    /// files, so ticketed sessions use their id and anonymous sessions a
-    /// non-numeric label recovery skips).
-    fn open_journal(&self, name: &str) -> std::io::Result<Journal> {
-        Journal::open(
-            name,
-            self.journal_tail,
-            self.journal_dir.as_deref(),
-            self.gauges.clone(),
-        )
+    /// Opens a new session, owned by the driver registering it. Its
+    /// journal is durable under the journal dir (if any) when `durable`,
+    /// else ephemeral.
+    fn open_session(&self, name: &str, durable: bool, hello: Vec<u8>) -> io::Result<SessionRef> {
+        let dir = self.journal_dir.as_deref().filter(|_| durable);
+        let journal = Journal::open(name, hello, self.journal_tail, dir, self.gauges.clone())?;
+        Ok(Arc::new(Mutex::new(SessionBuf {
+            journal,
+            attached: true,
+            takeover: false,
+        })))
     }
 }
 
@@ -780,28 +735,23 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     if opts.resume_journals {
         if let Some(dir) = &shared.journal_dir {
             if dir.is_dir() {
-                for r in recover_journals(dir, shared.journal_tail, &shared.gauges)? {
+                for (id, journal) in recover_journals(dir, shared.journal_tail, &shared.gauges)? {
                     if let Some(t) = shared.trace() {
                         t.emit(
                             "router.recover",
-                            Some(mix(r.id)),
+                            Some(mix(id)),
                             vec![
-                                ("events", r.journal.len().into()),
-                                ("alarms", (r.alarms.len() as u64).into()),
+                                ("events", journal.len().into()),
+                                ("alarms", (journal.alarms().len() as u64).into()),
                             ],
                         );
                     }
                     let buf = SessionBuf {
-                        hello: r.hello,
-                        journal: r.journal,
-                        ended: r.ended,
-                        alarms: r.alarms,
-                        summary: r.summary,
-                        error: r.error,
+                        journal,
                         attached: false,
                         takeover: false,
                     };
-                    lock(&shared.table.map).insert(r.id, Arc::new(Mutex::new(buf)));
+                    lock(&shared.table.map).insert(id, Arc::new(Mutex::new(buf)));
                 }
             }
         }
@@ -868,7 +818,12 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                     }
                 }
             });
-            lock(&conns).push(h);
+            // Dropping a finished connection's handle frees its thread's
+            // stack; kept until shutdown, every connection ever served
+            // would stay mapped and partly resident.
+            let mut conns = lock(&conns);
+            conns.retain(|h| !h.is_finished());
+            conns.push(h);
         })?
     };
 
@@ -1016,24 +971,24 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                     Ok(None) => return,
                     Err(e) => return send_error(&mut writer, &format!("bad frame: {e}")),
                 };
-                let mut journal = match shared.open_journal(&ticket.id.to_string()) {
-                    Ok(j) => j,
-                    Err(e) => return send_error(&mut writer, &format!("session journal: {e}")),
-                };
-                let _ = journal.record_hello(&hello);
-                let session = Arc::new(Mutex::new(SessionBuf::fresh(hello, journal)));
-                {
-                    let mut map = lock(&shared.table.map);
-                    if map.contains_key(&ticket.id) {
-                        drop(map);
-                        return send_error(
-                            &mut writer,
-                            &format!("session id {} already registered", ticket.id),
-                        );
+                // The id is checked and the journal opened under the table
+                // lock: a fresh journal replaces any file of its id, so a
+                // duplicate must never reach `open`.
+                let mut map = lock(&shared.table.map);
+                let opened = match map.entry(ticket.id) {
+                    Entry::Occupied(_) => {
+                        Err(format!("session id {} already registered", ticket.id))
                     }
-                    map.insert(ticket.id, Arc::clone(&session));
+                    Entry::Vacant(slot) => shared
+                        .open_session(&ticket.id.to_string(), true, hello)
+                        .map(|s| Arc::clone(slot.insert(s)))
+                        .map_err(|e| format!("session journal: {e}")),
+                };
+                drop(map);
+                match opened {
+                    Ok(session) => (mix(ticket.id), session, true, None),
+                    Err(msg) => return send_error(&mut writer, &msg),
                 }
-                (mix(ticket.id), session, true, None)
             }
         }
         Ok(Some((HELLO, hello))) => {
@@ -1045,16 +1000,10 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 return shed(shared, &mut writer, &reason);
             }
             let id = shared.anon_ids.fetch_add(1, Ordering::Relaxed);
-            let journal = match Journal::open(
-                &format!("anon-{id}"),
-                shared.journal_tail,
-                None,
-                shared.gauges.clone(),
-            ) {
-                Ok(j) => j,
+            let session = match shared.open_session(&format!("anon-{id}"), false, hello) {
+                Ok(s) => s,
                 Err(e) => return send_error(&mut writer, &format!("session journal: {e}")),
             };
-            let session = Arc::new(Mutex::new(SessionBuf::fresh(hello, journal)));
             (mix(0x0A0A_0A0A ^ id), session, false, None)
         }
         Ok(Some((tag, _))) => {
@@ -1131,6 +1080,13 @@ enum Stop {
     Exit(Exit),
 }
 
+/// The one ending for a failed journal write: the client is never sent a
+/// frame that the journal lacks.
+fn journal_failed(e: io::Error) -> Option<Stop> {
+    let msg = format!("session journal write failed: {e}");
+    Some(Stop::Exit(Exit::Fatal(msg)))
+}
+
 /// One backend incarnation and everything that is per-connection about
 /// it. A failover drops it and connects a new one.
 struct Backend {
@@ -1163,12 +1119,11 @@ impl Backend {
     /// Replays the journaled prefix to this incarnation: the stored HELLO,
     /// then the spilled batches decoded from disk and re-encoded, so the
     /// new backend sees one continuous delta stream.
-    fn replay(&mut self, s: &mut SessionBuf) -> bool {
-        let mut ok = self.writer.write(HELLO, &s.hello).is_ok();
+    fn replay(&mut self, j: &mut Journal) -> bool {
+        let mut ok = self.writer.write(HELLO, j.hello()).is_ok();
         if ok {
             let (w, enc) = (&mut self.writer, &mut self.enc);
-            ok = s
-                .journal
+            ok = j
                 .replay(|chunk| {
                     for part in chunk.chunks(REPLAY_BATCH) {
                         w.write(EVENTS, &enc.encode_batch(part))?;
@@ -1177,7 +1132,7 @@ impl Backend {
                 })
                 .is_ok();
         }
-        if ok && s.ended {
+        if ok && j.ended() {
             ok = self.writer.write(END, &[]).is_ok();
             self.end_sent = true;
         }
@@ -1267,14 +1222,13 @@ impl<'a> Driver<'a> {
             "router.resume",
             vec![("alarms_received", alarms_received.into())],
         );
-        let (ack, tail, terminal) = {
-            let s = lock(&self.session);
-            let from = (alarms_received as usize).min(s.alarms.len());
-            let terminal = [(SUMMARY, s.summary.clone()), (ERROR, s.error.clone())];
+        let (ack, tail, verdict) = {
+            let j = &lock(&self.session).journal;
+            let from = (alarms_received as usize).min(j.alarms().len());
             (
-                proto::encode_ack(s.journal.len()),
-                s.alarms[from..].to_vec(),
-                s.done().then_some(terminal),
+                proto::encode_ack(j.len()),
+                j.alarms()[from..].to_vec(),
+                j.verdict(),
             )
         };
         let mut ok = self.tell_client(ACK, &ack);
@@ -1284,10 +1238,11 @@ impl<'a> Driver<'a> {
         if !ok {
             return Some(Exit::LetGo);
         }
-        for (tag, payload) in terminal? {
-            if let Some(p) = payload {
-                self.tell_client(tag, &p);
-            }
+        if verdict.is_empty() {
+            return None;
+        }
+        for (tag, payload) in verdict {
+            self.tell_client(tag, &payload);
         }
         Some(Exit::Finish)
     }
@@ -1367,7 +1322,7 @@ impl<'a> Driver<'a> {
     /// Replays the journal to incarnation `b`, then pumps the inbox until
     /// a handler stops it.
     fn pump(&mut self, b: &mut Backend) -> Stop {
-        if !b.replay(&mut lock(&self.session)) {
+        if !b.replay(&mut lock(&self.session).journal) {
             return Stop::FailOver;
         }
         loop {
@@ -1438,10 +1393,8 @@ impl<'a> Driver<'a> {
         match tag {
             EVENTS => self.on_events(b, payload),
             END => {
-                {
-                    let mut s = lock(&self.session);
-                    s.ended = true;
-                    let _ = s.journal.record_ended();
+                if let Err(e) = lock(&self.session).journal.end() {
+                    return journal_failed(e);
                 }
                 if b.end_sent {
                     return None;
@@ -1488,8 +1441,7 @@ impl<'a> Driver<'a> {
                     break;
                 }
                 if let Err(e) = s.journal.push(t) {
-                    let msg = format!("session journal write failed: {e}");
-                    return Some(Stop::Exit(Exit::Fatal(msg)));
+                    return journal_failed(e);
                 }
                 fresh.push(t);
             }
@@ -1524,7 +1476,7 @@ impl<'a> Driver<'a> {
     }
 
     fn on_client_gone(&mut self, damage: Option<String>) -> Option<Stop> {
-        let done = lock(&self.session).done();
+        let done = lock(&self.session).journal.done();
         match damage {
             // The session already finished: trailing garbage is
             // indistinguishable from a hangup, and a finished journal
@@ -1570,8 +1522,12 @@ impl<'a> Driver<'a> {
                 // Terminal error: commit the pending summary first
                 // (short-stream sessions send SUMMARY then ERROR), then
                 // the error itself.
-                self.commit_summary(b);
-                self.record_error(&payload);
+                if let Some(stop) = self.commit_summary(b) {
+                    return Some(stop);
+                }
+                if let Err(msg) = self.record_error(&payload) {
+                    return Some(Stop::Exit(Exit::Fatal(msg)));
+                }
                 self.tell_client(ERROR, &payload);
                 let _ = b.socket.shutdown(Shutdown::Write);
                 None
@@ -1599,34 +1555,33 @@ impl<'a> Driver<'a> {
         // Deduplicate across failovers: analysis is deterministic, so a
         // replayed incarnation re-raises the logged prefix
         // bit-identically; only the tail past the log is new. Fresh
-        // alarms hit the durable index *before* they are released to the
+        // alarms hit the journal *before* they are released to the
         // client, so a post-crash recovery never re-raises a delivered
         // alarm out of order.
-        let mut fresh: Vec<Detection> = Vec::new();
-        {
+        let fresh = {
             let mut s = lock(&self.session);
-            for d in ds {
-                b.seen += 1;
-                if b.seen > s.alarms.len() as u64 {
-                    s.alarms.push(d);
-                    fresh.push(d);
-                }
+            let skip = (s.journal.alarms().len() as u64).saturating_sub(b.seen);
+            b.seen += ds.len() as u64;
+            let fresh = &ds[(skip as usize).min(ds.len())..];
+            if fresh.is_empty() {
+                return None;
             }
-            if !fresh.is_empty() {
-                let _ = s.journal.record_alarms(&fresh);
+            if let Err(e) = s.journal.log_alarms(fresh) {
+                return journal_failed(e);
             }
-        }
-        if !fresh.is_empty() {
-            self.tell_client(ALARMS, &proto::encode_alarms(&fresh));
-        }
+            fresh
+        };
+        self.tell_client(ALARMS, &proto::encode_alarms(fresh));
         None
     }
 
     fn on_backend_gone(&mut self, b: &mut Backend) -> Option<Stop> {
         // A clean close commits the held summary: the backend said
         // everything it meant to.
-        self.commit_summary(b);
-        if lock(&self.session).done() {
+        if let Some(stop) = self.commit_summary(b) {
+            return Some(stop);
+        }
+        if lock(&self.session).journal.done() {
             return Some(Stop::Exit(Exit::Finish));
         }
         // Mid-session death: fail over and replay.
@@ -1693,30 +1648,31 @@ impl<'a> Driver<'a> {
         Some(Stop::FailOver)
     }
 
-    /// Commits the held SUMMARY, if any: record it, count the session,
-    /// forward it.
-    fn commit_summary(&mut self, b: &mut Backend) {
-        if let Some(p) = b.pending_summary.take() {
-            lock(&self.session).set_summary(p.clone());
-            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
-            self.tell_client(SUMMARY, &p);
+    /// Commits the held SUMMARY, if any: journal it, count the session,
+    /// forward it. A failed journal write ends the session instead.
+    fn commit_summary(&mut self, b: &mut Backend) -> Option<Stop> {
+        let p = b.pending_summary.take()?;
+        if let Err(e) = lock(&self.session).journal.set_summary(&p) {
+            return journal_failed(e);
         }
+        self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+        self.tell_client(SUMMARY, &p);
+        None
     }
 
-    /// Records a terminal ERROR (unless the session already has one) and
-    /// counts the session if this is its first terminal frame.
-    fn record_error(&self, payload: &[u8]) {
-        let first = {
-            let mut s = lock(&self.session);
-            let first = !s.done();
-            if s.error.is_none() {
-                s.set_error(payload.to_vec());
-            }
-            first
-        };
+    /// Journals a terminal ERROR (unless the session already has one) and
+    /// counts the session if this is its first verdict. A failed journal
+    /// write returns the message that ends the session instead.
+    fn record_error(&self, payload: &[u8]) -> Result<(), String> {
+        let mut s = lock(&self.session);
+        let first = !s.journal.done();
+        s.journal
+            .set_error(payload)
+            .map_err(|e| format!("session journal write failed: {e}"))?;
         if first {
             self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(())
     }
 
     /// Sends one frame to a live client; a failed write turns the driver
@@ -1744,7 +1700,7 @@ impl<'a> Driver<'a> {
         let finish = matches!(exit, Exit::Finish);
         match exit {
             Exit::Fatal(msg) => {
-                self.record_error(msg.as_bytes());
+                let msg = self.record_error(msg.as_bytes()).err().unwrap_or(msg);
                 self.tell_client(ERROR, msg.as_bytes());
                 self.shared.table.forget(&self.session);
             }
@@ -1792,5 +1748,39 @@ impl<'a> Driver<'a> {
             }
             shutdown_both(&self.client);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// The router keeps a handle only for connections still running: a
+    /// finished connection's thread is released at the next accept, not
+    /// at shutdown.
+    #[test]
+    fn finished_connection_threads_are_released() {
+        let router = route(RouterOptions {
+            backends: BackendMode::Spawn(1),
+            backend_workers: 1,
+            ..RouterOptions::default()
+        })
+        .expect("router starts");
+        for _ in 0..20 {
+            // An empty ERROR frame where the HELLO belongs draws an ERROR
+            // and ends the connection.
+            let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+            s.write_all(&[ERROR, 0]).expect("send");
+            let mut r = FrameReader::new(BufReader::new(s));
+            while let Ok(Some(_)) = r.read() {}
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let held = lock(&router.conns).len();
+        assert!(
+            held <= 2,
+            "{held} connection handles held after 20 finished"
+        );
+        router.shutdown();
     }
 }

@@ -429,10 +429,7 @@ fn journal_spill_plus_resume_holds_parity_for_every_workload() {
             &addr,
             &session,
             events,
-            RoutedOptions {
-                max_reconnects: 64,
-                ..RoutedOptions::new(5_000 + i as u64)
-            },
+            RoutedOptions::new(5_000 + i as u64),
         )
         .unwrap_or_else(|e| panic!("{workload}: session under journal pressure failed: {e}"));
         assert!(
@@ -476,16 +473,8 @@ fn admission_control_sheds_fresh_sessions_with_busy() {
     .expect("router starts");
     let addr = router.local_addr().to_string();
 
-    let err = run_routed_session(
-        &addr,
-        &session,
-        Arc::clone(&events),
-        RoutedOptions {
-            max_reconnects: 2,
-            ..RoutedOptions::new(9)
-        },
-    )
-    .expect_err("a zero-budget router must shed the session");
+    let err = run_routed_session(&addr, &session, Arc::clone(&events), RoutedOptions::new(9))
+        .expect_err("a zero-budget router must shed the session");
     match err {
         ClientError::Server(msg) => assert!(
             msg.contains("shed by admission control"),
@@ -511,7 +500,7 @@ fn admission_control_sheds_fresh_sessions_with_busy() {
 /// A router process crash (simulated exactly as `kill -9` leaves the
 /// disk: a durable journal with a recorded HELLO and a spilled event
 /// prefix, no terminal record) is recoverable: a new router started with
-/// `resume_journals` rebuilds the session from the sidecar, ACKs the
+/// `resume_journals` rebuilds the session from its journal, ACKs the
 /// spilled prefix, replays it to a fresh backend, and the resumed client
 /// finishes with offline-exact detections.
 #[test]
@@ -525,15 +514,14 @@ fn crashed_router_journals_are_recovered_by_resume_journals() {
     let hello = session.encode().expect("valid config");
     const PUSHED: usize = 500;
     let spilled = {
-        let mut j =
-            Journal::open("4242", 64, Some(&dir), JournalGauges::default()).expect("journal opens");
-        j.record_hello(&hello).expect("hello recorded");
+        let mut j = Journal::open("4242", hello, 64, Some(&dir), JournalGauges::default())
+            .expect("journal opens with its HELLO");
         for &e in &events[..PUSHED] {
             j.push(e).expect("push");
         }
         let spilled = j.spilled();
         assert!(spilled > 0, "the prefix must have hit the disk");
-        drop(j); // durable + non-terminal: files stay behind
+        drop(j); // durable + no verdict: the file stays behind
         spilled
     };
 
@@ -562,7 +550,7 @@ fn crashed_router_journals_are_recovered_by_resume_journals() {
 }
 
 /// A durable journal left by an older build fails its resume cleanly. Its
-/// `H` record holds a version-1 HELLO, which the backend refuses when the
+/// HELLO frame holds a version-1 HELLO, which the backend refuses when the
 /// router replays it; the router forwards that refusal as the session's
 /// terminal ERROR — no panic, no hang — and then serves a fresh session.
 #[test]
@@ -570,15 +558,13 @@ fn older_build_journal_fails_its_resume_cleanly() {
     let dir = std::env::temp_dir().join(format!("fg-faults-old-journal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("journal dir");
-    // `77.idx` is one `u8 kind ‖ u32le len ‖ payload` record: kind `H`,
-    // the 13-byte version-1 HELLO for workload "x", seed 0, insts 1,
-    // baseline 0, PMC on 4 µcores, hybrid model, filter width 4, MA-stage
-    // ISAX and mapper width 1.
+    // `77.fgj` is one HELLO frame holding the 13-byte version-1 HELLO for
+    // workload "x", seed 0, insts 1, baseline 0, PMC on 4 µcores, hybrid
+    // model, filter width 4, MA-stage ISAX and mapper width 1.
     let v1_hello = [1, 1, b'x', 0, 1, 0, 1, 0, 4, 3, 4, 0, 1];
-    let mut idx = vec![b'H'];
-    idx.extend_from_slice(&(v1_hello.len() as u32).to_le_bytes());
-    idx.extend_from_slice(&v1_hello);
-    std::fs::write(dir.join("77.idx"), idx).expect("idx written");
+    let mut journal = Vec::new();
+    proto::write_frame(&mut journal, HELLO, &v1_hello).expect("frame rendered");
+    std::fs::write(dir.join("77.fgj"), journal).expect("journal written");
 
     let router = route(RouterOptions {
         journal_dir: Some(dir.clone()),
@@ -624,6 +610,33 @@ fn older_build_journal_fails_its_resume_cleanly() {
         detection_keys(&offline.detections)
     );
     assert_eq!(out.outcome.summary.committed, offline.committed);
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal write that fails ends the session with an ERROR naming the
+/// session journal: the router never acts on state the disk lacks. Here
+/// `<id>.fgj` is a symlink to `/dev/full`, so the durable HELLO frame
+/// cannot be written and the session is refused at registration, although
+/// its events, fewer than the journal tail, would never spill.
+#[cfg(unix)]
+#[test]
+fn a_failed_journal_write_fails_the_session_naming_the_journal() {
+    let (_, session, events) = fixture("ferret", 3_000);
+    let dir = std::env::temp_dir().join(format!("fg-faults-full-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    std::os::unix::fs::symlink("/dev/full", dir.join("31.fgj")).expect("symlink to /dev/full");
+    let router = route(RouterOptions {
+        journal_dir: Some(dir.clone()),
+        journal_tail: events.len() + 1,
+        ..router_opts()
+    })
+    .expect("router starts");
+    let addr = router.local_addr().to_string();
+    let err = run_routed_session(&addr, &session, events, RoutedOptions::new(31))
+        .expect_err("a journal that cannot be written must fail the session");
+    assert!(err.to_string().contains("session journal"), "got: {err}");
     router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@ use fireguard_soc::{
 use fireguard_trace::codec::EventEncoder;
 use fireguard_trace::{AttackKind, AttackPlan};
 use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,8 +158,9 @@ fn routed_matches_direct_and_offline_for_every_workload() {
 }
 
 /// Injected client-transport faults (the router severs the client link
-/// after every 2 ACKs) force repeated resumes; the final alarm stream
-/// must still be lossless and duplicate-free, bit-identical to offline.
+/// after every ACK) force a resume per batch; the final alarm stream must
+/// still be lossless and duplicate-free, bit-identical to offline. Each
+/// resume makes progress, so the client's default budget never runs out.
 #[test]
 fn resume_survives_injected_transport_faults() {
     let cfg = attack_experiment("ferret", 12_000);
@@ -169,21 +170,13 @@ fn resume_survives_injected_transport_faults() {
     let session = SessionConfig::from_experiment(&cfg, base);
 
     let router = route(RouterOptions {
-        drop_client_after_acks: Some(2),
+        drop_client_after_acks: Some(1),
         ..router_opts()
     })
     .expect("router starts");
     let addr = router.local_addr().to_string();
-    let out = run_routed_session(
-        &addr,
-        &session,
-        Arc::clone(&events),
-        RoutedOptions {
-            max_reconnects: 64,
-            ..RoutedOptions::new(7)
-        },
-    )
-    .expect("session survives the faults");
+    let out = run_routed_session(&addr, &session, Arc::clone(&events), RoutedOptions::new(7))
+        .expect("session survives the faults");
     assert!(
         out.reconnects > 0,
         "the fault injection must actually trigger resumes"
@@ -459,9 +452,9 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
 
     let expected = detection_keys(&offline.detections);
     assert!(!expected.is_empty(), "the campaign must raise alarms");
-    let idx = dir.join("21.idx");
+    let journal = dir.join("21.fgj");
     for confirm in [false, true] {
-        assert!(idx.exists(), "an unconfirmed verdict keeps its journal");
+        assert!(journal.exists(), "an unconfirmed verdict keeps its journal");
         let (ack, alarms, summary) = resume_finished(addr, 21, confirm);
         assert_eq!(ack, events.len() as u64, "every event was journaled");
         assert_eq!(detection_keys(&alarms), expected, "confirm={confirm}");
@@ -477,7 +470,7 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     // Delivery confirmed: the router forgets the session and removes its
     // journal, so a further resume is refused.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while idx.exists() {
+    while journal.exists() {
         assert!(Instant::now() < deadline, "the journal outlived delivery");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -498,6 +491,69 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     }
     router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ticketed session whose verdict is a backend's ERROR is forgotten
+/// once the client has it: the client confirms every verdict it reads,
+/// not only a SUMMARY. The router runs over one extern backend, a
+/// stand-in serve that refuses every HELLO.
+#[test]
+fn an_error_verdict_is_forgotten_once_delivered() {
+    let backend = TcpListener::bind("127.0.0.1:0").expect("stand-in backend binds");
+    let backend_addr = backend.local_addr().expect("bound").to_string();
+    std::thread::spawn(move || {
+        for conn in backend.incoming().flatten() {
+            std::thread::spawn(move || {
+                // Health probes hang up at once. A session is refused after
+                // its HELLO, then drained to EOF.
+                let mut r = FrameReader::new(BufReader::new(&conn));
+                if let Ok(Some((proto::HELLO, _))) = r.read() {
+                    let refusal = b"refused session: stand-in backend";
+                    let _ = proto::write_frame(&mut &conn, ERROR, refusal);
+                    let _ = conn.shutdown(Shutdown::Write);
+                    while let Ok(Some(_)) = r.read() {}
+                }
+            });
+        }
+    });
+    let router = route(RouterOptions {
+        backends: BackendMode::Extern(vec![backend_addr]),
+        ..router_opts()
+    })
+    .expect("router starts");
+    let cfg = attack_experiment("ferret", 3_000);
+    let session = SessionConfig::from_experiment(&cfg, 0);
+    let events = Arc::new(capture_events(&cfg));
+    let addr = router.local_addr();
+    let err = run_routed_session(&addr.to_string(), &session, events, RoutedOptions::new(61))
+        .expect_err("the backend refuses every session");
+    assert!(
+        err.to_string()
+            .contains("refused session: stand-in backend"),
+        "got: {err}"
+    );
+
+    // Delivered and confirmed, the session is forgotten: a resume is
+    // refused instead of served the stored ERROR again.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let ticket = proto::SessionTicket {
+            id: 61,
+            resume: true,
+            alarms_received: 0,
+        };
+        proto::write_frame(&mut &stream, SESSION, &ticket.encode()).expect("ticket");
+        match FrameReader::new(BufReader::new(&stream)).read() {
+            Ok(Some((ERROR, p))) if p.starts_with(b"unknown session id") => break,
+            other => assert!(
+                Instant::now() < deadline,
+                "the delivered ERROR verdict is still kept: {other:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    router.shutdown();
 }
 
 /// An idle timeout too long to double (`--idle-timeout 1e19` on the
@@ -557,10 +613,7 @@ fn plain_serve_refuses_ticketed_sessions() {
         &direct.local_addr().to_string(),
         &session,
         events,
-        RoutedOptions {
-            max_reconnects: 0,
-            ..RoutedOptions::new(1)
-        },
+        RoutedOptions::new(1),
     )
     .expect_err("a plain serve must refuse the SESSION frame");
     match err {

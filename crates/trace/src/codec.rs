@@ -110,11 +110,11 @@ pub enum CodecError {
         /// Events actually present.
         found: u64,
     },
-    /// The trailing FNV-1a checksum does not match the batch payloads.
+    /// A stored FNV-1a checksum does not match the data it covers.
     ChecksumMismatch {
-        /// Checksum stored in the file.
+        /// Checksum stored in the file or frame.
         expected: u64,
-        /// Checksum recomputed from the payloads.
+        /// Checksum recomputed from the data.
         found: u64,
     },
 }
@@ -136,7 +136,7 @@ impl std::fmt::Display for CodecError {
             CodecError::ChecksumMismatch { expected, found } => {
                 write!(
                     f,
-                    "checksum mismatch: file {expected:#018x}, data {found:#018x}"
+                    "checksum mismatch: stored {expected:#018x}, computed {found:#018x}"
                 )
             }
         }
