@@ -657,7 +657,6 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
         kills: p.num("--kills").unwrap_or(4),
         seed: p.num("--seed").unwrap_or(7),
         drop_client_after_acks: None,
-        observe_every: fireguard_server::OBSERVE_EVERY,
         wire_faults,
         journal_tail: p
             .num("--journal-tail")
@@ -810,7 +809,6 @@ pub fn serve_cmd(p: &Parsed) -> i32 {
                 .num("--workers")
                 .unwrap_or_else(fireguard_soc::default_workers),
             max_sessions: p.num("--max-sessions"),
-            observe_every: fireguard_server::OBSERVE_EVERY,
             metrics_addr: p.text("--metrics-addr").map(str::to_owned),
             idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
             trace,
@@ -841,9 +839,16 @@ pub fn router_cmd(p: &Parsed) -> i32 {
         (Some(_), Some(_)) => {
             Err("--backends (spawn) and --backend-addrs (extern) are mutually exclusive".to_owned())
         }
-        (_, Some(csv)) => Ok(fireguard_server::BackendMode::Extern(
-            csv.split(',').map(|s| s.trim().to_owned()).collect(),
-        )),
+        (_, Some(csv)) => {
+            // Extern backends are never spawned: there are no workers to
+            // size.
+            let addrs = csv.split(',').map(|s| s.trim().to_owned()).collect();
+            p.require(
+                &["--backend-workers"],
+                "spawned backends, not --backend-addrs",
+            )
+            .map(|()| fireguard_server::BackendMode::Extern(addrs))
+        }
         (n, None) => Ok(fireguard_server::BackendMode::Spawn(n.unwrap_or(2))),
     };
     run_foreground(p, "router", backends, |backends, trace| {

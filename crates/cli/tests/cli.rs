@@ -542,6 +542,22 @@ fn flags_without_their_mode_are_refused() {
             &["loadgen", "--trace", fgt_s, "--chaos", "--bucket-ms", "5"],
             "--chaos has no latency histogram; --bucket-ms does not apply",
         ),
+        (
+            // `--max-sessions 0`: a router that took the flag would exit
+            // at once instead of serving forever.
+            &[
+                "router",
+                "--addr",
+                "127.0.0.1:0",
+                "--backend-addrs",
+                "127.0.0.1:9",
+                "--backend-workers",
+                "3",
+                "--max-sessions",
+                "0",
+            ],
+            "--backend-workers requires spawned backends, not --backend-addrs",
+        ),
     ] {
         let out = fireguard(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

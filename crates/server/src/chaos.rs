@@ -51,8 +51,6 @@ pub struct ChaosOptions {
     /// Also sever each client transport after this many ACKs, forcing
     /// the resume path on top of backend failovers.
     pub drop_client_after_acks: Option<u64>,
-    /// Alarm-drain period for the spawned backends.
-    pub observe_every: u64,
     /// When set, interpose the seeded wire-fault proxy between every
     /// client and the router, so the network lies while backends die.
     pub wire_faults: Option<WireFaults>,
@@ -95,7 +93,6 @@ impl Default for ChaosOptions {
             kills: 4,
             seed: 7,
             drop_client_after_acks: None,
-            observe_every: 1024,
             wire_faults: None,
             journal_tail: crate::journal::DEFAULT_JOURNAL_TAIL,
             trace: None,
@@ -169,7 +166,6 @@ pub fn run_chaos(
     let router = route(RouterOptions {
         backends: BackendMode::Spawn(opts.backends),
         backend_workers: opts.backend_workers,
-        observe_every: opts.observe_every,
         drop_client_after_acks: opts.drop_client_after_acks,
         journal_tail: opts.journal_tail,
         trace: opts.trace.clone(),

@@ -117,10 +117,8 @@ pub fn run_session(
     let sent =
         sent.map_err(|_| ClientError::Protocol("sender thread panicked mid-session".to_owned()))?;
     let summary = match verdict {
-        Attempt::Finished(summary, None) => summary,
-        Attempt::Finished(_, Some(msg)) | Attempt::Refused(msg) | Attempt::Shed(msg) => {
-            return Err(ClientError::Server(msg));
-        }
+        Attempt::Finished(summary) => summary,
+        Attempt::Refused(msg) | Attempt::Shed(msg) => return Err(ClientError::Server(msg)),
         // The server may stop reading as soon as its commit target is
         // reached, so the sender can legitimately die on a broken pipe —
         // only surface its error if the session as a whole failed.
@@ -177,8 +175,8 @@ pub struct RoutedOutcome {
 
 /// One connection attempt's verdict.
 enum Attempt {
-    /// SUMMARY (and possibly a trailing ERROR) arrived — terminal.
-    Finished(Summary, Option<String>),
+    /// The SUMMARY arrived — terminal.
+    Finished(Summary),
     /// The transport died (or the session was momentarily busy); a routed
     /// session resumes.
     Retry,
@@ -273,10 +271,7 @@ pub fn run_routed_session(
         // Every arm that does not end the session names the error it ends
         // with once the reconnect budget is spent.
         let give_up = match attempt {
-            Ok(Attempt::Finished(summary, trailing_error)) => {
-                if let Some(msg) = trailing_error {
-                    return Err(ClientError::Server(msg));
-                }
+            Ok(Attempt::Finished(summary)) => {
                 return Ok(RoutedOutcome {
                     outcome: SessionOutcome {
                         alarms,
@@ -331,7 +326,7 @@ pub fn run_routed_session(
 
 /// One connection's worth of a session: the handshake (a plain HELLO, or
 /// a routed ticket), the event stream from wherever the server says it
-/// starts, and frames collected until SUMMARY or transport death.
+/// starts, and frames collected until the verdict or transport death.
 /// `alarms` and `acks` accumulate across attempts — the alarm count
 /// doubles as the resume ticket's `alarms_received`.
 fn attempt(
@@ -425,16 +420,7 @@ fn attempt(
                 // Progress bookkeeping only; correctness needs no action.
                 acks.high = acks.high.max(decode_ack(&payload)?);
             }
-            Some((SUMMARY, payload)) => {
-                let summary = Summary::decode(&payload)?;
-                // An ERROR frame may still follow a partial summary; poll
-                // one more frame so the caller learns the session broke.
-                let trailing = match next()? {
-                    Some((ERROR, msg)) => Some(text(&msg)),
-                    _ => None,
-                };
-                break Attempt::Finished(summary, trailing);
-            }
+            Some((SUMMARY, payload)) => break Attempt::Finished(Summary::decode(&payload)?),
             Some((ERROR, msg)) => break Attempt::Refused(text(&msg)),
             // Admission control said no — a clean, deliberate refusal (a
             // router under load, not a broken one).
@@ -448,7 +434,7 @@ fn attempt(
         }
     };
     if routed {
-        if matches!(verdict, Attempt::Finished(..) | Attempt::Refused(_)) {
+        if matches!(verdict, Attempt::Finished(_) | Attempt::Refused(_)) {
             // Terminal delivery ACK, after a SUMMARY or an ERROR: through
             // a faulting wire, the router's successful verdict write
             // proves nothing — it holds the session resumable until this

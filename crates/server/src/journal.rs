@@ -5,8 +5,8 @@
 //! how much of the stream is safely buffered, which alarms the client was
 //! shown and whether the verdict is in. A [`Journal`] holds all of it: the
 //! HELLO, the event prefix, whether END was seen, the alarm log and the
-//! final SUMMARY or ERROR. Only the methods that write the durable frame
-//! first can change that state.
+//! verdict: one SUMMARY or one ERROR. Only the methods that write the
+//! durable frame first can change that state.
 //!
 //! Events accumulate in a small in-RAM tail ring; when the ring fills, the
 //! whole tail is *spilled* to the journal file as one freshly
@@ -26,12 +26,12 @@
 //!   created at the first spill and removed on drop. Survives backend
 //!   failover, not a router crash.
 //! - **Durable** (`--journal-dir <dir>`): `<id>.fgj` is created anew with
-//!   the HELLO frame and also gets an ALARMS frame per alarm batch, END,
-//!   SUMMARY and ERROR, each synced to disk before the method recording it
-//!   returns — so before the router acts on it. Once the session has its
-//!   verdict the file is removed on drop; until then a router *process*
-//!   crash (`kill -9`) leaves enough on disk for a router started with
-//!   `--resume-journals <dir>` to rebuild the session via
+//!   the HELLO frame and also gets an ALARMS frame per alarm batch, END
+//!   and the verdict frame, each synced to disk before the method
+//!   recording it returns — so before the router acts on it. Once the
+//!   session has its verdict the file is removed on drop; until then a
+//!   router *process* crash (`kill -9`) leaves enough on disk for a router
+//!   started with `--resume-journals <dir>` to rebuild the session via
 //!   [`recover_journals`]. Events still in the RAM tail at crash time are
 //!   absent from the recovered journal; the resume ACK shrinks accordingly
 //!   and the client re-sends them.
@@ -39,7 +39,10 @@
 //! Recovery reads frames until the first one it cannot use — cut short by
 //! the crash or failing its checksum — truncates the file there and keeps
 //! appending after it. A file that does not start with a HELLO frame is
-//! skipped and left untouched.
+//! skipped and left untouched. SUMMARY and ERROR frames fill the one
+//! verdict slot and the last one wins, so a file an older build wrote for
+//! a short session (a partial SUMMARY, then its ERROR) recovers as the
+//! ERROR.
 
 use crate::proto::{
     checksummed, decode_alarms, encode_alarms, FrameReader, FrameWriter, ALARMS, END, ERROR,
@@ -81,8 +84,8 @@ pub struct Journal {
     hello: Vec<u8>,
     ended: bool,
     alarms: Vec<Detection>,
-    summary: Option<Vec<u8>>,
-    error: Option<Vec<u8>>,
+    /// The verdict frame, SUMMARY or ERROR, once recorded.
+    verdict: Option<(u8, Vec<u8>)>,
     tail: VecDeque<TraceInst>,
     tail_cap: usize,
     spilled: u64,
@@ -114,8 +117,7 @@ impl Journal {
             hello: Vec::new(),
             ended: false,
             alarms: Vec::new(),
-            summary: None,
-            error: None,
+            verdict: None,
             tail: VecDeque::with_capacity(tail_cap.min(DEFAULT_JOURNAL_TAIL)),
             tail_cap,
             spilled: 0,
@@ -245,18 +247,15 @@ impl Journal {
         &self.alarms
     }
 
-    /// Whether the session has its verdict (a SUMMARY or an ERROR).
+    /// Whether the session has its verdict.
     pub fn done(&self) -> bool {
-        self.summary.is_some() || self.error.is_some()
+        self.verdict.is_some()
     }
 
-    /// The verdict frames, SUMMARY before ERROR; empty while the session
-    /// runs.
-    pub fn verdict(&self) -> Vec<(u8, Vec<u8>)> {
-        [(SUMMARY, &self.summary), (ERROR, &self.error)]
-            .into_iter()
-            .filter_map(|(tag, p)| Some((tag, p.clone()?)))
-            .collect()
+    /// The verdict frame, `(SUMMARY | ERROR, payload)`; `None` while the
+    /// session runs.
+    pub fn verdict(&self) -> Option<(u8, &[u8])> {
+        self.verdict.as_ref().map(|(tag, p)| (*tag, p.as_slice()))
     }
 
     /// Records that the client finished its commit stream.
@@ -286,32 +285,19 @@ impl Journal {
         Ok(())
     }
 
-    /// Records the SUMMARY. The file goes on drop: the session needs
-    /// nothing more from it.
+    /// Records the verdict — `tag` is SUMMARY or ERROR — unless one is
+    /// recorded already. The file goes on drop: the session needs nothing
+    /// more from it.
     ///
     /// # Errors
     ///
     /// Journal write failures.
-    pub fn set_summary(&mut self, payload: &[u8]) -> io::Result<()> {
+    pub fn set_verdict(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         self.remove_on_drop = true;
-        self.record(SUMMARY, payload)?;
-        self.summary = Some(payload.to_vec());
-        Ok(())
-    }
-
-    /// Records the terminal ERROR, unless one is recorded already. The
-    /// file goes on drop.
-    ///
-    /// # Errors
-    ///
-    /// Journal write failures.
-    pub fn set_error(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.remove_on_drop = true;
-        if self.error.is_some() {
-            return Ok(());
+        if self.verdict.is_none() {
+            self.record(tag, payload)?;
+            self.verdict = Some((tag, payload.to_vec()));
         }
-        self.record(ERROR, payload)?;
-        self.error = Some(payload.to_vec());
         Ok(())
     }
 
@@ -425,8 +411,7 @@ fn recover_one(path: PathBuf, tail_cap: usize, gauges: &JournalGauges) -> Option
                 Err(_) => break,
             },
             END => j.ended = true,
-            SUMMARY => j.summary = Some(payload),
-            ERROR => j.error = Some(payload),
+            SUMMARY | ERROR => j.verdict = Some((tag, payload)),
             _ => break,
         }
         valid += size;
@@ -569,7 +554,7 @@ mod tests {
         assert_eq!(j.hello(), b"hello-bytes");
         assert!(j.ended());
         assert_eq!(j.alarms(), alarms);
-        assert!(!j.done() && j.verdict().is_empty());
+        assert!(!j.done() && j.verdict().is_none());
         assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes);
         // The RAM tail died with the process: the recovered prefix is the
         // spilled part only, and it replays bit-exactly.
@@ -584,7 +569,7 @@ mod tests {
         assert_eq!(collect(&mut j), evs);
 
         // Verdict reached → file removed on drop.
-        j.set_summary(b"sum").unwrap();
+        j.set_verdict(SUMMARY, b"sum").unwrap();
         let p = j.path.clone();
         drop(j);
         assert!(!p.exists(), "completed journal cleaned up");
@@ -698,6 +683,46 @@ mod tests {
         let recovered = recover_journals(&dir, 50, &JournalGauges::default()).unwrap();
         assert!(recovered.is_empty(), "no HELLO frame, no session");
         assert_eq!(fs::read(&path).unwrap(), old, "the file is left as it was");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_holds_one_verdict_and_recovery_keeps_the_last() {
+        let dir = temp_dir("verdict");
+        // An older build journaled a short session's partial SUMMARY and
+        // then the ERROR that said why: it recovers as that ERROR.
+        let error = b"stream ended after 2000 of 50000 instructions";
+        let mut w = FrameWriter::new(Vec::new());
+        w.write(HELLO, b"h").unwrap();
+        w.write(SUMMARY, b"partial").unwrap();
+        w.write(ERROR, error).unwrap();
+        fs::write(dir.join("8.fgj"), w.get_mut()).unwrap();
+        let (_, mut j) = recover_journals(&dir, 50, &JournalGauges::default())
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(j.verdict(), Some((ERROR, &error[..])));
+        // A recorded verdict stays: a later one is neither kept nor written.
+        j.set_verdict(SUMMARY, b"late").unwrap();
+        assert_eq!(j.verdict(), Some((ERROR, &error[..])));
+        drop(j);
+        assert!(
+            !dir.join("8.fgj").exists(),
+            "a finished journal goes on drop"
+        );
+
+        let mut fresh =
+            Journal::open("9", b"h".to_vec(), 50, Some(&dir), JournalGauges::default()).unwrap();
+        fresh.set_verdict(SUMMARY, b"sum").unwrap();
+        fresh.set_verdict(ERROR, b"late").unwrap();
+        assert_eq!(fresh.verdict(), Some((SUMMARY, &b"sum"[..])));
+        std::mem::forget(fresh);
+        let (_, nine) = recover_journals(&dir, 50, &JournalGauges::default())
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(nine.verdict(), Some((SUMMARY, &b"sum"[..])), "one frame");
+        drop(nine);
         let _ = fs::remove_dir_all(&dir);
     }
 

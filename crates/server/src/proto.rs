@@ -10,7 +10,7 @@
 //! | 3   | END     | c → s     | empty — the commit stream is complete            |
 //! | 4   | SESSION | c → r     | a [`SessionTicket`]; precedes HELLO when present |
 //! | 16  | ALARMS  | s → c     | a batch of [`Detection`]s raised since the last   |
-//! | 17  | SUMMARY | s → c     | the session's final [`Summary`]                  |
+//! | 17  | SUMMARY | s → c     | a complete run's [`Summary`]; the session is over |
 //! | 18  | ERROR   | s → c     | a UTF-8 message; the session is over             |
 //! | 19  | ACK     | r ↔ c     | r → c: `uvarint` events buffered; c → r: empty, the verdict arrived |
 //! | 21  | BUSY    | r → c     | a UTF-8 reason; the fresh session is refused     |
@@ -24,6 +24,12 @@
 //! delta codec, where a damaged or replayed EVENTS frame would otherwise
 //! decode into plausible garbage. The rule depends on the tag alone
 //! ([`checksummed`]), so it holds on every connection, plain or routed.
+//!
+//! **One verdict.** A session ends in exactly one SUMMARY or one ERROR,
+//! never both: SUMMARY only for a run that reached its commit target on
+//! an intact stream, otherwise the ERROR that says why it did not. That
+//! is what version 4 means: a version-3 `serve` sent a partial SUMMARY
+//! before its ERROR, and the two versions refuse each other's HELLO.
 //!
 //! Event payloads are byte-identical to the batches inside a `.fgt` file
 //! (both sides keep a stateful [`EventEncoder`]/`EventDecoder` pair per
@@ -44,7 +50,7 @@ use std::io::{self, Read, Write};
 
 /// The one protocol version this build speaks. A HELLO naming any other
 /// is refused with [`CodecError::UnsupportedVersion`].
-pub const PROTO_VERSION: u64 = 3;
+pub const PROTO_VERSION: u64 = 4;
 /// Hard bound on any frame payload (4 MiB) — enforced on both sides.
 pub const MAX_FRAME: u64 = 1 << 22;
 
@@ -60,9 +66,10 @@ pub const END: u8 = 3;
 pub const SESSION: u8 = 4;
 /// Server→client: detections raised since the previous ALARMS frame.
 pub const ALARMS: u8 = 16;
-/// Server→client: the final session summary.
+/// Server→client: the summary of a complete run — the session's verdict.
 pub const SUMMARY: u8 = 17;
-/// Server→client: a fatal session error (UTF-8 message payload).
+/// Server→client: a fatal session error (UTF-8 message payload) — the
+/// session's verdict when it ends without a SUMMARY.
 pub const ERROR: u8 = 18;
 /// Router→client: cumulative event acknowledgement for a ticketed session
 /// (payload: `uvarint n`, the count of contiguously buffered events — the
@@ -824,13 +831,13 @@ mod tests {
         ));
         assert!(kernel_from_u8(250).is_err());
 
-        // A byte-level HELLO fixture: version 3, workload "x", seed 0,
+        // A byte-level HELLO fixture: version 4, workload "x", seed 0,
         // insts 1, baseline 0, one kernel (id byte ‖ 4 µcores), hybrid
         // model, filter width 4, MA-stage ISAX, mapper width 1. Each paper
         // kernel id must decode from these exact bytes.
         for &(wire, _) in expected {
             let payload: Vec<u8> = vec![
-                3, // protocol version
+                4, // protocol version
                 1, b'x', // workload
                 0,    // seed
                 1,    // insts
@@ -856,7 +863,7 @@ mod tests {
         }
 
         // The same fixture with an unregistered id byte fails cleanly.
-        let mut bad: Vec<u8> = vec![3, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
+        let mut bad: Vec<u8> = vec![4, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
         assert!(SessionConfig::decode(&bad).is_err());
         bad[7] = 5; // highest registered id still decodes
         assert!(SessionConfig::decode(&bad).is_ok());
@@ -876,10 +883,10 @@ mod tests {
     fn hello_decode_rejects_garbage() {
         assert!(SessionConfig::decode(&[]).is_err());
         assert!(SessionConfig::decode(&[0xFF; 64]).is_err());
-        // Every version but 3 — the retired 1 and 2, and any future one —
-        // is refused before the config is read.
+        // Every version but 4 — the retired 1, 2 and 3, and any future
+        // one — is refused before the config is read.
         let mut other = sample_config().encode().unwrap();
-        for version in [1u8, 2, 4, 9] {
+        for version in [1u8, 2, 3, 9] {
             other[0] = version;
             assert!(matches!(
                 SessionConfig::decode(&other),

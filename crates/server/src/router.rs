@@ -75,6 +75,10 @@ const ATTACH_PATIENCE: Duration = Duration::from_secs(5);
 /// parks the session: it stays in the table (and, with a journal dir, on
 /// disk) so a later resume still replays it. The linger ends at once
 /// when the router stops accepting, since no resume can arrive then.
+///
+/// It also bounds how long a *finished* session waits, with no driver,
+/// for a resume to collect its verdict: past it the health thread
+/// forgets the session and removes its journal.
 const GHOST_LINGER: Duration = Duration::from_secs(60);
 
 /// Health-check period.
@@ -110,8 +114,6 @@ pub struct RouterOptions {
     pub backends: BackendMode,
     /// Worker threads per spawned backend.
     pub backend_workers: usize,
-    /// Alarm-drain period handed to spawned backends.
-    pub observe_every: u64,
     /// Accept at most this many connections (resumes included), then
     /// stop (None = forever).
     pub max_sessions: Option<u64>,
@@ -161,7 +163,6 @@ impl Default for RouterOptions {
             addr: "127.0.0.1:0".to_owned(),
             backends: BackendMode::Spawn(2),
             backend_workers: 2,
-            observe_every: crate::service::OBSERVE_EVERY,
             max_sessions: None,
             drop_client_after_acks: None,
             metrics_addr: None,
@@ -183,18 +184,13 @@ impl Default for RouterOptions {
 /// ```text
 ///            kill / probe failure
 ///      Up ───────────────────────────▶ Down
-///       ▲ ◀── restore ── Draining      │
-///       │        ▲           │         │
-///       │        └── drain ──┘         │
+///       ▲                              │
 ///       └──────── revive (respawn or successful re-probe)
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
     /// Healthy: takes new sessions.
     Up,
-    /// Administratively draining: in-flight sessions finish, new ones
-    /// route elsewhere.
-    Draining,
     /// Dead: routed around until revived.
     Down,
 }
@@ -211,8 +207,8 @@ struct Slot {
 struct BackendPool {
     slots: Vec<Mutex<Slot>>,
     ring: Ring,
-    /// `Some((workers, observe_every))` = spawn mode; `None` = extern.
-    spawn: Option<(usize, u64)>,
+    /// `Some(workers)` = spawn mode; `None` = extern.
+    spawn: Option<usize>,
     kills: AtomicU64,
 }
 
@@ -224,7 +220,7 @@ impl BackendPool {
                 let workers = opts.backend_workers.max(1);
                 let mut slots = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let handle = spawn_backend(workers, opts.observe_every)?;
+                    let handle = spawn_backend(workers)?;
                     slots.push(Mutex::new(Slot {
                         state: SlotState::Up,
                         generation: 0,
@@ -235,7 +231,7 @@ impl BackendPool {
                 Ok(BackendPool {
                     ring: Ring::new(n, DEFAULT_REPLICAS),
                     slots,
-                    spawn: Some((workers, opts.observe_every)),
+                    spawn: Some(workers),
                     kills: AtomicU64::new(0),
                 })
             }
@@ -339,12 +335,12 @@ impl BackendPool {
     /// re-admits the slot when it answers.
     fn revive(&self, slot: usize) -> bool {
         match self.spawn {
-            Some((workers, observe_every)) => {
+            Some(workers) => {
                 let mut sl = self.lock_slot(slot);
                 if sl.state != SlotState::Down || sl.handle.is_some() {
                     return false;
                 }
-                match spawn_backend(workers, observe_every) {
+                match spawn_backend(workers) {
                     Ok(h) => {
                         sl.addr = Some(h.local_addr());
                         sl.handle = Some(h);
@@ -379,16 +375,6 @@ impl BackendPool {
         }
     }
 
-    fn set_state(&self, slot: usize, from: SlotState, to: SlotState) -> bool {
-        let mut sl = self.lock_slot(slot);
-        if sl.state == from {
-            sl.state = to;
-            true
-        } else {
-            false
-        }
-    }
-
     fn shutdown(&self) {
         for slot in 0..self.len() {
             let handle = self.lock_slot(slot).handle.take();
@@ -399,11 +385,10 @@ impl BackendPool {
     }
 }
 
-fn spawn_backend(workers: usize, observe_every: u64) -> std::io::Result<ServerHandle> {
+fn spawn_backend(workers: usize) -> std::io::Result<ServerHandle> {
     serve(ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers,
-        observe_every,
         ..ServeOptions::default()
     })
 }
@@ -415,8 +400,8 @@ fn spawn_backend(workers: usize, observe_every: u64) -> std::io::Result<ServerHa
 /// deduplicated across failovers, the verdict), and which driver owns it.
 struct SessionBuf {
     journal: Journal,
-    /// A driver currently owns this session.
-    attached: bool,
+    /// Since when no driver owns this session; `None` while one does.
+    detached: Option<Instant>,
     /// A resuming connection asked the current (ghost) driver to let go.
     takeover: bool,
 }
@@ -431,6 +416,24 @@ struct SessionTable {
 impl SessionTable {
     fn forget(&self, session: &SessionRef) {
         lock(&self.map).retain(|_, v| !Arc::ptr_eq(v, session));
+    }
+
+    /// Forgets every finished session that no driver has owned for
+    /// [`GHOST_LINGER`]; dropping its journal removes the file. Otherwise
+    /// a verdict that no client confirms (the ACK was lost, the client
+    /// gave up, or the session was recovered after it left) would stay
+    /// until the router exits.
+    fn expire_finished(&self) {
+        let sessions: Vec<SessionRef> = lock(&self.map).values().cloned().collect();
+        for session in sessions {
+            let expired = {
+                let s = lock(&session);
+                s.journal.done() && s.detached.is_some_and(|t| t.elapsed() >= GHOST_LINGER)
+            };
+            if expired {
+                self.forget(&session);
+            }
+        }
     }
 }
 
@@ -606,23 +609,6 @@ impl RouterHandle {
         slot < self.pool.len() && self.pool.kill(slot)
     }
 
-    /// Marks `slot` as draining: in-flight sessions finish, new sessions
-    /// route around it. Returns whether the slot was Up.
-    pub fn drain_backend(&self, slot: usize) -> bool {
-        slot < self.pool.len()
-            && self
-                .pool
-                .set_state(slot, SlotState::Up, SlotState::Draining)
-    }
-
-    /// Returns a draining slot to service.
-    pub fn restore_backend(&self, slot: usize) -> bool {
-        slot < self.pool.len()
-            && self
-                .pool
-                .set_state(slot, SlotState::Draining, SlotState::Up)
-    }
-
     /// Blocks until the accept budget is spent and every connection
     /// drains, then tears the fleet down.
     pub fn join(mut self) {
@@ -683,7 +669,7 @@ impl Shared {
         let journal = Journal::open(name, hello, self.journal_tail, dir, self.gauges.clone())?;
         Ok(Arc::new(Mutex::new(SessionBuf {
             journal,
-            attached: true,
+            detached: None,
             takeover: false,
         })))
     }
@@ -730,8 +716,9 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
 
     // Crash recovery: rebuild the session table from the journals a
     // previous router process left in the durable directory. Each
-    // recovered session sits unattached until its client resumes; the
-    // resume ACK tells the client where the recovered prefix ends.
+    // recovered session sits detached until its client resumes (or, if
+    // it has its verdict, until it expires); the resume ACK tells the
+    // client where the recovered prefix ends.
     if opts.resume_journals {
         if let Some(dir) = &shared.journal_dir {
             if dir.is_dir() {
@@ -748,7 +735,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                     }
                     let buf = SessionBuf {
                         journal,
-                        attached: false,
+                        detached: Some(Instant::now()),
                         takeover: false,
                     };
                     lock(&shared.table.map).insert(id, Arc::new(Mutex::new(buf)));
@@ -769,9 +756,10 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     };
 
     let health = {
-        let pool = Arc::clone(&pool);
+        let shared = Arc::clone(&shared);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let pool = &shared.pool;
             while !stop.load(Ordering::SeqCst) {
                 for slot in 0..pool.len() {
                     let (state, addr, generation) = {
@@ -782,7 +770,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                         SlotState::Down => {
                             pool.revive(slot);
                         }
-                        SlotState::Up | SlotState::Draining => {
+                        SlotState::Up => {
                             if let Some(addr) = addr {
                                 // A connect probe: cheap, and decisive
                                 // for a killed backend whose listener is
@@ -796,6 +784,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                         }
                     }
                 }
+                shared.table.expire_finished();
                 std::thread::sleep(HEALTH_EVERY);
             }
         })
@@ -1034,8 +1023,8 @@ fn attach_resume(table: &SessionTable, id: u64) -> Result<SessionRef, String> {
     loop {
         {
             let mut s = lock(&session);
-            if !s.attached {
-                s.attached = true;
+            if s.detached.is_some() {
+                s.detached = None;
                 s.takeover = false;
                 drop(s);
                 return Ok(session);
@@ -1065,11 +1054,11 @@ enum Exit {
     /// Leave quietly and keep the session: a ghost handing over to a
     /// resume, or a resume preamble whose write failed.
     LetGo,
-    /// The client left a finished or anonymous session: forget it
-    /// quietly.
+    /// The client left an anonymous session: forget it quietly.
     Release,
-    /// The analysis finished: half-close, drain the client, and forget a
-    /// ticketed session only once its terminal ACK arrived.
+    /// The verdict is journaled and sent — just now from the backend, or
+    /// from the journal on a resume: half-close, drain the client, and
+    /// forget a ticketed session only once its terminal ACK arrived.
     Finish,
 }
 
@@ -1101,11 +1090,6 @@ struct Backend {
     /// Alarms this incarnation has reported; the first `alarms.len()` of
     /// them are deterministic repeats of the log.
     seen: u64,
-    /// A SUMMARY is held back until the backend closes cleanly: a
-    /// summary chased by a retryable stream error is a *partial* result
-    /// from a damaged backend leg and must never reach the client —
-    /// failover replays and produces the real one.
-    pending_summary: Option<Vec<u8>>,
 }
 
 impl Backend {
@@ -1163,11 +1147,6 @@ struct Driver<'a> {
     client_alive: bool,
     ghost_since: Option<Instant>,
     acks_sent: u64,
-    /// Whether the client confirmed the verdict arrived (terminal ACK).
-    /// A successful SUMMARY write through a faulting wire proves nothing;
-    /// only this flag (or the same frame surfacing in the post-join
-    /// drain) lets `Exit::Finish` forget a ticketed session.
-    verdict_acked: bool,
     /// Backend incarnation counter (per driver).
     inc: u64,
     /// Consecutive failovers since the last decoded backend frame.
@@ -1205,7 +1184,6 @@ impl<'a> Driver<'a> {
             client_alive: true,
             ghost_since: None,
             acks_sent: 0,
-            verdict_acked: false,
             inc: 0,
             failovers: 0,
         }
@@ -1214,8 +1192,7 @@ impl<'a> Driver<'a> {
     /// The resume preamble: ACK where the replay starts and re-deliver
     /// the alarm tail the client missed. A session that finished while
     /// the client was away is served entirely from the buffer — its
-    /// stored SUMMARY and ERROR, then [`Exit::Finish`] — with no backend
-    /// involved.
+    /// stored verdict, then [`Exit::Finish`] — with no backend involved.
     fn resume(&mut self, alarms_received: u64) -> Option<Exit> {
         self.shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
         self.span(
@@ -1228,7 +1205,7 @@ impl<'a> Driver<'a> {
             (
                 proto::encode_ack(j.len()),
                 j.alarms()[from..].to_vec(),
-                j.verdict(),
+                j.verdict().map(|(tag, p)| (tag, p.to_vec())),
             )
         };
         let mut ok = self.tell_client(ACK, &ack);
@@ -1238,12 +1215,8 @@ impl<'a> Driver<'a> {
         if !ok {
             return Some(Exit::LetGo);
         }
-        if verdict.is_empty() {
-            return None;
-        }
-        for (tag, payload) in verdict {
-            self.tell_client(tag, &payload);
-        }
+        let (tag, payload) = verdict?;
+        self.tell_client(tag, &payload);
         Some(Exit::Finish)
     }
 
@@ -1315,7 +1288,6 @@ impl<'a> Driver<'a> {
             enc: EventEncoder::new(),
             end_sent: false,
             seen: 0,
-            pending_summary: None,
         })
     }
 
@@ -1359,9 +1331,11 @@ impl<'a> Driver<'a> {
                 Msg::Frame(Leg::Client, tag, payload) => self.on_client_frame(b, tag, &payload),
                 Msg::Gone(Leg::Client, damage) => self.on_client_gone(damage),
                 Msg::Frame(Leg::Backend(i), tag, payload) if i == self.inc => {
-                    self.on_backend_frame(b, tag, payload)
+                    self.on_backend_frame(b, tag, &payload)
                 }
-                Msg::Gone(Leg::Backend(i), _) if i == self.inc => self.on_backend_gone(b),
+                // The backend died before its verdict: fail over and
+                // replay.
+                Msg::Gone(Leg::Backend(i), _) if i == self.inc => Some(Stop::FailOver),
                 Msg::Frame(Leg::Backend(_), ..) | Msg::Gone(Leg::Backend(_), _) => None, // stale
             };
             if let Some(stop) = stop {
@@ -1402,14 +1376,10 @@ impl<'a> Driver<'a> {
                 b.end_sent = true;
                 (!b.send(END, &[])).then_some(Stop::FailOver)
             }
-            ACK => {
-                // The client's terminal delivery ACK — the verdict made
-                // it across the wire. (Early or duplicated ACKs are
-                // harmless: the flag only matters once the session is
-                // done.)
-                self.verdict_acked = true;
-                None
-            }
+            // The terminal delivery ACK follows the verdict, which ends
+            // the pump: `close` looks for it. One that comes earlier
+            // confirms nothing.
+            ACK => None,
             // An impossible tag after the handshake is wire damage, not
             // a client bug.
             tag => self.client_fault(format!("unexpected frame tag {tag}")),
@@ -1476,16 +1446,10 @@ impl<'a> Driver<'a> {
     }
 
     fn on_client_gone(&mut self, damage: Option<String>) -> Option<Stop> {
-        let done = lock(&self.session).journal.done();
         match damage {
-            // The session already finished: trailing garbage is
-            // indistinguishable from a hangup, and a finished journal
-            // must never grow an error record.
-            Some(_) if self.ticketed && done => Some(Stop::Exit(Exit::Release)),
             Some(e) => self.client_fault(format!("bad frame: {e}")),
-            // Anonymous sessions cannot resume; done sessions need
-            // nothing more from a client.
-            None if done || !self.ticketed => Some(Stop::Exit(Exit::Release)),
+            // Anonymous sessions cannot resume.
+            None if !self.ticketed => Some(Stop::Exit(Exit::Release)),
             None => {
                 // Ticketed and unfinished: go ghost — keep driving the
                 // backend so already-streamed events still yield their
@@ -1498,40 +1462,16 @@ impl<'a> Driver<'a> {
         }
     }
 
-    fn on_backend_frame(&mut self, b: &mut Backend, tag: u8, payload: Vec<u8>) -> Option<Stop> {
+    fn on_backend_frame(&mut self, b: &mut Backend, tag: u8, payload: &[u8]) -> Option<Stop> {
         match tag {
-            ALARMS => self.on_alarms(b, &payload),
-            SUMMARY => {
-                self.failovers = 0;
-                b.pending_summary = Some(payload);
-                // The backend is draining toward close; sever our write
-                // side so its drain sees EOF *now* instead of waiting out
-                // its read timeout. A trailing ERROR (if any) was written
-                // before the drain began and still arrives.
-                let _ = b.socket.shutdown(Shutdown::Write);
-                None
-            }
-            // The backend saw transport damage on our leg (netem
-            // corruption, truncation, a dropped frame). Its summary — if
-            // any — is partial: discard it and fail over; the replay
-            // heals.
+            ALARMS => self.on_alarms(b, payload),
+            // The backend saw transport damage on our leg (a torn or
+            // corrupted frame, a dropped connection): fail over; the
+            // replay heals.
             ERROR if payload.starts_with(RETRYABLE_ERROR_PREFIX.as_bytes()) => {
-                self.backend_fault(String::from_utf8_lossy(&payload).into_owned())
+                self.backend_fault(String::from_utf8_lossy(payload).into_owned())
             }
-            ERROR => {
-                // Terminal error: commit the pending summary first
-                // (short-stream sessions send SUMMARY then ERROR), then
-                // the error itself.
-                if let Some(stop) = self.commit_summary(b) {
-                    return Some(stop);
-                }
-                if let Err(msg) = self.record_error(&payload) {
-                    return Some(Stop::Exit(Exit::Fatal(msg)));
-                }
-                self.tell_client(ERROR, &payload);
-                let _ = b.socket.shutdown(Shutdown::Write);
-                None
-            }
+            SUMMARY | ERROR => self.commit_verdict(tag, payload),
             // Anything else from a backend is wire damage too — replay,
             // don't kill the session.
             tag => self.backend_fault(format!("unexpected frame tag {tag}")),
@@ -1573,19 +1513,6 @@ impl<'a> Driver<'a> {
         };
         self.tell_client(ALARMS, &proto::encode_alarms(fresh));
         None
-    }
-
-    fn on_backend_gone(&mut self, b: &mut Backend) -> Option<Stop> {
-        // A clean close commits the held summary: the backend said
-        // everything it meant to.
-        if let Some(stop) = self.commit_summary(b) {
-            return Some(stop);
-        }
-        if lock(&self.session).journal.done() {
-            return Some(Stop::Exit(Exit::Finish));
-        }
-        // Mid-session death: fail over and replay.
-        Some(Stop::FailOver)
     }
 
     /// Retires a broken incarnation: its slot is marked down (the health
@@ -1648,30 +1575,26 @@ impl<'a> Driver<'a> {
         Some(Stop::FailOver)
     }
 
-    /// Commits the held SUMMARY, if any: journal it, count the session,
-    /// forward it. A failed journal write ends the session instead.
-    fn commit_summary(&mut self, b: &mut Backend) -> Option<Stop> {
-        let p = b.pending_summary.take()?;
-        if let Err(e) = lock(&self.session).journal.set_summary(&p) {
-            return journal_failed(e);
+    /// Commits the backend's verdict — its SUMMARY, or an ERROR no
+    /// failover heals: journal it, count the session, forward it and end
+    /// the driver. A failed journal write ends the session instead.
+    fn commit_verdict(&mut self, tag: u8, payload: &[u8]) -> Option<Stop> {
+        if let Err(msg) = self.record_verdict(tag, payload) {
+            return Some(Stop::Exit(Exit::Fatal(msg)));
         }
-        self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
-        self.tell_client(SUMMARY, &p);
-        None
+        self.tell_client(tag, payload);
+        Some(Stop::Exit(Exit::Finish))
     }
 
-    /// Journals a terminal ERROR (unless the session already has one) and
-    /// counts the session if this is its first verdict. A failed journal
+    /// Journals the verdict and counts the session; a driver records at
+    /// most one, since it never pumps a finished session. A failed journal
     /// write returns the message that ends the session instead.
-    fn record_error(&self, payload: &[u8]) -> Result<(), String> {
-        let mut s = lock(&self.session);
-        let first = !s.journal.done();
-        s.journal
-            .set_error(payload)
+    fn record_verdict(&self, tag: u8, payload: &[u8]) -> Result<(), String> {
+        lock(&self.session)
+            .journal
+            .set_verdict(tag, payload)
             .map_err(|e| format!("session journal write failed: {e}"))?;
-        if first {
-            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1700,7 +1623,10 @@ impl<'a> Driver<'a> {
         let finish = matches!(exit, Exit::Finish);
         match exit {
             Exit::Fatal(msg) => {
-                let msg = self.record_error(msg.as_bytes()).err().unwrap_or(msg);
+                let msg = self
+                    .record_verdict(ERROR, msg.as_bytes())
+                    .err()
+                    .unwrap_or(msg);
                 self.tell_client(ERROR, msg.as_bytes());
                 self.shared.table.forget(&self.session);
             }
@@ -1723,7 +1649,7 @@ impl<'a> Driver<'a> {
                 let _ = self.client.shutdown(Shutdown::Write);
             }
         }
-        lock(&self.session).attached = false;
+        lock(&self.session).detached = Some(Instant::now());
         if !finish {
             shutdown_both(&self.client);
         }
@@ -1738,11 +1664,10 @@ impl<'a> Driver<'a> {
             // terminal ACK arrived; otherwise the entry stays, so the
             // next resume collects the verdict from the buffer instead of
             // drawing "unknown session id".
-            let acked = self.verdict_acked
-                || self
-                    .rx
-                    .try_iter()
-                    .any(|m| matches!(m, Msg::Frame(Leg::Client, ACK, _)));
+            let acked = self
+                .rx
+                .try_iter()
+                .any(|m| matches!(m, Msg::Frame(Leg::Client, ACK, _)));
             if acked || !self.ticketed {
                 self.shared.table.forget(&self.session);
             }
@@ -1782,5 +1707,54 @@ mod tests {
             "{held} connection handles held after 20 finished"
         );
         router.shutdown();
+    }
+
+    /// The health thread's sweep forgets a finished session once no
+    /// driver has owned it for the linger, and its journal file goes with
+    /// it; a session still owned, detached only lately, or unfinished
+    /// stays.
+    #[test]
+    fn finished_sessions_expire_after_the_linger() {
+        let dir = std::env::temp_dir().join(format!("fg-router-expire-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let table = SessionTable::default();
+        let long_ago = Instant::now()
+            .checked_sub(GHOST_LINGER + Duration::from_secs(1))
+            .expect("the clock reaches back past the linger");
+        // (id, finished, detached since)
+        let sessions = [
+            (1, true, Some(long_ago)),
+            (2, true, Some(Instant::now())),
+            (3, true, None),
+            (4, false, Some(long_ago)),
+        ];
+        for (id, finished, detached) in sessions {
+            let gauges = JournalGauges::default();
+            let mut journal = Journal::open(&id.to_string(), b"h".to_vec(), 16, Some(&dir), gauges)
+                .expect("journal opens");
+            if finished {
+                journal.set_verdict(SUMMARY, b"sum").expect("verdict");
+            }
+            let buf = SessionBuf {
+                journal,
+                detached,
+                takeover: false,
+            };
+            lock(&table.map).insert(id, Arc::new(Mutex::new(buf)));
+        }
+        table.expire_finished();
+        let mut kept: Vec<u64> = lock(&table.map).keys().copied().collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [2, 3, 4]);
+        assert!(
+            !dir.join("1.fgj").exists(),
+            "the expired journal is removed"
+        );
+        assert!(
+            dir.join("4.fgj").exists(),
+            "a parked session keeps its journal"
+        );
+        drop(table);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,6 +13,10 @@
 //!   ◀─────────────────────── SUMMARY ──  final RunResult scalars
 //! ```
 //!
+//! The last frame is the session's one verdict: the SUMMARY of a run that
+//! reached its commit target, or an ERROR that says why it did not —
+//! never both.
+//!
 //! # Backpressure
 //!
 //! The analysis is *pull-driven*: the simulated core fetches events from a
@@ -55,8 +59,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Accept at most this many sessions, then stop (None = serve forever).
     pub max_sessions: Option<u64>,
-    /// Alarm-drain period in fast cycles.
-    pub observe_every: u64,
     /// Optional admin metrics endpoint (`--metrics-addr`; port 0 =
     /// ephemeral). Serves the fleet counter snapshot; see
     /// [`crate::metrics`].
@@ -76,7 +78,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:4780".to_owned(),
             workers: fireguard_soc::default_workers(),
             max_sessions: None,
-            observe_every: OBSERVE_EVERY,
             metrics_addr: None,
             trace: None,
             idle_timeout: Duration::from_secs(30),
@@ -221,7 +222,6 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
             let served = Arc::clone(&sessions_served);
             let live = Arc::clone(&live);
             let next_id = Arc::clone(&next_session_id);
-            let observe_every = opts.observe_every;
             let fleet = Arc::clone(&fleet);
             let trace = opts.trace.clone();
             let idle_timeout = opts.idle_timeout.max(Duration::from_millis(10));
@@ -236,14 +236,7 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
                 if let Ok(dup) = stream.try_clone() {
                     lock(&live).insert(id, dup);
                 }
-                handle_session(
-                    stream,
-                    observe_every,
-                    idle_timeout,
-                    id,
-                    &fleet,
-                    trace.as_deref(),
-                );
+                handle_session(stream, idle_timeout, id, &fleet, trace.as_deref());
                 lock(&live).remove(&id);
                 served.fetch_add(1, Ordering::Relaxed);
             })
@@ -319,7 +312,6 @@ impl Iterator for SocketEvents {
 /// down.
 fn handle_session(
     stream: TcpStream,
-    observe_every: u64,
     idle_timeout: Duration,
     session_id: u64,
     fleet: &FleetCounters,
@@ -336,18 +328,18 @@ fn handle_session(
     };
     let drain = stream.try_clone();
     let mut writer = FrameWriter::new(BufWriter::new(stream));
-    session_inner(reader, &mut writer, observe_every, session_id, fleet, trace);
+    session_inner(reader, &mut writer, session_id, fleet, trace);
     let _ = writer.flush();
     // The session may not have consumed the client's whole stream (the
     // capture margin past the commit target stays unread). Closing with
     // unread bytes in the receive buffer raises an RST that can destroy
-    // the in-flight SUMMARY, so: half-close our write side (the client's
+    // the in-flight verdict, so: half-close our write side (the client's
     // next read sees clean EOF and closes), then drain the remaining
     // client bytes to EOF. Bounded by the read timeout and a byte cap so
     // a hostile trickler cannot hold the worker.
     if let Ok(mut d) = drain {
         let _ = d.shutdown(std::net::Shutdown::Write);
-        // The drain only has to outlive the client's close-after-SUMMARY;
+        // The drain only has to outlive the client's close-after-verdict;
         // a few seconds of silence means the peer is gone or hostile
         // either way.
         let _ = d.set_read_timeout(Some(idle_timeout.min(Duration::from_secs(5))));
@@ -370,7 +362,6 @@ fn handle_session(
 fn session_inner(
     mut reader: FrameReader<BufReader<TcpStream>>,
     writer: &mut FrameWriter<BufWriter<TcpStream>>,
-    observe_every: u64,
     session_id: u64,
     fleet: &FleetCounters,
     trace: Option<&TraceSink>,
@@ -439,7 +430,7 @@ fn session_inner(
     let result = sys.run_insts_observed(
         cfg.insts,
         cfg.baseline_cycles,
-        observe_every,
+        OBSERVE_EVERY,
         &mut |batch: &[Detection]| {
             if !write_err {
                 let ok = writer
@@ -470,11 +461,9 @@ fn session_inner(
         .map(|&(slot, id)| (slot, id.wire()))
         .collect();
     fleet.fold_session(&sys.telemetry(), &slot_wire);
-    let summary = Summary::from_result(&result);
 
-    // The summary always goes out. A partial one is followed by the
-    // ERROR that says why, so the client knows it is partial.
-    let _ = writer.write(SUMMARY, &summary.encode());
+    // One verdict: the ERROR of an incomplete run, or the SUMMARY of a
+    // complete one — a partial summary never goes out.
     let partial = match lock(&error).take() {
         // The stream broke before the commit target.
         Some(msg) => Some(format!("stream error: {msg}")),
@@ -489,6 +478,7 @@ fn session_inner(
         fail(&msg);
         return send_error(writer, &msg);
     }
+    let _ = writer.write(SUMMARY, &Summary::from_result(&result).encode());
     fleet.sessions_ok.fetch_add(1, Ordering::Relaxed);
     if let Some(t) = trace {
         t.emit(

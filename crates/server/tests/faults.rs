@@ -30,7 +30,6 @@ fn router_opts() -> RouterOptions {
     RouterOptions {
         backends: BackendMode::Spawn(2),
         backend_workers: 2,
-        observe_every: 1024,
         ..RouterOptions::default()
     }
 }
@@ -74,7 +73,6 @@ fn fuzz_addrs() -> &'static (String, String) {
         let s = serve(ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
-            observe_every: 1024,
             idle_timeout: Duration::from_millis(100),
             ..ServeOptions::default()
         })
@@ -158,7 +156,6 @@ fn corrupted_and_oversized_frames_get_clean_errors() {
     let s = serve(ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        observe_every: 1024,
         idle_timeout: Duration::from_millis(500),
         ..ServeOptions::default()
     })
@@ -356,7 +353,6 @@ fn slowloris_is_reaped_and_the_worker_freed() {
     let s = serve(ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
-        observe_every: 1024,
         idle_timeout: Duration::from_millis(200),
         ..ServeOptions::default()
     })

@@ -44,7 +44,6 @@ fn loopback_opts(workers: usize, max_sessions: Option<u64>) -> ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers,
         max_sessions,
-        observe_every: 1024,
         ..ServeOptions::default()
     }
 }
@@ -320,8 +319,15 @@ fn malformed_hello_gets_an_error_frame_not_a_crash() {
     handle.shutdown();
 }
 
+/// A stream that ends short of its commit target ends the session with
+/// one ERROR that says so, and no SUMMARY: the run is incomplete, so it
+/// has no summary to give.
 #[test]
-fn truncated_stream_yields_partial_summary_and_error() {
+fn truncated_stream_yields_one_error_and_no_summary() {
+    use fireguard_server::proto::{FrameReader, FrameWriter, END, ERROR, EVENTS, HELLO, SUMMARY};
+    use fireguard_trace::codec::EventEncoder;
+    use std::io::BufReader;
+
     let handle = serve(loopback_opts(1, None)).expect("bind loopback");
     let addr = handle.local_addr();
 
@@ -329,16 +335,45 @@ fn truncated_stream_yields_partial_summary_and_error() {
         .kernel(KernelId::PMC, 2)
         .insts(50_000);
     // Only 2 000 of the 50 000 committed instructions ever arrive, then
-    // the client ends the stream: the server must answer with a partial
-    // summary and an ERROR, not hang.
+    // the client ends the stream: the server must answer with an ERROR,
+    // not hang.
     let events: Vec<_> = exp.trace().take(2_000).collect();
     let session = SessionConfig::from_experiment(&exp, 0);
-    let err = run_session(&addr.to_string(), &session, Arc::new(events), 512)
+    let err = run_session(&addr.to_string(), &session, Arc::new(events.clone()), 512)
         .expect_err("partial stream is an error");
     match err {
         ClientError::Server(msg) => assert!(msg.contains("stream"), "got: {msg}"),
         other => panic!("expected a server error, got {other:?}"),
     }
+
+    // The same short stream, frame by frame, ending in a clean END.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut w = FrameWriter::new(&stream);
+    w.write(HELLO, &session.encode().expect("valid config"))
+        .unwrap();
+    let mut enc = EventEncoder::new();
+    for chunk in events.chunks(512) {
+        w.write(EVENTS, &enc.encode_batch(chunk)).unwrap();
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).unwrap();
+    let mut reader = FrameReader::new(BufReader::new(&stream));
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.read().expect("the server's frames verify") {
+        frames.push(frame);
+    }
+    drop((w, reader));
+    drop(stream);
+    let (tag, msg) = frames.last().expect("the server answers");
+    let msg = String::from_utf8_lossy(msg);
+    assert_eq!(*tag, ERROR, "the session ends with an ERROR");
+    assert!(
+        msg.starts_with("stream ended after ") && msg.ends_with(" of 50000 instructions"),
+        "got: {msg}"
+    );
+    assert!(
+        frames.iter().all(|(tag, _)| *tag != SUMMARY),
+        "an incomplete run sends no SUMMARY"
+    );
     handle.shutdown();
 }
 
@@ -543,9 +578,9 @@ fn plain_session_sends_hello_events_end_and_nothing_more() {
 /// A plain session carries the frame checksum too. One flipped bit in a
 /// mid-stream EVENTS payload — a flip the event codec alone decodes into
 /// a valid batch of different events — ends the session with an ERROR
-/// naming the checksum mismatch. The partial SUMMARY comes before that
-/// ERROR, so `run_session` returns the error, never a summary computed
-/// from damaged events.
+/// naming the checksum mismatch. No SUMMARY comes before that ERROR, so
+/// `run_session` returns the error, never a summary computed from damaged
+/// events.
 #[test]
 fn plain_session_detects_a_corrupted_events_frame() {
     use fireguard_server::proto::{FrameReader, FrameWriter, END, ERROR, EVENTS, HELLO, SUMMARY};
@@ -604,8 +639,7 @@ fn plain_session_detects_a_corrupted_events_frame() {
     let msg = String::from_utf8_lossy(&last).into_owned();
     assert_eq!(tags.last(), Some(&ERROR), "the session ends with an ERROR");
     assert!(msg.contains("checksum mismatch"), "got: {msg}");
-    let summary_at = tags.iter().position(|&t| t == SUMMARY);
-    assert_eq!(summary_at, Some(tags.len() - 2), "SUMMARY, then the ERROR");
+    assert!(!tags.contains(&SUMMARY), "no SUMMARY before the ERROR");
 
     // The same bit flipped between `run_session` and the service.
     let relay = TcpListener::bind("127.0.0.1:0").expect("bind relay");

@@ -1,7 +1,7 @@
 //! Router-tier integration tests: routed == direct == offline parity
 //! across every workload, transparent protocol passthrough, session
-//! resume under injected transport faults, and fleet administration
-//! (drain/restore).
+//! resume under injected transport faults, and verdicts served from the
+//! router's buffer.
 
 use fireguard_server::chaos::detection_keys;
 use fireguard_server::proto::{
@@ -25,7 +25,6 @@ fn router_opts() -> RouterOptions {
     RouterOptions {
         backends: BackendMode::Spawn(2),
         backend_workers: 2,
-        observe_every: 1024,
         ..RouterOptions::default()
     }
 }
@@ -79,7 +78,6 @@ fn routed_matches_direct_and_offline_for_every_workload() {
     let direct = serve(ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        observe_every: 1024,
         ..ServeOptions::default()
     })
     .expect("serve starts");
@@ -188,38 +186,6 @@ fn resume_survives_injected_transport_faults() {
         "alarms after resumes must be lossless and duplicate-free"
     );
     assert_eq!(out.outcome.summary.committed, offline.committed);
-    router.shutdown();
-}
-
-/// Draining a backend routes new sessions around it; restoring it brings
-/// it back. Sessions succeed throughout.
-#[test]
-fn drain_and_restore_route_around_a_backend() {
-    let cfg = attack_experiment("swaptions", 4_000);
-    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
-    let events = Arc::new(capture_events(&cfg));
-    let session = SessionConfig::from_experiment(&cfg, base);
-
-    let router = route(router_opts()).expect("router starts");
-    let addr = router.local_addr().to_string();
-    assert!(router.drain_backend(0), "slot 0 was up");
-    assert!(!router.drain_backend(0), "already draining");
-    for i in 0..4u64 {
-        let out = run_routed_session(
-            &addr,
-            &session,
-            Arc::clone(&events),
-            RoutedOptions::new(50 + i),
-        )
-        .expect("sessions succeed with one slot draining");
-        // The 4-wide core may overshoot the commit target by one burst.
-        assert!(out.outcome.summary.committed >= cfg.insts);
-    }
-    assert!(router.restore_backend(0), "restore succeeds");
-    assert!(!router.restore_backend(0), "already up");
-    let out = run_routed_session(&addr, &session, events, RoutedOptions::new(99))
-        .expect("session succeeds after restore");
-    assert!(out.outcome.summary.committed >= cfg.insts);
     router.shutdown();
 }
 
@@ -493,6 +459,107 @@ fn finished_session_is_served_from_the_buffer_until_acked() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Reads frames until EOF: the alarms, and every other frame but the
+/// ACKs — the verdict — in order.
+fn read_to_eof(
+    reader: &mut FrameReader<impl std::io::Read>,
+) -> (Vec<Detection>, Vec<(u8, Vec<u8>)>) {
+    let (mut alarms, mut verdicts) = (Vec::new(), Vec::new());
+    while let Some((tag, p)) = reader.read().expect("frames verify") {
+        match tag {
+            ALARMS => alarms.extend(proto::decode_alarms(&p).expect("alarms decode")),
+            ACK => {}
+            _ => verdicts.push((tag, p)),
+        }
+    }
+    (alarms, verdicts)
+}
+
+/// A stream that ends short of its commit target has one verdict through
+/// the router too: the backend's ERROR, journaled and forwarded alone. A
+/// resume that the client never confirmed is served that ERROR from the
+/// journal, after the ACK and the alarm tail, and no partial SUMMARY.
+#[test]
+fn a_short_stream_resumes_as_its_error_alone() {
+    // Return hijacks inside the 2 000 events that arrive, so the short
+    // session raises alarms before its ERROR.
+    let plan = AttackPlan::campaign(&[AttackKind::RetHijack], 6, 200, 1_800, 3);
+    let exp = attack_experiment("ferret", 50_000).attacks(plan);
+    let events: Vec<_> = exp.trace().take(2_000).collect();
+    let hello = SessionConfig::from_experiment(&exp, 0)
+        .encode()
+        .expect("valid config");
+    let dir = std::env::temp_dir().join(format!("fg-routed-short-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let router = route(RouterOptions {
+        journal_dir: Some(dir.clone()),
+        ..router_opts()
+    })
+    .expect("router starts");
+    let addr = router.local_addr();
+
+    // Stream 2 000 of the 50 000 instructions and END, read the live
+    // frames to EOF, and hang up without the terminal ACK.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let ticket = proto::SessionTicket {
+        id: 23,
+        resume: false,
+        alarms_received: 0,
+    };
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let mut w = FrameWriter::new(w);
+    let mut enc = EventEncoder::new();
+    for chunk in events.chunks(512) {
+        w.write(EVENTS, &enc.encode_batch(chunk)).expect("events");
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).expect("end");
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
+    let (live_alarms, live) = read_to_eof(&mut reader);
+    drop((stream, w, reader));
+    assert!(!live_alarms.is_empty(), "the campaign raises alarms");
+    assert_eq!(live.len(), 1, "one verdict frame: {live:?}");
+    let (tag, msg) = &live[0];
+    let msg = String::from_utf8_lossy(msg).into_owned();
+    assert_eq!(*tag, ERROR, "the verdict is an ERROR: {msg}");
+    assert!(msg.starts_with("stream ended after "), "got: {msg}");
+    assert!(
+        dir.join("23.fgj").exists(),
+        "an unconfirmed verdict keeps its journal"
+    );
+
+    // The resume is served from the journal: ACK, alarm tail, the ERROR.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let ticket = proto::SessionTicket {
+        resume: true,
+        ..ticket
+    };
+    proto::write_frame(&mut &stream, SESSION, &ticket.encode()).expect("ticket");
+    let mut reader = FrameReader::new(BufReader::new(&stream));
+    match reader.read().expect("resume preamble") {
+        Some((ACK, p)) => assert_eq!(proto::decode_ack(&p).expect("ack decodes"), 2_000),
+        other => panic!("expected ACK on resume, got {other:?}"),
+    }
+    let (alarms, resumed) = read_to_eof(&mut reader);
+    assert_eq!(
+        detection_keys(&alarms),
+        detection_keys(&live_alarms),
+        "the alarm tail"
+    );
+    assert_eq!(resumed, live, "the stored verdict is the ERROR alone");
+    drop(reader);
+    drop(stream);
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A ticketed session whose verdict is a backend's ERROR is forgotten
 /// once the client has it: the client confirms every verdict it reads,
 /// not only a SUMMARY. The router runs over one extern backend, a
@@ -602,7 +669,6 @@ fn plain_serve_refuses_ticketed_sessions() {
     let direct = serve(ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
-        observe_every: 1024,
         ..ServeOptions::default()
     })
     .expect("serve starts");
