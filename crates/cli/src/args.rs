@@ -108,10 +108,8 @@ pub const FLAGS: &[Flag] = &[
     ("--max-sessions", &[], Count, &["serve", "router"]),
     ("--idle-timeout", &[], Seconds, &["serve", "router"]),
     ("--journal-dir", &[], Text, &["router"]),
-    ("--resume-journals", &[], Text, &["router"]),
     ("--max-live-sessions", &[], Count, &["router"]),
     ("--max-buffered-mb", &[], Positive, &["router"]),
-    ("--journal-tail", &[], Positive, &["router", "loadgen"]),
     ("--chaos-net", &[], Switch, &["loadgen"]),
     ("--fault-every", &[], Count, &["loadgen", "chaos-net"]),
     ("--max-delay-ms", &[], Count, &["loadgen", "chaos-net"]),
@@ -452,21 +450,16 @@ mod tests {
     fn robustness_flags_parse_and_have_scopes() {
         let p = parse(&args(
             "router --journal-dir /tmp/j --max-live-sessions 64 --max-buffered-mb 128 \
-             --journal-tail 4096 --idle-timeout 2.5",
+             --idle-timeout 2.5",
         ))
         .unwrap();
         assert_eq!(p.text("--journal-dir"), Some("/tmp/j"));
         assert_eq!(p.num("--max-live-sessions"), Some(64u64));
         assert_eq!(p.num("--max-buffered-mb"), Some(128u64));
-        assert_eq!(p.num("--journal-tail"), Some(4096usize));
         assert_eq!(
             p.seconds("--idle-timeout"),
             Some(Duration::from_secs_f64(2.5))
         );
-        assert!(p.out_of_scope_flags().is_empty());
-
-        let p = parse(&args("router --resume-journals /tmp/j")).unwrap();
-        assert_eq!(p.text("--resume-journals"), Some("/tmp/j"));
         assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(

@@ -448,11 +448,9 @@ fn usage() -> String {
          \n\
          ROBUSTNESS FLAGS:\n\
          \x20   --idle-timeout <SECS>   serve/router: reap silent connections (default 30)\n\
-         \x20   --journal-dir <DIR>     router: durable, crash-recoverable session journals\n\
-         \x20   --resume-journals <DIR> router: recover crashed sessions from DIR at boot\n\
+         \x20   --journal-dir <DIR>     router: durable session journals, recovered from DIR at boot\n\
          \x20   --max-live-sessions <N> router: refuse fresh sessions over N live (BUSY)\n\
-         \x20   --max-buffered-mb <N>   router: refuse fresh sessions past this journal spill\n\
-         \x20   --journal-tail <N>      router/chaos: in-RAM events per session journal (default 4096)\n\
+         \x20   --max-buffered-mb <N>   router: refuse fresh sessions past this many journaled MiB\n\
          \n\
          TELEMETRY FLAGS:\n\
          \x20   --metrics-addr <h:p>    serve/router: live metrics endpoint (Prometheus text over HTTP)\n\

@@ -430,7 +430,6 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         "--kills",
         "--fault-every",
         "--max-delay-ms",
-        "--journal-tail",
     ];
     p.require(&fleet, "--chaos (the spawned-fleet mode)")?;
     // Only resumable sessions draw ids from the seed.
@@ -658,9 +657,6 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
         seed: p.num("--seed").unwrap_or(7),
         drop_client_after_acks: None,
         wire_faults,
-        journal_tail: p
-            .num("--journal-tail")
-            .unwrap_or(fireguard_server::DEFAULT_JOURNAL_TAIL),
         trace: trace_sink(p)?,
     };
 
@@ -852,24 +848,6 @@ pub fn router_cmd(p: &Parsed) -> i32 {
         (n, None) => Ok(fireguard_server::BackendMode::Spawn(n.unwrap_or(2))),
     };
     run_foreground(p, "router", backends, |backends, trace| {
-        // `--resume-journals <dir>` implies journaling into that directory;
-        // naming a *different* `--journal-dir` alongside it would recover
-        // into one place while journaling into another — reject the split.
-        let resume = p.text("--resume-journals");
-        let journal_dir = match (p.text("--journal-dir"), resume) {
-            (Some(a), Some(b)) if a != b => {
-                return Err((
-                    2,
-                    format!(
-                        "--journal-dir {a} and --resume-journals {b} name \
-                         different directories"
-                    ),
-                ));
-            }
-            (Some(d), _) | (None, Some(d)) => Some(std::path::PathBuf::from(d)),
-            (None, None) => None,
-        };
-        let defaults = fireguard_server::RouterOptions::default();
         let opts = fireguard_server::RouterOptions {
             addr: p.text("--addr").unwrap_or(DEFAULT_ROUTER_ADDR).to_owned(),
             backends,
@@ -881,11 +859,9 @@ pub fn router_cmd(p: &Parsed) -> i32 {
             max_buffered_bytes: p
                 .num("--max-buffered-mb")
                 .map(|mb: u64| mb.saturating_mul(1 << 20)),
-            journal_dir,
-            resume_journals: resume.is_some(),
-            journal_tail: p.num("--journal-tail").unwrap_or(defaults.journal_tail),
+            journal_dir: p.text("--journal-dir").map(std::path::PathBuf::from),
             trace,
-            ..defaults
+            ..fireguard_server::RouterOptions::default()
         };
         let handle =
             fireguard_server::route(opts).map_err(|e| (1, format!("cannot start router: {e}")))?;

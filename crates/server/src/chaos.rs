@@ -54,10 +54,6 @@ pub struct ChaosOptions {
     /// When set, interpose the seeded wire-fault proxy between every
     /// client and the router, so the network lies while backends die.
     pub wire_faults: Option<WireFaults>,
-    /// Per-session journal RAM-tail capacity for the spawned router.
-    /// Small values force disk spill, so failover replays come from the
-    /// journal file rather than RAM.
-    pub journal_tail: usize,
     /// Structured span sink shared by the spawned router (failovers,
     /// resumes, sheds) and the netem proxy (`net.fault`).
     pub trace: Option<Arc<TraceSink>>,
@@ -94,7 +90,6 @@ impl Default for ChaosOptions {
             seed: 7,
             drop_client_after_acks: None,
             wire_faults: None,
-            journal_tail: crate::journal::DEFAULT_JOURNAL_TAIL,
             trace: None,
         }
     }
@@ -167,7 +162,6 @@ pub fn run_chaos(
         backends: BackendMode::Spawn(opts.backends),
         backend_workers: opts.backend_workers,
         drop_client_after_acks: opts.drop_client_after_acks,
-        journal_tail: opts.journal_tail,
         trace: opts.trace.clone(),
         ..RouterOptions::default()
     })?;

@@ -8,33 +8,33 @@
 //! verdict: one SUMMARY or one ERROR. Only the methods that write the
 //! durable frame first can change that state.
 //!
-//! Events accumulate in a small in-RAM tail ring; when the ring fills, the
-//! whole tail is *spilled* to the journal file as one freshly
-//! delta-encoded EVENTS frame (the [`EventEncoder`] starts cleanly at any
-//! seq, a property the workspace proptests pin), so router memory is
-//! O(tail + file handle) per session, not O(events). Replay walks the
-//! spilled frames — each decoded with a fresh [`EventDecoder`] — followed
-//! by the live tail, handing the caller contiguous event slices to
-//! re-encode onto whatever connection is being rebuilt.
+//! Every EVENTS payload decodes on its own, so the journal stores each
+//! client batch as one EVENTS frame, byte for byte as received, and
+//! replay hands the same payloads back for the router to forward
+//! unchanged. No event is held in memory: router memory is O(file
+//! handle) per session, not O(events).
 //!
 //! The file is a stream of protocol frames written by a [`FrameWriter`]
 //! and read back by a [`FrameReader`], so it has the wire's framing and
-//! index-bound checksums. Journals come in two flavors:
+//! index-bound checksums. EVENTS frames go through the file's buffer
+//! without a flush of their own: replay flushes before it reads, and a
+//! durable state frame flushes them ahead of itself. Journals come in two
+//! flavors:
 //!
 //! - **Ephemeral** (no `--journal-dir`): the file holds EVENTS frames only,
 //!   lives in the OS temp directory under a process-unique name, is
-//!   created at the first spill and removed on drop. Survives backend
+//!   created at the first batch and removed on drop. Survives backend
 //!   failover, not a router crash.
 //! - **Durable** (`--journal-dir <dir>`): `<id>.fgj` is created anew with
 //!   the HELLO frame and also gets an ALARMS frame per alarm batch, END
 //!   and the verdict frame, each synced to disk before the method
 //!   recording it returns — so before the router acts on it. Once the
 //!   session has its verdict the file is removed on drop; until then a
-//!   router *process* crash (`kill -9`) leaves enough on disk for a router
-//!   started with `--resume-journals <dir>` to rebuild the session via
-//!   [`recover_journals`]. Events still in the RAM tail at crash time are
-//!   absent from the recovered journal; the resume ACK shrinks accordingly
-//!   and the client re-sends them.
+//!   router *process* crash (`kill -9`) leaves enough on disk for the
+//!   next router started with that `--journal-dir` to rebuild the session
+//!   via [`recover_journals`]. EVENTS frames still in the buffer at crash
+//!   time are absent from the recovered journal; the resume ACK shrinks
+//!   accordingly and the client re-sends them.
 //!
 //! Recovery reads frames until the first one it cannot use — cut short by
 //! the crash or failing its checksum — truncates the file there and keeps
@@ -49,34 +49,16 @@ use crate::proto::{
     EVENTS, HELLO, SUMMARY,
 };
 use fireguard_soc::Detection;
-use fireguard_trace::codec::{
-    read_uvarint, CodecError, EventDecoder, EventEncoder, MAX_BATCH_EVENTS,
-};
-use fireguard_trace::TraceInst;
-use std::collections::VecDeque;
+use fireguard_trace::codec::{read_uvarint, CodecError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default in-RAM tail capacity (events) before a journal spills to disk.
-pub const DEFAULT_JOURNAL_TAIL: usize = 4096;
-
-/// Shared router-wide journal gauges, updated by every [`Journal`] the
-/// router owns so the metrics plane and the admission controller see
-/// aggregate journal pressure without walking the session table.
-#[derive(Debug, Clone, Default)]
-pub struct JournalGauges {
-    /// Bytes currently buffered on disk across all live journals.
-    pub bytes: Arc<AtomicU64>,
-    /// Events spilled to disk since the router started (monotonic).
-    pub spilled_events: Arc<AtomicU64>,
-}
-
-/// The record of one routed session: its HELLO, a bounded-memory event
-/// buffer (RAM tail ring + disk spill), END, the alarm log and the
-/// verdict, in one file of frames.
+/// The record of one routed session: its HELLO, the client's EVENTS
+/// payloads as received, END, the alarm log and the verdict, in one file
+/// of frames.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -86,12 +68,14 @@ pub struct Journal {
     alarms: Vec<Detection>,
     /// The verdict frame, SUMMARY or ERROR, once recorded.
     verdict: Option<(u8, Vec<u8>)>,
-    tail: VecDeque<TraceInst>,
-    tail_cap: usize,
-    spilled: u64,
+    /// Events in the journaled EVENTS frames.
+    events: u64,
     file: Option<FrameWriter<BufWriter<File>>>,
     bytes: u64,
-    gauges: JournalGauges,
+    /// Bytes journaled across all of the router's live journals, so the
+    /// metrics plane and the admission controller see aggregate journal
+    /// pressure without walking the session table.
+    total_bytes: Arc<AtomicU64>,
     remove_on_drop: bool,
 }
 
@@ -109,8 +93,7 @@ fn frame_bytes(tag: u8, len: usize) -> u64 {
 
 impl Journal {
     // A journal with no state yet; `open` and recovery fill it in.
-    fn blank(path: PathBuf, durable: bool, tail_cap: usize, gauges: JournalGauges) -> Self {
-        let tail_cap = tail_cap.clamp(1, MAX_BATCH_EVENTS as usize);
+    fn blank(path: PathBuf, durable: bool, total_bytes: Arc<AtomicU64>) -> Self {
         Journal {
             path,
             durable,
@@ -118,12 +101,10 @@ impl Journal {
             ended: false,
             alarms: Vec::new(),
             verdict: None,
-            tail: VecDeque::with_capacity(tail_cap.min(DEFAULT_JOURNAL_TAIL)),
-            tail_cap,
-            spilled: 0,
+            events: 0,
             file: None,
             bytes: 0,
-            gauges,
+            total_bytes,
             remove_on_drop: !durable,
         }
     }
@@ -132,7 +113,8 @@ impl Journal {
     /// `dir = Some(..)` selects durable mode: `<name>.fgj` is created anew
     /// there, replacing any stale file, and starts with the synced HELLO
     /// frame. `None` selects an ephemeral journal in the OS temp
-    /// directory.
+    /// directory. The journal counts its bytes into `total_bytes`, the
+    /// router-wide gauge, until it is dropped.
     ///
     /// # Errors
     ///
@@ -140,9 +122,8 @@ impl Journal {
     pub fn open(
         name: &str,
         hello: Vec<u8>,
-        tail_cap: usize,
         dir: Option<&Path>,
-        gauges: JournalGauges,
+        total_bytes: Arc<AtomicU64>,
     ) -> io::Result<Self> {
         let durable = dir.is_some();
         let (dir, file_stem) = match dir {
@@ -158,7 +139,7 @@ impl Journal {
         };
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{file_stem}.fgj"));
-        let mut j = Journal::blank(path, durable, tail_cap, gauges);
+        let mut j = Journal::blank(path, durable, total_bytes);
         // A file that never got its HELLO holds no session.
         j.remove_on_drop = true;
         j.record(HELLO, &hello)?;
@@ -167,7 +148,8 @@ impl Journal {
         Ok(j)
     }
 
-    /// Appends one frame to the file, creating the file anew on first use.
+    /// Appends one frame to the file's buffer, creating the file anew on
+    /// first use.
     fn append(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         let w = match &mut self.file {
             Some(w) => w,
@@ -176,60 +158,47 @@ impl Journal {
                 .insert(FrameWriter::new(BufWriter::new(File::create(&self.path)?))),
         };
         w.write(tag, payload)?;
-        w.flush()?;
         let grew = frame_bytes(tag, payload.len());
         self.bytes += grew;
-        self.gauges.bytes.fetch_add(grew, Ordering::Relaxed);
+        self.total_bytes.fetch_add(grew, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Writes a state frame to a durable journal and syncs it, so the disk
-    /// learns it before the router acts on it. An ephemeral journal keeps
-    /// its state in memory only.
+    /// Writes a state frame to a durable journal and syncs it, together
+    /// with every buffered frame ahead of it, so the disk learns it before
+    /// the router acts on it. An ephemeral journal keeps its state in
+    /// memory only.
     fn record(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         if !self.durable {
             return Ok(());
         }
         self.append(tag, payload)?;
         let w = self.file.as_mut().expect("the frame was just written");
+        w.flush()?;
         w.get_mut().get_ref().sync_data()
     }
 
-    /// Appends one event; spills the whole RAM tail to disk when the ring
-    /// fills. RAM usage never exceeds `tail_cap` events.
+    /// Appends one client EVENTS payload holding `events` events, as
+    /// received.
     ///
     /// # Errors
     ///
-    /// Spill-file I/O failures.
-    pub fn push(&mut self, ev: TraceInst) -> io::Result<()> {
-        self.tail.push_back(ev);
-        if self.tail.len() >= self.tail_cap {
-            let batch: Vec<TraceInst> = self.tail.drain(..).collect();
-            // Flushed, not synced: a spill lost to a crash only shrinks
-            // the recovery ACK, and the client re-sends the tail.
-            self.append(EVENTS, &EventEncoder::new().encode_batch(&batch))?;
-            self.spilled += batch.len() as u64;
-            self.gauges
-                .spilled_events
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
+    /// Journal-file I/O failures.
+    pub fn push(&mut self, payload: &[u8], events: u64) -> io::Result<()> {
+        self.append(EVENTS, payload)?;
+        self.events += events;
         Ok(())
     }
 
-    /// Total buffered events: spilled + RAM tail. This is the resume-ACK
-    /// value — the absolute seq the next expected event carries.
+    /// Events journaled. This is the resume-ACK value — the absolute seq
+    /// the next expected event carries.
     pub fn len(&self) -> u64 {
-        self.spilled + self.tail.len() as u64
+        self.events
     }
 
-    /// True when no events are buffered.
+    /// True when no events are journaled.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Events spilled to disk (not counting the RAM tail).
-    pub fn spilled(&self) -> u64 {
-        self.spilled
     }
 
     /// The verbatim HELLO payload the session registered with.
@@ -301,43 +270,31 @@ impl Journal {
         Ok(())
     }
 
-    /// Replays the full buffered prefix — every spilled EVENTS frame
-    /// (decoded with a fresh [`EventDecoder`]) and then the RAM tail —
-    /// through `f` as contiguous event slices, in order. The caller
-    /// re-encodes them with whatever per-connection encoder the new
-    /// incarnation uses; spilled bytes are never forwarded verbatim because
-    /// the receiving decoder's delta state is continuous across the whole
-    /// connection.
+    /// Replays the journaled prefix: hands every EVENTS payload to `f`,
+    /// unchanged and in order, for the caller to forward as it is.
     ///
     /// # Errors
     ///
-    /// Journal-file I/O, checksum or decode failures (the file was damaged
-    /// on disk), or whatever `f` raises.
+    /// Journal-file I/O or checksum failures (the file was damaged on
+    /// disk), or whatever `f` raises.
     pub fn replay<F>(&mut self, mut f: F) -> Result<(), CodecError>
     where
-        F: FnMut(&[TraceInst]) -> io::Result<()>,
+        F: FnMut(&[u8]) -> io::Result<()>,
     {
-        if self.spilled > 0 {
-            if let Some(w) = self.file.as_mut() {
-                w.flush()?;
-            }
-            let mut r = FrameReader::new(BufReader::new(File::open(&self.path)?));
-            let mut replayed = 0u64;
-            while replayed < self.spilled {
-                let (tag, payload) = r.read()?.ok_or(CodecError::Truncated("journal"))?;
-                if tag == EVENTS {
-                    let events = EventDecoder::new().decode_batch(&payload)?;
-                    f(&events)?;
-                    replayed += events.len() as u64;
-                }
-            }
+        if self.events == 0 {
+            return Ok(());
         }
-        let (a, b) = self.tail.as_slices();
-        if !a.is_empty() {
-            f(a)?;
+        if let Some(w) = self.file.as_mut() {
+            w.flush()?;
         }
-        if !b.is_empty() {
-            f(b)?;
+        let mut r = FrameReader::new(BufReader::new(File::open(&self.path)?));
+        let mut replayed = 0u64;
+        while replayed < self.events {
+            let (tag, payload) = r.read()?.ok_or(CodecError::Truncated("journal"))?;
+            if tag == EVENTS {
+                replayed += read_uvarint(&mut payload.as_slice())?;
+                f(&payload)?;
+            }
         }
         Ok(())
     }
@@ -345,7 +302,7 @@ impl Journal {
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        self.gauges.bytes.fetch_sub(self.bytes, Ordering::Relaxed);
+        self.total_bytes.fetch_sub(self.bytes, Ordering::Relaxed);
         if self.remove_on_drop {
             self.file = None;
             let _ = fs::remove_file(&self.path);
@@ -359,6 +316,7 @@ impl Drop for Journal {
 /// rebuilds their journals, as `(id, journal)` in id order. Each journal
 /// ends at its first frame that is cut short or fails its checksum: the
 /// file is truncated there, and the journal keeps appending after it.
+/// Each recovered journal counts its bytes into `total_bytes`.
 ///
 /// # Errors
 ///
@@ -366,8 +324,7 @@ impl Drop for Journal {
 /// skipped, not fatal — recovery salvages what it can.
 pub fn recover_journals(
     dir: &Path,
-    tail_cap: usize,
-    gauges: &JournalGauges,
+    total_bytes: &Arc<AtomicU64>,
 ) -> io::Result<Vec<(u64, Journal)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -382,7 +339,7 @@ pub fn recover_journals(
         else {
             continue;
         };
-        if let Some(j) = recover_one(path, tail_cap, gauges) {
+        if let Some(j) = recover_one(path, total_bytes) {
             out.push((id, j));
         }
     }
@@ -390,20 +347,20 @@ pub fn recover_journals(
     Ok(out)
 }
 
-fn recover_one(path: PathBuf, tail_cap: usize, gauges: &JournalGauges) -> Option<Journal> {
+fn recover_one(path: PathBuf, total_bytes: &Arc<AtomicU64>) -> Option<Journal> {
     let mut r = FrameReader::new(BufReader::new(File::open(&path).ok()?));
     // Not a journal this build wrote: leave it untouched.
     let Ok(Some((HELLO, hello))) = r.read() else {
         return None;
     };
-    let mut j = Journal::blank(path, true, tail_cap, gauges.clone());
+    let mut j = Journal::blank(path, true, Arc::clone(total_bytes));
     let (mut valid, mut frames) = (frame_bytes(HELLO, hello.len()), 0u64);
     j.hello = hello;
     while let Ok(Some((tag, payload))) = r.read() {
         let size = frame_bytes(tag, payload.len());
         match tag {
             EVENTS => match read_uvarint(&mut payload.as_slice()) {
-                Ok(n) => j.spilled += n,
+                Ok(n) => j.events += n,
                 Err(_) => break,
             },
             ALARMS => match decode_alarms(&payload) {
@@ -421,7 +378,7 @@ fn recover_one(path: PathBuf, tail_cap: usize, gauges: &JournalGauges) -> Option
     f.set_len(valid).ok()?;
     j.file = Some(FrameWriter::continuing(BufWriter::new(f), frames));
     j.bytes = valid;
-    gauges.bytes.fetch_add(valid, Ordering::Relaxed);
+    total_bytes.fetch_add(valid, Ordering::Relaxed);
     j.remove_on_drop = j.done();
     Some(j)
 }
@@ -430,7 +387,8 @@ fn recover_one(path: PathBuf, tail_cap: usize, gauges: &JournalGauges) -> Option
 mod tests {
     use super::*;
     use fireguard_soc::{capture_events, ExperimentConfig, KernelId};
-    use fireguard_trace::codec::EventEncoder;
+    use fireguard_trace::codec::{EventDecoder, EventEncoder};
+    use fireguard_trace::TraceInst;
 
     fn events(n: u64) -> Vec<TraceInst> {
         let cfg = ExperimentConfig::new("dedup")
@@ -439,14 +397,40 @@ mod tests {
         capture_events(&cfg)
     }
 
-    fn collect(j: &mut Journal) -> Vec<TraceInst> {
+    // Pushes `evs` as `batch`-event payloads, as a client sends them.
+    fn push_all(j: &mut Journal, evs: &[TraceInst], batch: usize) {
+        for chunk in evs.chunks(batch) {
+            let payload = EventEncoder::new().encode_batch(chunk);
+            j.push(&payload, chunk.len() as u64).unwrap();
+        }
+    }
+
+    fn payloads(j: &mut Journal) -> Vec<Vec<u8>> {
         let mut got = Vec::new();
-        j.replay(|chunk| {
-            got.extend_from_slice(chunk);
+        j.replay(|p| {
+            got.push(p.to_vec());
             Ok(())
         })
         .unwrap();
         got
+    }
+
+    fn collect(j: &mut Journal) -> Vec<TraceInst> {
+        payloads(j)
+            .iter()
+            .flat_map(|p| EventDecoder::new().decode_batch(p).unwrap())
+            .collect()
+    }
+
+    // A simulated crash once the buffer has reached the disk: Drop never
+    // runs, so the file stays exactly as `kill -9` would leave it.
+    fn crash_flushed(mut j: Journal) {
+        j.file
+            .as_mut()
+            .expect("the journal has a file")
+            .flush()
+            .unwrap();
+        std::mem::forget(j);
     }
 
     fn detections() -> Vec<Detection> {
@@ -477,12 +461,9 @@ mod tests {
     #[test]
     fn spill_and_replay_reproduce_the_stream_bit_exactly() {
         let evs = events(3000);
-        let mut j = Journal::open("t1", Vec::new(), 64, None, JournalGauges::default()).unwrap();
-        for &e in &evs {
-            j.push(e).unwrap();
-        }
+        let mut j = Journal::open("t1", Vec::new(), None, Arc::default()).unwrap();
+        push_all(&mut j, &evs, 64);
         assert_eq!(j.len(), evs.len() as u64);
-        assert!(j.spilled() >= evs.len() as u64 - 64, "spill engaged");
         assert!(j.bytes > 0);
         assert_eq!(collect(&mut j), evs);
         // Replay is repeatable — failover can happen more than once.
@@ -490,81 +471,95 @@ mod tests {
     }
 
     #[test]
-    fn ram_tail_is_bounded_by_the_cap() {
+    fn replay_hands_back_each_payload_as_pushed() {
         let evs = events(2000);
-        let mut j = Journal::open("t2", Vec::new(), 32, None, JournalGauges::default()).unwrap();
-        for &e in &evs {
-            j.push(e).unwrap();
-            assert!(j.tail.len() < 32, "RAM tail exceeded its cap");
+        let mut j = Journal::open("t2", Vec::new(), None, Arc::default()).unwrap();
+        let mut pushed = Vec::new();
+        for chunk in [
+            &evs[..1480],
+            &evs[1480..1487],
+            &evs[1487..1999],
+            &evs[1999..],
+        ] {
+            let payload = EventEncoder::new().encode_batch(chunk);
+            j.push(&payload, chunk.len() as u64).unwrap();
+            pushed.push(payload);
         }
-        assert_eq!(collect(&mut j), evs);
+        // The last pushes wait in the file's buffer; replay flushes them
+        // first.
+        assert!(fs::metadata(&j.path).unwrap().len() < j.bytes);
+        assert_eq!(payloads(&mut j), pushed, "byte for byte, in order");
+        assert_eq!(fs::metadata(&j.path).unwrap().len(), j.bytes);
     }
 
     #[test]
     fn ephemeral_journal_removes_its_file_on_drop() {
         let evs = events(500);
-        let mut j = Journal::open("t3", Vec::new(), 16, None, JournalGauges::default()).unwrap();
-        for &e in &evs {
-            j.push(e).unwrap();
-        }
+        let mut j = Journal::open("t3", Vec::new(), None, Arc::default()).unwrap();
+        push_all(&mut j, &evs, 16);
         let path = j.path.clone();
-        assert!(path.exists(), "spill file exists while live");
+        assert!(path.exists(), "journal file exists while live");
         drop(j);
-        assert!(!path.exists(), "spill file removed on drop");
+        assert!(!path.exists(), "journal file removed on drop");
     }
 
     #[test]
     fn gauges_track_bytes_and_release_them_on_drop() {
-        let gauges = JournalGauges::default();
+        let gauge = Arc::new(AtomicU64::new(0));
         let evs = events(1000);
-        let mut j = Journal::open("t4", Vec::new(), 16, None, gauges.clone()).unwrap();
-        for &e in &evs {
-            j.push(e).unwrap();
-        }
-        assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes);
-        assert!(gauges.spilled_events.load(Ordering::Relaxed) >= 1000 - 16);
+        let mut j = Journal::open("t4", Vec::new(), None, Arc::clone(&gauge)).unwrap();
+        push_all(&mut j, &evs, 16);
+        assert_eq!(gauge.load(Ordering::Relaxed), j.bytes);
         drop(j);
-        assert_eq!(gauges.bytes.load(Ordering::Relaxed), 0);
+        assert_eq!(gauge.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn durable_journal_survives_a_simulated_crash_and_recovers() {
         let dir = temp_dir("recover");
-        let gauges = JournalGauges::default();
+        let gauge = Arc::new(AtomicU64::new(0));
         let evs = events(1500);
         let alarms = detections();
+        let synced = evs.len() - 100;
         {
             let hello = b"hello-bytes".to_vec();
-            let mut j = Journal::open("42", hello, 64, Some(&dir), gauges.clone()).unwrap();
-            for &e in &evs {
-                j.push(e).unwrap();
-            }
+            let mut j = Journal::open("42", hello, Some(&dir), Arc::clone(&gauge)).unwrap();
+            push_all(&mut j, &evs[..synced], 64);
+            // The synced ALARMS frame takes every batch ahead of it to disk.
             j.log_alarms(&alarms).unwrap();
-            j.end().unwrap();
+            // This batch is still in the buffer when the process dies.
+            push_all(&mut j, &evs[synced..], 512);
             // Simulated crash: leak the journal so Drop never runs and the
             // file stays behind exactly as `kill -9` would leave it.
             std::mem::forget(j);
         }
-        gauges.bytes.store(0, Ordering::Relaxed); // fresh router process
+        gauge.store(0, Ordering::Relaxed); // fresh router process
 
-        let recovered = recover_journals(&dir, 64, &gauges).unwrap();
+        let recovered = recover_journals(&dir, &gauge).unwrap();
         assert_eq!(recovered.len(), 1);
         let (id, mut j) = recovered.into_iter().next().unwrap();
         assert_eq!(id, 42);
         assert_eq!(j.hello(), b"hello-bytes");
-        assert!(j.ended());
+        assert!(!j.ended());
         assert_eq!(j.alarms(), alarms);
         assert!(!j.done() && j.verdict().is_none());
-        assert_eq!(gauges.bytes.load(Ordering::Relaxed), j.bytes);
-        // The RAM tail died with the process: the recovered prefix is the
-        // spilled part only, and it replays bit-exactly.
-        let n = j.len() as usize;
-        assert!(n >= evs.len() - 64 && n <= evs.len());
-        assert_eq!(collect(&mut j), evs[..n]);
+        assert_eq!(gauge.load(Ordering::Relaxed), j.bytes);
+        // The buffered batch died with the process: the recovered prefix
+        // ends at the synced frame, and it replays bit-exactly.
+        assert_eq!(j.len(), synced as u64);
+        assert_eq!(collect(&mut j), evs[..synced]);
         // Appending the "re-sent" tail continues the stream seamlessly.
-        for &e in &evs[n..] {
-            j.push(e).unwrap();
-        }
+        push_all(&mut j, &evs[synced..], 512);
+        assert_eq!(j.len(), evs.len() as u64);
+        // A second crash right after END: the synced END frame takes the
+        // still-buffered re-sent batch to disk with it, and both survive
+        // recovery.
+        j.end().unwrap();
+        std::mem::forget(j);
+        gauge.store(0, Ordering::Relaxed);
+        let (_, mut j) = recover_journals(&dir, &gauge).unwrap().pop().unwrap();
+        assert!(j.ended());
+        assert_eq!(j.alarms(), alarms);
         assert_eq!(j.len(), evs.len() as u64);
         assert_eq!(collect(&mut j), evs);
 
@@ -579,23 +574,21 @@ mod tests {
     #[test]
     fn recovery_discards_a_partial_trailing_batch() {
         let dir = temp_dir("truncate");
-        let gauges = JournalGauges::default();
+        let gauge = Arc::new(AtomicU64::new(0));
         let evs = events(600);
         {
-            let mut j = Journal::open("7", b"h".to_vec(), 50, Some(&dir), gauges.clone()).unwrap();
-            for &e in &evs {
-                j.push(e).unwrap();
-            }
-            std::mem::forget(j);
+            let mut j = Journal::open("7", b"h".to_vec(), Some(&dir), Arc::clone(&gauge)).unwrap();
+            push_all(&mut j, &evs, 50);
+            crash_flushed(j);
         }
         // Chop bytes off the file's final frame, as a crash mid-write
         // would.
-        let spill = dir.join("7.fgj");
-        let full = fs::read(&spill).unwrap();
-        fs::write(&spill, &full[..full.len() - 3]).unwrap();
+        let file = dir.join("7.fgj");
+        let full = fs::read(&file).unwrap();
+        fs::write(&file, &full[..full.len() - 3]).unwrap();
 
-        let gauges = JournalGauges::default();
-        let (_, mut j) = recover_journals(&dir, 50, &gauges)
+        let gauge = Arc::new(AtomicU64::new(0));
+        let (_, mut j) = recover_journals(&dir, &gauge)
             .unwrap()
             .into_iter()
             .next()
@@ -605,9 +598,7 @@ mod tests {
         assert_eq!(collect(&mut j), evs[..n]);
         // The file was truncated back to a frame boundary, so appending
         // the missing events yields a well-formed journal again.
-        for &e in &evs[n..] {
-            j.push(e).unwrap();
-        }
+        push_all(&mut j, &evs[n..], 50);
         assert_eq!(collect(&mut j), evs);
         j.remove_on_drop = true;
         drop(j);
@@ -620,37 +611,19 @@ mod tests {
         let evs = events(600);
         {
             // A crashed router's session 9.
-            let mut j = Journal::open(
-                "9",
-                b"old".to_vec(),
-                50,
-                Some(&dir),
-                JournalGauges::default(),
-            )
-            .unwrap();
-            for &e in &evs[..500] {
-                j.push(e).unwrap();
-            }
+            let mut j = Journal::open("9", b"old".to_vec(), Some(&dir), Arc::default()).unwrap();
+            push_all(&mut j, &evs[..500], 50);
             j.log_alarms(&detections()).unwrap();
             j.end().unwrap();
             std::mem::forget(j);
         }
         {
             // A router that did not recover it registers id 9 afresh.
-            let mut j = Journal::open(
-                "9",
-                b"new".to_vec(),
-                50,
-                Some(&dir),
-                JournalGauges::default(),
-            )
-            .unwrap();
-            for &e in &evs[..120] {
-                j.push(e).unwrap();
-            }
-            std::mem::forget(j);
+            let mut j = Journal::open("9", b"new".to_vec(), Some(&dir), Arc::default()).unwrap();
+            push_all(&mut j, &evs[..120], 50);
+            crash_flushed(j);
         }
-        let mut recovered = recover_journals(&dir, 50, &JournalGauges::default()).unwrap();
+        let mut recovered = recover_journals(&dir, &Arc::default()).unwrap();
         assert_eq!(recovered.len(), 1);
         let (id, mut j) = recovered.pop().unwrap();
         assert_eq!(id, 9);
@@ -659,8 +632,8 @@ mod tests {
             !j.ended() && j.alarms().is_empty(),
             "nothing of the old session"
         );
-        assert_eq!(j.len(), 100, "the new session's two spilled frames");
-        assert_eq!(collect(&mut j), evs[..100]);
+        assert_eq!(j.len(), 120, "the new session's three EVENTS frames");
+        assert_eq!(collect(&mut j), evs[..120]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -680,7 +653,7 @@ mod tests {
         let path = dir.join("5.fgj");
         fs::write(&path, &old).unwrap();
 
-        let recovered = recover_journals(&dir, 50, &JournalGauges::default()).unwrap();
+        let recovered = recover_journals(&dir, &Arc::default()).unwrap();
         assert!(recovered.is_empty(), "no HELLO frame, no session");
         assert_eq!(fs::read(&path).unwrap(), old, "the file is left as it was");
         let _ = fs::remove_dir_all(&dir);
@@ -697,7 +670,7 @@ mod tests {
         w.write(SUMMARY, b"partial").unwrap();
         w.write(ERROR, error).unwrap();
         fs::write(dir.join("8.fgj"), w.get_mut()).unwrap();
-        let (_, mut j) = recover_journals(&dir, 50, &JournalGauges::default())
+        let (_, mut j) = recover_journals(&dir, &Arc::default())
             .unwrap()
             .pop()
             .unwrap();
@@ -711,13 +684,12 @@ mod tests {
             "a finished journal goes on drop"
         );
 
-        let mut fresh =
-            Journal::open("9", b"h".to_vec(), 50, Some(&dir), JournalGauges::default()).unwrap();
+        let mut fresh = Journal::open("9", b"h".to_vec(), Some(&dir), Arc::default()).unwrap();
         fresh.set_verdict(SUMMARY, b"sum").unwrap();
         fresh.set_verdict(ERROR, b"late").unwrap();
         assert_eq!(fresh.verdict(), Some((SUMMARY, &b"sum"[..])));
         std::mem::forget(fresh);
-        let (_, nine) = recover_journals(&dir, 50, &JournalGauges::default())
+        let (_, nine) = recover_journals(&dir, &Arc::default())
             .unwrap()
             .pop()
             .unwrap();
@@ -731,12 +703,9 @@ mod tests {
         let dir = temp_dir("flip");
         let evs = events(600);
         {
-            let mut j = Journal::open("3", b"h".to_vec(), 50, Some(&dir), JournalGauges::default())
-                .unwrap();
-            for &e in &evs[..120] {
-                j.push(e).unwrap();
-            }
-            std::mem::forget(j);
+            let mut j = Journal::open("3", b"h".to_vec(), Some(&dir), Arc::default()).unwrap();
+            push_all(&mut j, &evs[..100], 50);
+            crash_flushed(j);
         }
         // The file is HELLO and two EVENTS frames of 50 events each; the
         // flipped byte sits in the second one's payload, just before its
@@ -747,16 +716,14 @@ mod tests {
         bytes[at] ^= 0x20;
         fs::write(&path, &bytes).unwrap();
 
-        let (_, mut j) = recover_journals(&dir, 50, &JournalGauges::default())
+        let (_, mut j) = recover_journals(&dir, &Arc::default())
             .unwrap()
             .pop()
             .unwrap();
         assert_eq!(j.len(), 50, "recovery stops at the frame before the damage");
         assert_eq!(collect(&mut j), evs[..50]);
         // The damaged frame was cut off, so appending continues cleanly.
-        for &e in &evs[50..120] {
-            j.push(e).unwrap();
-        }
+        push_all(&mut j, &evs[50..120], 50);
         assert_eq!(collect(&mut j), evs[..120]);
         let _ = fs::remove_dir_all(&dir);
     }

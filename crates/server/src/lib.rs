@@ -57,7 +57,7 @@ pub use client::{
     run_routed_session, run_session, ClientError, RoutedOptions, RoutedOutcome, SessionOutcome,
     DEFAULT_BATCH,
 };
-pub use journal::{recover_journals, Journal, JournalGauges, DEFAULT_JOURNAL_TAIL};
+pub use journal::{recover_journals, Journal};
 pub use loadgen::{run_loadgen, LatencyBucket, LoadgenOptions, LoadgenOutcome};
 pub use metrics::{scrape, serve_metrics, MetricsHandle, SampleSource};
 pub use netem::{netem, NetemHandle, NetemOptions};

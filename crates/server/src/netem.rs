@@ -88,7 +88,9 @@ impl Default for NetemOptions {
 pub struct NetemHandle {
     listener: Listener,
     faults: Arc<AtomicU64>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// The live connections' sockets, tagged with their connection index;
+    /// a connection's entries go when its splice ends.
+    conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
     pairs: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -119,7 +121,7 @@ impl NetemHandle {
     fn stop_all(&mut self) {
         self.listener.stop();
         self.listener.join();
-        for s in lock(&self.conns).drain(..) {
+        for (_, s) in lock(&self.conns).drain(..) {
             let _ = s.shutdown(Shutdown::Both);
         }
         for h in lock(&self.pairs).drain(..) {
@@ -144,7 +146,7 @@ impl Drop for NetemHandle {
 pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
     let socket = TcpListener::bind(&opts.listen)?;
     let faults = Arc::new(AtomicU64::new(0));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
     let pairs: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let listener = {
@@ -156,15 +158,20 @@ pub fn netem(opts: NetemOptions) -> io::Result<NetemHandle> {
             let index = conn_index;
             conn_index += 1;
             if let Ok(c) = client.try_clone() {
-                lock(&conns).push(c);
+                lock(&conns).push((index, c));
             }
             let opts = opts.clone();
             let faults = Arc::clone(&faults);
             let conns = Arc::clone(&conns);
             let h = std::thread::spawn(move || {
                 splice(client, index, &opts, &faults, &conns);
+                lock(&conns).retain(|(i, _)| *i != index);
             });
-            lock(&pairs).push(h);
+            // As in the router: a finished splice's handle goes at the
+            // next accept, so a long-running proxy holds only live ones.
+            let mut pairs = lock(&pairs);
+            pairs.retain(|h| !h.is_finished());
+            pairs.push(h);
         })?
     };
 
@@ -182,7 +189,7 @@ fn splice(
     index: u64,
     opts: &NetemOptions,
     faults: &Arc<AtomicU64>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
+    conns: &Arc<Mutex<Vec<(u64, TcpStream)>>>,
 ) {
     let _ = client.set_nodelay(true);
     let upstream = match TcpStream::connect(&opts.upstream) {
@@ -194,7 +201,7 @@ fn splice(
     };
     let _ = upstream.set_nodelay(true);
     if let Ok(u) = upstream.try_clone() {
-        lock(conns).push(u);
+        lock(conns).push((index, u));
     }
 
     let pump_cfg = |dir: &'static str, dir_salt: u64| PumpCfg {
@@ -379,5 +386,47 @@ fn pump(from: TcpStream, mut to: TcpStream, cfg: PumpCfg) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A finished connection's sockets and splice thread are released
+    /// while the proxy runs, not only at shutdown: after 20 proxied
+    /// connections end, the handle holds at most the last one's.
+    #[test]
+    fn finished_connections_are_released() {
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("upstream binds");
+        let upstream_addr = upstream.local_addr().expect("bound").to_string();
+        // The upstream hangs up on every connection at once.
+        let hang_up = std::thread::spawn(move || upstream.incoming().take(20).for_each(drop));
+        let proxy = netem(NetemOptions {
+            upstream: upstream_addr,
+            fault_every: 0,
+            ..NetemOptions::default()
+        })
+        .expect("proxy starts");
+        // One deadline for the whole run, so a proxy that never releases
+        // anything fails in seconds rather than once per connection.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        for _ in 0..20 {
+            let mut s = TcpStream::connect(proxy.local_addr()).expect("connect");
+            // The upstream's hang-up reaches the client as EOF.
+            let _ = s.read(&mut [0u8; 1]);
+            // Let the splice end and drop its sockets before the next
+            // accept prunes the finished handles.
+            while !lock(&proxy.conns).is_empty() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        hang_up.join().expect("the upstream exits");
+        let (sockets, handles) = (lock(&proxy.conns).len(), lock(&proxy.pairs).len());
+        assert!(
+            sockets <= 2 && handles <= 2,
+            "{sockets} sockets and {handles} handles held after 20 finished connections"
+        );
+        proxy.shutdown();
     }
 }

@@ -6,7 +6,7 @@
 //! | tag | frame   | direction | payload                                          |
 //! |-----|---------|-----------|--------------------------------------------------|
 //! | 1   | HELLO   | c → s     | `uvarint` [`PROTO_VERSION`] ‖ [`SessionConfig`]  |
-//! | 2   | EVENTS  | c → s     | an [`EventEncoder`] batch (`varint count ‖ events`) |
+//! | 2   | EVENTS  | c → s     | a self-contained [`EventEncoder`] batch (`varint count ‖ events`) |
 //! | 3   | END     | c → s     | empty — the commit stream is complete            |
 //! | 4   | SESSION | c → r     | a [`SessionTicket`]; precedes HELLO when present |
 //! | 16  | ALARMS  | s → c     | a batch of [`Detection`]s raised since the last   |
@@ -20,22 +20,25 @@
 //! FNV-1a-32 word over `tag ‖ LE64 frame-index ‖ payload`, where the
 //! index counts checksummed frames per connection and direction from 0.
 //! Binding the index detects duplication, reordering and silent frame
-//! loss as well as payload corruption — essential for the stateful event
-//! delta codec, where a damaged or replayed EVENTS frame would otherwise
-//! decode into plausible garbage. The rule depends on the tag alone
+//! loss as well as payload corruption — essential for the event delta
+//! codec, where a damaged EVENTS frame would otherwise decode into
+//! plausible garbage. The rule depends on the tag alone
 //! ([`checksummed`]), so it holds on every connection, plain or routed.
 //!
 //! **One verdict.** A session ends in exactly one SUMMARY or one ERROR,
 //! never both: SUMMARY only for a run that reached its commit target on
-//! an intact stream, otherwise the ERROR that says why it did not. That
-//! is what version 4 means: a version-3 `serve` sent a partial SUMMARY
-//! before its ERROR, and the two versions refuse each other's HELLO.
+//! an intact stream, otherwise the ERROR that says why it did not.
 //!
-//! Event payloads are byte-identical to the batches inside a `.fgt` file
-//! (both sides keep a stateful [`EventEncoder`]/`EventDecoder` pair per
-//! session), so a recorded trace streams to a live service without
-//! re-encoding. All decode failures are [`CodecError`]s — a hostile or
-//! broken peer can never panic the service.
+//! **Self-contained batches.** Every EVENTS payload decodes on its own:
+//! the codec starts each batch from a fresh prediction context, so no
+//! codec state lives in a connection. That is what version 5 means: a
+//! version-4 peer predicted each batch from the one before, so its second
+//! batch would decode into wrong events, and the two versions refuse each
+//! other's HELLO. Event payloads are byte-identical to the batches inside
+//! a `.fgt` file, so a recorded trace streams to a live service, and a
+//! router journals, forwards and replays a client's batch, as received.
+//! All decode failures are [`CodecError`]s — a hostile or broken peer can
+//! never panic the service.
 //!
 //! [`EventEncoder`]: fireguard_trace::codec::EventEncoder
 
@@ -50,7 +53,7 @@ use std::io::{self, Read, Write};
 
 /// The one protocol version this build speaks. A HELLO naming any other
 /// is refused with [`CodecError::UnsupportedVersion`].
-pub const PROTO_VERSION: u64 = 4;
+pub const PROTO_VERSION: u64 = 5;
 /// Hard bound on any frame payload (4 MiB) — enforced on both sides.
 pub const MAX_FRAME: u64 = 1 << 22;
 
@@ -831,13 +834,13 @@ mod tests {
         ));
         assert!(kernel_from_u8(250).is_err());
 
-        // A byte-level HELLO fixture: version 4, workload "x", seed 0,
+        // A byte-level HELLO fixture: version 5, workload "x", seed 0,
         // insts 1, baseline 0, one kernel (id byte ‖ 4 µcores), hybrid
         // model, filter width 4, MA-stage ISAX, mapper width 1. Each paper
         // kernel id must decode from these exact bytes.
         for &(wire, _) in expected {
             let payload: Vec<u8> = vec![
-                4, // protocol version
+                5, // protocol version
                 1, b'x', // workload
                 0,    // seed
                 1,    // insts
@@ -863,7 +866,7 @@ mod tests {
         }
 
         // The same fixture with an unregistered id byte fails cleanly.
-        let mut bad: Vec<u8> = vec![4, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
+        let mut bad: Vec<u8> = vec![5, 1, b'x', 0, 1, 0, 1, 99, 4, 3, 4, 0, 1];
         assert!(SessionConfig::decode(&bad).is_err());
         bad[7] = 5; // highest registered id still decodes
         assert!(SessionConfig::decode(&bad).is_ok());
@@ -883,10 +886,10 @@ mod tests {
     fn hello_decode_rejects_garbage() {
         assert!(SessionConfig::decode(&[]).is_err());
         assert!(SessionConfig::decode(&[0xFF; 64]).is_err());
-        // Every version but 4 — the retired 1, 2 and 3, and any future
-        // one — is refused before the config is read.
+        // Every version but 5 — the retired 1 to 4, and any future one —
+        // is refused before the config is read.
         let mut other = sample_config().encode().unwrap();
-        for version in [1u8, 2, 3, 9] {
+        for version in [1u8, 2, 3, 4, 9] {
             other[0] = version;
             assert!(matches!(
                 SessionConfig::decode(&other),

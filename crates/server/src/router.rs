@@ -13,9 +13,10 @@
 //!
 //! The router speaks the existing framed protocol *transparently*: a
 //! HELLO payload is stored opaque and forwarded verbatim (the backend
-//! judges its version and config), EVENTS batches are decoded into a
-//! per-session buffer and re-encoded per backend incarnation, ALARMS are
-//! decoded only to deduplicate across failovers.
+//! judges its version and config); an EVENTS batch is decoded only to
+//! check that it continues the session's journal, then journaled and
+//! forwarded as received, since every payload decodes on its own; ALARMS
+//! are decoded only to deduplicate across failovers.
 //! A plain [`run_session`](crate::run_session) client works unmodified; a
 //! client that opens with a [`SessionTicket`] additionally gets ACK
 //! frames and may *resume* the session on a fresh connection if its
@@ -28,15 +29,15 @@
 //! uninterrupted direct session would have produced — no alarm lost,
 //! none delivered twice — regardless of how many backends die mid-stream
 //! (as long as some backend eventually serves). The mechanism is
-//! buffering + determinism: the router holds the session's full event
-//! prefix, replays it to a fresh backend on failover, and suppresses the
-//! alarms the replay re-raises (analysis is deterministic, so the first
-//! `k` alarms of a replayed incarnation are bit-identical to the `k`
-//! already logged). Client-side loss is covered the same way: the resume
+//! buffering + determinism: the router journals the session's full event
+//! prefix, replays its payloads to a fresh backend on failover, and
+//! suppresses the alarms the replay re-raises (analysis is deterministic,
+//! so the first `k` alarms of a replayed incarnation are bit-identical to
+//! the `k` already logged). Client-side loss is covered the same way: the resume
 //! ticket carries how many alarms the client holds, and the router
 //! re-sends the missing tail from its buffer.
 
-use crate::journal::{recover_journals, Journal, JournalGauges, DEFAULT_JOURNAL_TAIL};
+use crate::journal::{recover_journals, Journal};
 use crate::metrics::{serve_metrics, MetricsHandle};
 use crate::net::{lock, send_error, Listener, LOCK_POISONS};
 use crate::proto::{
@@ -46,8 +47,7 @@ use crate::proto::{
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
 use crate::service::{fleet_samples, serve, ServeOptions, ServerHandle};
 use fireguard_telemetry::{FieldVal, Sample, TraceSink};
-use fireguard_trace::codec::{EventDecoder, EventEncoder};
-use fireguard_trace::TraceInst;
+use fireguard_trace::codec::EventDecoder;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
@@ -57,10 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Events per EVENTS frame when the router replays a buffered prefix to
-/// a fresh backend incarnation.
-const REPLAY_BATCH: usize = 512;
 
 /// How long a driver keeps retrying for a live backend before giving the
 /// session up with an ERROR frame.
@@ -141,20 +137,16 @@ pub struct RouterOptions {
     /// clean BUSY frame. Resumes are always admitted.
     pub max_live_sessions: Option<u64>,
     /// Admission budget (`--max-buffered-mb`, stored in bytes): when the
-    /// aggregate journal spill exceeds it, fresh sessions get BUSY.
+    /// bytes journaled across live sessions exceed it, fresh sessions get
+    /// BUSY.
     pub max_buffered_bytes: Option<u64>,
     /// Durable journal directory (`--journal-dir`): each ticketed
     /// session's state is one `<id>.fgj` file here, synced before the
-    /// router acts on it, so a router *process* crash is resumable.
-    /// `None` = ephemeral journals in the OS temp dir (failover-safe, not
-    /// crash-safe).
+    /// router acts on it, so a router *process* crash is resumable: at
+    /// startup the router rebuilds the session table from the journals a
+    /// previous router left here. `None` = ephemeral journals in the OS
+    /// temp dir (failover-safe, not crash-safe).
     pub journal_dir: Option<PathBuf>,
-    /// Scan `journal_dir` at startup (`--resume-journals`) and rebuild
-    /// the session table from the journals a crashed router left behind.
-    pub resume_journals: bool,
-    /// In-RAM tail capacity per session journal, in events; the spill
-    /// threshold that bounds per-session router memory.
-    pub journal_tail: usize,
 }
 
 impl Default for RouterOptions {
@@ -171,8 +163,6 @@ impl Default for RouterOptions {
             max_live_sessions: None,
             max_buffered_bytes: None,
             journal_dir: None,
-            resume_journals: false,
-            journal_tail: DEFAULT_JOURNAL_TAIL,
         }
     }
 }
@@ -458,7 +448,7 @@ struct RouterStats {
 /// The router's exposition: its own routing counters, backend liveness,
 /// and (spawn mode) each live backend's fleet counters labeled
 /// `backend="<slot>"` — one scrape covers the whole fleet.
-fn router_samples(pool: &BackendPool, stats: &RouterStats, gauges: &JournalGauges) -> Vec<Sample> {
+fn router_samples(pool: &BackendPool, stats: &RouterStats, journaled: &AtomicU64) -> Vec<Sample> {
     let mut out = vec![
         Sample::new(
             "fireguard_router_events_total",
@@ -482,11 +472,7 @@ fn router_samples(pool: &BackendPool, stats: &RouterStats, gauges: &JournalGauge
         ),
         Sample::new(
             "fireguard_router_journal_bytes",
-            gauges.bytes.load(Ordering::Relaxed),
-        ),
-        Sample::new(
-            "fireguard_router_events_spilled_total",
-            gauges.spilled_events.load(Ordering::Relaxed),
+            journaled.load(Ordering::Relaxed),
         ),
         Sample::new(
             "fireguard_router_sessions_shed_total",
@@ -591,12 +577,6 @@ impl RouterHandle {
         self.shared.stats.shed.load(Ordering::Relaxed)
     }
 
-    /// Events spilled from RAM tails to journal files since startup —
-    /// nonzero proves the bounded-memory path actually engaged.
-    pub fn events_spilled(&self) -> u64 {
-        self.shared.gauges.spilled_events.load(Ordering::Relaxed)
-    }
-
     /// The bound metrics endpoint address, when one was requested.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics.as_ref().map(MetricsHandle::local_addr)
@@ -642,7 +622,8 @@ struct Shared {
     pool: Arc<BackendPool>,
     table: SessionTable,
     stats: RouterStats,
-    gauges: JournalGauges,
+    /// Bytes journaled across every live session.
+    journal_bytes: Arc<AtomicU64>,
     anon_ids: AtomicU64,
     drop_after: Option<u64>,
     trace: Option<Arc<TraceSink>>,
@@ -653,7 +634,6 @@ struct Shared {
     max_live_sessions: Option<u64>,
     max_buffered_bytes: Option<u64>,
     journal_dir: Option<PathBuf>,
-    journal_tail: usize,
 }
 
 impl Shared {
@@ -666,7 +646,7 @@ impl Shared {
     /// else ephemeral.
     fn open_session(&self, name: &str, durable: bool, hello: Vec<u8>) -> io::Result<SessionRef> {
         let dir = self.journal_dir.as_deref().filter(|_| durable);
-        let journal = Journal::open(name, hello, self.journal_tail, dir, self.gauges.clone())?;
+        let journal = Journal::open(name, hello, dir, Arc::clone(&self.journal_bytes))?;
         Ok(Arc::new(Mutex::new(SessionBuf {
             journal,
             detached: None,
@@ -690,8 +670,8 @@ impl Drop for Accepting {
 ///
 /// # Errors
 ///
-/// Propagates bind/spawn/resolve failures, and journal-directory scan
-/// failures when `resume_journals` is set.
+/// Propagates bind/spawn/resolve failures, and scan failures of an
+/// existing journal directory.
 pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     let socket = TcpListener::bind(&opts.addr)?;
 
@@ -702,7 +682,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
         pool: Arc::clone(&pool),
         table: SessionTable::default(),
         stats: RouterStats::default(),
-        gauges: JournalGauges::default(),
+        journal_bytes: Arc::default(),
         anon_ids: AtomicU64::new(0),
         drop_after: opts.drop_client_after_acks,
         trace: opts.trace.clone(),
@@ -711,7 +691,6 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
         max_live_sessions: opts.max_live_sessions,
         max_buffered_bytes: opts.max_buffered_bytes,
         journal_dir: opts.journal_dir.clone(),
-        journal_tail: opts.journal_tail,
     });
 
     // Crash recovery: rebuild the session table from the journals a
@@ -719,28 +698,24 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     // recovered session sits detached until its client resumes (or, if
     // it has its verdict, until it expires); the resume ACK tells the
     // client where the recovered prefix ends.
-    if opts.resume_journals {
-        if let Some(dir) = &shared.journal_dir {
-            if dir.is_dir() {
-                for (id, journal) in recover_journals(dir, shared.journal_tail, &shared.gauges)? {
-                    if let Some(t) = shared.trace() {
-                        t.emit(
-                            "router.recover",
-                            Some(mix(id)),
-                            vec![
-                                ("events", journal.len().into()),
-                                ("alarms", (journal.alarms().len() as u64).into()),
-                            ],
-                        );
-                    }
-                    let buf = SessionBuf {
-                        journal,
-                        detached: Some(Instant::now()),
-                        takeover: false,
-                    };
-                    lock(&shared.table.map).insert(id, Arc::new(Mutex::new(buf)));
-                }
+    if let Some(dir) = shared.journal_dir.as_deref().filter(|d| d.is_dir()) {
+        for (id, journal) in recover_journals(dir, &shared.journal_bytes)? {
+            if let Some(t) = shared.trace() {
+                t.emit(
+                    "router.recover",
+                    Some(mix(id)),
+                    vec![
+                        ("events", journal.len().into()),
+                        ("alarms", (journal.alarms().len() as u64).into()),
+                    ],
+                );
             }
+            let buf = SessionBuf {
+                journal,
+                detached: Some(Instant::now()),
+                takeover: false,
+            };
+            lock(&shared.table.map).insert(id, Arc::new(Mutex::new(buf)));
         }
     }
 
@@ -749,7 +724,9 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
             let shared = Arc::clone(&shared);
             Some(serve_metrics(
                 addr,
-                Arc::new(move || router_samples(&shared.pool, &shared.stats, &shared.gauges)),
+                Arc::new(move || {
+                    router_samples(&shared.pool, &shared.stats, &shared.journal_bytes)
+                }),
             )?)
         }
         None => None,
@@ -896,7 +873,7 @@ fn admit_fresh(shared: &Shared, live: u64) -> Result<(), String> {
         }
     }
     if let Some(max) = shared.max_buffered_bytes {
-        let buffered = shared.gauges.bytes.load(Ordering::Relaxed);
+        let buffered = shared.journal_bytes.load(Ordering::Relaxed);
         if buffered > max {
             return Err(format!(
                 "router busy: {buffered} journal bytes buffered (max {max})"
@@ -1083,9 +1060,6 @@ struct Backend {
     generation: u64,
     socket: TcpStream,
     writer: FrameWriter<BufWriter<TcpStream>>,
-    /// Codec state is per-connection on both legs, so every incarnation
-    /// starts from a fresh encoder.
-    enc: EventEncoder,
     end_sent: bool,
     /// Alarms this incarnation has reported; the first `alarms.len()` of
     /// them are deterministic repeats of the log.
@@ -1101,26 +1075,16 @@ impl Backend {
     }
 
     /// Replays the journaled prefix to this incarnation: the stored HELLO,
-    /// then the spilled batches decoded from disk and re-encoded, so the
-    /// new backend sees one continuous delta stream.
+    /// then every journaled EVENTS payload as the client sent it.
     fn replay(&mut self, j: &mut Journal) -> bool {
-        let mut ok = self.writer.write(HELLO, j.hello()).is_ok();
-        if ok {
-            let (w, enc) = (&mut self.writer, &mut self.enc);
-            ok = j
-                .replay(|chunk| {
-                    for part in chunk.chunks(REPLAY_BATCH) {
-                        w.write(EVENTS, &enc.encode_batch(part))?;
-                    }
-                    Ok(())
-                })
-                .is_ok();
-        }
+        let w = &mut self.writer;
+        let mut ok = w.write(HELLO, j.hello()).is_ok()
+            && j.replay(|payload| w.write(EVENTS, payload)).is_ok();
         if ok && j.ended() {
-            ok = self.writer.write(END, &[]).is_ok();
+            ok = w.write(END, &[]).is_ok();
             self.end_sent = true;
         }
-        ok && self.writer.flush().is_ok()
+        ok && w.flush().is_ok()
     }
 }
 
@@ -1143,7 +1107,6 @@ struct Driver<'a> {
     client_reader: JoinHandle<()>,
     tx: mpsc::Sender<Msg>,
     rx: mpsc::Receiver<Msg>,
-    dec: EventDecoder,
     client_alive: bool,
     ghost_since: Option<Instant>,
     acks_sent: u64,
@@ -1180,7 +1143,6 @@ impl<'a> Driver<'a> {
             client_reader,
             tx,
             rx,
-            dec: EventDecoder::new(),
             client_alive: true,
             ghost_since: None,
             acks_sent: 0,
@@ -1285,7 +1247,6 @@ impl<'a> Driver<'a> {
             generation,
             socket,
             writer,
-            enc: EventEncoder::new(),
             end_sent: false,
             seen: 0,
         })
@@ -1386,50 +1347,31 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Journals a client EVENTS batch, forwards the fresh events, and
-    /// ACKs a ticketed client.
+    /// Journals a client EVENTS batch that continues the journal exactly,
+    /// forwards it as received, and ACKs a ticketed client.
     fn on_events(&mut self, b: &mut Backend, payload: &[u8]) -> Option<Stop> {
-        let batch = match self.dec.decode_batch(payload) {
+        let batch = match EventDecoder::new().decode_batch(payload) {
             Ok(batch) => batch,
             Err(e) => return self.client_fault(format!("bad EVENTS frame: {e}")),
         };
-        // Append fresh events; silently drop the resume overlap (seqs
-        // already journaled). A gap means the wire dropped something:
-        // recoverable for ticketed sessions (sever + resume), fatal for
-        // anonymous.
-        let mut fresh: Vec<TraceInst> = Vec::new();
-        let mut gap = None;
-        {
-            let mut s = lock(&self.session);
-            for t in batch {
-                let n = s.journal.len();
-                if t.seq < n {
-                    continue;
-                }
-                if t.seq > n {
-                    gap = Some(format!("event seq gap: got {}, expected {n}", t.seq));
-                    break;
-                }
-                if let Err(e) = s.journal.push(t) {
-                    return journal_failed(e);
-                }
-                fresh.push(t);
-            }
+        // The batch must start at the journaled count and run on without a
+        // gap or a repeat: a conforming client resumes at the ACK, so
+        // either means the wire lost or duplicated something. Recoverable
+        // for ticketed sessions (sever + resume), fatal for anonymous.
+        let n = lock(&self.session).journal.len();
+        if let Some((t, want)) = batch.iter().zip(n..).find(|(t, want)| t.seq != *want) {
+            return self.client_fault(format!("event seq {} out of order, expected {want}", t.seq));
         }
-        if let Some(err) = gap {
-            if let Some(stop) = self.client_fault(err) {
-                return Some(stop);
-            }
+        let events = batch.len() as u64;
+        if let Err(e) = lock(&self.session).journal.push(payload, events) {
+            return journal_failed(e);
         }
-        if !fresh.is_empty() {
-            self.shared
-                .stats
-                .events
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            let bytes = b.enc.encode_batch(&fresh);
-            if !b.send(EVENTS, &bytes) {
-                return Some(Stop::FailOver);
-            }
+        self.shared
+            .stats
+            .events
+            .fetch_add(events, Ordering::Relaxed);
+        if !b.send(EVENTS, payload) {
+            return Some(Stop::FailOver);
         }
         if self.ticketed && self.client_alive {
             let buffered = lock(&self.session).journal.len();
@@ -1556,7 +1498,7 @@ impl<'a> Driver<'a> {
 
     /// Damage on the client leg. A ticketed session severs the leg
     /// quietly and goes ghost: the client sees EOF and resumes from the
-    /// last ACK with a fresh encoder. The damage proves nothing about who
+    /// last ACK. The damage proves nothing about who
     /// lied, so no verdict is forged. An anonymous session cannot resume
     /// and draws a clean ERROR.
     fn client_fault(&mut self, err: String) -> Option<Stop> {
@@ -1729,9 +1671,9 @@ mod tests {
             (4, false, Some(long_ago)),
         ];
         for (id, finished, detached) in sessions {
-            let gauges = JournalGauges::default();
-            let mut journal = Journal::open(&id.to_string(), b"h".to_vec(), 16, Some(&dir), gauges)
-                .expect("journal opens");
+            let mut journal =
+                Journal::open(&id.to_string(), b"h".to_vec(), Some(&dir), Arc::default())
+                    .expect("journal opens");
             if finished {
                 journal.set_verdict(SUMMARY, b"sum").expect("verdict");
             }

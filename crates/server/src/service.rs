@@ -6,7 +6,7 @@
 //! ```text
 //! client                                server worker
 //!   ── HELLO {SessionConfig} ──────────▶  validate, build FireGuardSystem
-//!   ── EVENTS batch ───────────────────▶  decode → bounded event queue
+//!   ── EVENTS batch ───────────────────▶  decode the one batch held
 //!   ── EVENTS batch ───────────────────▶        │ (core pulls on demand)
 //!   ◀─────────────────────── ALARMS ──  periodic drain of kernel alarms
 //!   ── END ────────────────────────────▶  stream exhausts, backlog drains
@@ -19,14 +19,16 @@
 //!
 //! # Backpressure
 //!
-//! The analysis is *pull-driven*: the simulated core fetches events from a
-//! bounded per-session queue that is refilled one frame at a time from the
-//! socket. When analysis falls behind, the server simply stops reading, the
-//! kernel TCP window closes, and the client's sender blocks — commit-stage
-//! backpressure reproduced end-to-end over the wire. In the reverse
-//! direction, ALARMS writes block when a slow client stops reading
-//! responses, which stalls analysis and therefore also stops event intake;
-//! a slow reader throttles exactly its own session.
+//! The analysis is *pull-driven*: the simulated core fetches events from
+//! the one decoded batch a session holds, and the next EVENTS frame is
+//! read from the socket only once that batch is spent. Every batch
+//! decodes on its own, so the session keeps no codec state. When analysis
+//! falls behind, the server simply stops reading, the kernel TCP window
+//! closes, and the client's sender blocks — commit-stage backpressure
+//! reproduced end-to-end over the wire. In the reverse direction, ALARMS
+//! writes block when a slow client stops reading responses, which stalls
+//! analysis and therefore also stops event intake; a slow reader
+//! throttles exactly its own session.
 
 use crate::metrics::{serve_metrics, MetricsHandle};
 use crate::net::{lock, send_error, Listener};
@@ -268,7 +270,6 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<ServerHandle> {
 /// *is* the backpressure.
 struct SocketEvents {
     reader: FrameReader<BufReader<TcpStream>>,
-    decoder: EventDecoder,
     /// The undelivered rest of the last decoded batch.
     pending: std::vec::IntoIter<TraceInst>,
     done: bool,
@@ -294,7 +295,7 @@ impl Iterator for SocketEvents {
                 return None;
             }
             match self.reader.read() {
-                Ok(Some((EVENTS, payload))) => match self.decoder.decode_batch(&payload) {
+                Ok(Some((EVENTS, payload))) => match EventDecoder::new().decode_batch(&payload) {
                     Ok(batch) => self.pending = batch.into_iter(),
                     Err(e) => self.fail(format!("bad EVENTS frame: {e}")),
                 },
@@ -409,7 +410,6 @@ fn session_inner(
     let error = Arc::new(Mutex::new(None));
     let events = SocketEvents {
         reader,
-        decoder: EventDecoder::new(),
         pending: Vec::new().into_iter(),
         done: false,
         error: Arc::clone(&error),

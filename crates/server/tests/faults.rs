@@ -12,8 +12,7 @@ use fireguard_server::proto::{
 };
 use fireguard_server::{
     route, run_chaos, run_routed_session, run_session, serve, BackendMode, ChaosOptions,
-    ClientError, Journal, JournalGauges, RoutedOptions, RouterOptions, ServeOptions, SessionConfig,
-    WireFaults,
+    ClientError, Journal, RoutedOptions, RouterOptions, ServeOptions, SessionConfig, WireFaults,
 };
 use fireguard_soc::{
     baseline_cycles, capture_events, run_fireguard, Detection, ExperimentConfig, KernelId,
@@ -287,8 +286,7 @@ fn corrupted_checked_frame_is_severed_then_resume_completes() {
 }
 
 /// Hand-rolled SESSION-ticket resume: ACK tells us where the buffered
-/// prefix ends; we re-send the rest (freshly delta-encoded) and collect
-/// the verdict.
+/// prefix ends; we re-send the rest and collect the verdict.
 fn manual_resume(
     addr: &str,
     id: u64,
@@ -404,15 +402,14 @@ fn router_reaps_silent_connections() {
 
 // ---- bounded-memory journals ---------------------------------------------
 
-/// The bounded-memory contract over the whole workload suite: with a
-/// 64-event RAM tail, a ~5000-event session is ≥ 75× the tail, so the
-/// journal *must* spill to disk — and with the router severing the
-/// client link every 2 ACKs, every session also resumes off that
-/// spilled state. Detections stay bit-identical to offline throughout.
+/// The journal contract over the whole workload suite: every batch of a
+/// ~5000-event session is journaled to disk as received — and with the
+/// router severing the client link every 2 ACKs, every session also
+/// resumes off that journal. Detections stay bit-identical to offline
+/// throughout.
 #[test]
 fn journal_spill_plus_resume_holds_parity_for_every_workload() {
     let router = route(RouterOptions {
-        journal_tail: 64,
         drop_client_after_acks: Some(2),
         ..router_opts()
     })
@@ -447,10 +444,6 @@ fn journal_spill_plus_resume_holds_parity_for_every_workload() {
             "{workload}"
         );
     }
-    assert!(
-        router.events_spilled() > 0,
-        "a 64-event tail under ~5000-event sessions must spill to disk"
-    );
 }
 
 // ---- admission control ----------------------------------------------------
@@ -491,40 +484,88 @@ fn admission_control_sheds_fresh_sessions_with_busy() {
     assert!(router.sessions_shed() >= 2, "every refusal is counted");
 }
 
+/// The byte budget counts every journaled batch, with or without a
+/// journal dir: once a ticketed session's first EVENTS batch is ACKed,
+/// its journal holds more than a one-byte budget, and the next fresh
+/// session is refused with BUSY.
+#[test]
+fn the_journal_byte_budget_sheds_fresh_sessions() {
+    let (_, session, events) = fixture("ferret", 3_000);
+    let router = route(RouterOptions {
+        max_buffered_bytes: Some(1),
+        ..router_opts()
+    })
+    .expect("router starts");
+    let addr = router.local_addr();
+
+    let first = TcpStream::connect(addr).expect("connect");
+    first
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let ticket = SessionTicket {
+        id: 91,
+        resume: false,
+        alarms_received: 0,
+    };
+    let mut w = FrameWriter::new(first.try_clone().expect("clone"));
+    w.write(SESSION, &ticket.encode()).expect("ticket");
+    w.write(HELLO, &session.encode().expect("valid config"))
+        .expect("hello");
+    w.write(EVENTS, &EventEncoder::new().encode_batch(&events[..512]))
+        .expect("events");
+    w.flush().expect("flush");
+    let mut r = FrameReader::new(BufReader::new(first.try_clone().expect("clone")));
+    loop {
+        match r.read().expect("frames until ACK") {
+            Some((ACK, _)) => break,
+            Some(_) => continue,
+            None => panic!("the session closed before its ACK"),
+        }
+    }
+
+    let err = run_session(&addr.to_string(), &session, events, 512)
+        .expect_err("a journaled batch puts the router over its byte budget");
+    match err {
+        ClientError::Server(msg) => assert!(
+            msg.starts_with("router busy: ") && msg.contains(" journal bytes buffered (max 1)"),
+            "unexpected BUSY reason: {msg}"
+        ),
+        other => panic!("expected a server refusal, got {other:?}"),
+    }
+    assert_eq!(router.sessions_shed(), 1);
+    drop((first, w, r));
+    router.shutdown();
+}
+
 // ---- router-process crash recovery -----------------------------------------
 
-/// A router process crash (simulated exactly as `kill -9` leaves the
-/// disk: a durable journal with a recorded HELLO and a spilled event
-/// prefix, no terminal record) is recoverable: a new router started with
-/// `resume_journals` rebuilds the session from its journal, ACKs the
-/// spilled prefix, replays it to a fresh backend, and the resumed client
-/// finishes with offline-exact detections.
+/// A router process crash (simulated as `kill -9` leaves the disk: a
+/// durable journal with a recorded HELLO and an event prefix, no
+/// terminal record) is recoverable: a new router given the same journal
+/// dir rebuilds the session from its journal at startup, ACKs the
+/// journaled prefix, replays it to a fresh backend, and the resumed
+/// client finishes with offline-exact detections.
 #[test]
-fn crashed_router_journals_are_recovered_by_resume_journals() {
+fn crashed_router_journals_are_recovered_from_the_journal_dir() {
     let (offline, session, events) = fixture("bodytrack", 5_000);
     let dir = std::env::temp_dir().join(format!("fg-faults-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The crashed router's legacy: 500 events journaled with a 64-event
-    // tail, so 448 made it to disk and the RAM tail died with the process.
+    // The crashed router's legacy: 500 events journaled in 100-event
+    // batches.
     let hello = session.encode().expect("valid config");
-    const PUSHED: usize = 500;
-    let spilled = {
-        let mut j = Journal::open("4242", hello, 64, Some(&dir), JournalGauges::default())
+    {
+        let mut j = Journal::open("4242", hello, Some(&dir), Default::default())
             .expect("journal opens with its HELLO");
-        for &e in &events[..PUSHED] {
-            j.push(e).expect("push");
+        for chunk in events[..500].chunks(100) {
+            let payload = EventEncoder::new().encode_batch(chunk);
+            j.push(&payload, chunk.len() as u64).expect("push");
         }
-        let spilled = j.spilled();
-        assert!(spilled > 0, "the prefix must have hit the disk");
         drop(j); // durable + no verdict: the file stays behind
-        spilled
-    };
+    }
 
     let router = route(RouterOptions {
         journal_dir: Some(dir.clone()),
-        resume_journals: true,
-        journal_tail: 64,
         ..router_opts()
     })
     .expect("recovering router starts");
@@ -540,8 +581,6 @@ fn crashed_router_journals_are_recovered_by_resume_journals() {
     assert_eq!(summary.committed, offline.committed);
     assert_eq!(summary.cycles, offline.cycles);
     assert_eq!(summary.slowdown.to_bits(), offline.slowdown.to_bits());
-    let _ = spilled; // the resume ACK asserted `start <= events`; the
-                     // journal's own unit tests pin start == spilled.
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -564,7 +603,6 @@ fn older_build_journal_fails_its_resume_cleanly() {
 
     let router = route(RouterOptions {
         journal_dir: Some(dir.clone()),
-        resume_journals: true,
         ..router_opts()
     })
     .expect("recovering router starts");
@@ -613,8 +651,7 @@ fn older_build_journal_fails_its_resume_cleanly() {
 /// A journal write that fails ends the session with an ERROR naming the
 /// session journal: the router never acts on state the disk lacks. Here
 /// `<id>.fgj` is a symlink to `/dev/full`, so the durable HELLO frame
-/// cannot be written and the session is refused at registration, although
-/// its events, fewer than the journal tail, would never spill.
+/// cannot be written and the session is refused at registration.
 #[cfg(unix)]
 #[test]
 fn a_failed_journal_write_fails_the_session_naming_the_journal() {
@@ -625,7 +662,6 @@ fn a_failed_journal_write_fails_the_session_naming_the_journal() {
     std::os::unix::fs::symlink("/dev/full", dir.join("31.fgj")).expect("symlink to /dev/full");
     let router = route(RouterOptions {
         journal_dir: Some(dir.clone()),
-        journal_tail: events.len() + 1,
         ..router_opts()
     })
     .expect("router starts");
@@ -641,10 +677,9 @@ fn a_failed_journal_write_fails_the_session_naming_the_journal() {
 
 /// The full hostile world, per workload: backends die on the seeded kill
 /// schedule while the netem proxy drops, delays, duplicates, truncates,
-/// corrupts, and disconnects frames in both directions — and the
-/// 64-event journal tail keeps every failover replay disk-backed. Zero
-/// sessions lost, every detection set bit-identical to offline, across
-/// all nine workloads.
+/// corrupts, and disconnects frames in both directions — and every
+/// failover replays the journal file. Zero sessions lost, every detection
+/// set bit-identical to offline, across all nine workloads.
 #[test]
 fn chaos_net_soak_loses_nothing_for_every_workload() {
     let mut total_faults = 0u64;
@@ -660,7 +695,6 @@ fn chaos_net_soak_loses_nothing_for_every_workload() {
                 backends: 2,
                 kills: 2,
                 seed: 7 + i as u64,
-                journal_tail: 64,
                 wire_faults: Some(WireFaults {
                     fault_every: 6,
                     max_delay_ms: 2,

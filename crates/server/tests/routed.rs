@@ -18,7 +18,7 @@ use fireguard_trace::codec::EventEncoder;
 use fireguard_trace::{AttackKind, AttackPlan};
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn router_opts() -> RouterOptions {
@@ -620,6 +620,213 @@ fn an_error_verdict_is_forgotten_once_delivered() {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+    router.shutdown();
+}
+
+/// The router sends a client's EVENTS payloads on as received and
+/// replays them, unchanged, on failover. It runs over one extern stand-in
+/// backend that records every EVENTS payload per connection and drops its
+/// first connection after two of them. The client's 300-event batches
+/// arrive byte for byte on both connections.
+#[test]
+fn events_are_forwarded_and_replayed_byte_for_byte() {
+    let backend = TcpListener::bind("127.0.0.1:0").expect("stand-in backend binds");
+    let backend_addr = backend.local_addr().expect("bound").to_string();
+    let recorded: Arc<Mutex<Vec<Vec<Vec<u8>>>>> = Arc::default();
+    let rec = Arc::clone(&recorded);
+    std::thread::spawn(move || {
+        for conn in backend.incoming().flatten() {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                // Health probes hang up at once; a session opens with HELLO.
+                let mut r = FrameReader::new(BufReader::new(&conn));
+                if !matches!(r.read(), Ok(Some((proto::HELLO, _)))) {
+                    return;
+                }
+                let nth = {
+                    let mut rec = rec.lock().expect("lock");
+                    rec.push(Vec::new());
+                    rec.len() - 1
+                };
+                loop {
+                    match r.read() {
+                        Ok(Some((EVENTS, p))) => {
+                            let mut rec = rec.lock().expect("lock");
+                            rec[nth].push(p);
+                            if nth == 0 && rec[nth].len() == 2 {
+                                let _ = conn.shutdown(Shutdown::Both);
+                                return;
+                            }
+                        }
+                        Ok(Some((END, _))) => {
+                            let refusal = b"refused session: stand-in backend";
+                            let _ = proto::write_frame(&mut &conn, ERROR, refusal);
+                            let _ = conn.shutdown(Shutdown::Write);
+                            while let Ok(Some(_)) = r.read() {}
+                            return;
+                        }
+                        _ => return,
+                    }
+                }
+            });
+        }
+    });
+    let router = route(RouterOptions {
+        backends: BackendMode::Extern(vec![backend_addr]),
+        ..router_opts()
+    })
+    .expect("router starts");
+
+    let cfg = attack_experiment("ferret", 3_000);
+    let hello = SessionConfig::from_experiment(&cfg, 0)
+        .encode()
+        .expect("valid config");
+    let mut enc = EventEncoder::new();
+    let payloads: Vec<Vec<u8>> = capture_events(&cfg)[..3_000]
+        .chunks(300)
+        .map(|c| enc.encode_batch(c))
+        .collect();
+    let stream = TcpStream::connect(router.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut w = FrameWriter::new(BufWriter::new(stream.try_clone().expect("clone")));
+    w.write(proto::HELLO, &hello).expect("hello");
+    for p in &payloads {
+        w.write(EVENTS, p).expect("events");
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).expect("end");
+    let (_, verdicts) = read_to_eof(&mut FrameReader::new(BufReader::new(&stream)));
+    // Hang up, or the router's drain waits out its idle timeout.
+    drop((w, stream));
+    assert_eq!(
+        verdicts,
+        [(ERROR, b"refused session: stand-in backend".to_vec())],
+        "the stand-in's verdict, forwarded"
+    );
+    let rec = recorded.lock().expect("lock");
+    assert_eq!(rec.len(), 2, "one failover");
+    assert!(rec[0] == payloads[..2], "forwarded as the client sent them");
+    assert!(rec[1] == payloads, "replayed and forwarded byte for byte");
+    drop(rec);
+    router.shutdown();
+}
+
+/// The router takes an EVENTS batch only if it continues the journal
+/// exactly. An anonymous session whose second batch repeats a journaled
+/// seq, or skips one, ends with the one ERROR that names the seq.
+#[test]
+fn a_batch_that_repeats_or_skips_a_seq_ends_an_anonymous_session() {
+    let router = route(router_opts()).expect("router starts");
+    let cfg = attack_experiment("ferret", 3_000);
+    let hello = SessionConfig::from_experiment(&cfg, 0)
+        .encode()
+        .expect("valid config");
+    let events = capture_events(&cfg);
+    for (second, seq) in [(&events[..512], 0), (&events[513..1_024], 513)] {
+        let stream = TcpStream::connect(router.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let mut w = FrameWriter::new(BufWriter::new(stream.try_clone().expect("clone")));
+        w.write(proto::HELLO, &hello).expect("hello");
+        for batch in [&events[..512], second] {
+            w.write(EVENTS, &EventEncoder::new().encode_batch(batch))
+                .expect("events");
+        }
+        w.flush().expect("flush");
+        let (_, verdicts) = read_to_eof(&mut FrameReader::new(BufReader::new(&stream)));
+        let msg = format!("event seq {seq} out of order, expected 512");
+        assert_eq!(verdicts, [(ERROR, msg.into_bytes())]);
+    }
+    router.shutdown();
+}
+
+/// A ticketed client that re-sends an acked batch is severed without a
+/// verdict, as for any wire damage. It then resumes from the ACK, which
+/// the repeat did not move, and finishes with offline-exact detections.
+#[test]
+fn a_ticketed_client_that_resends_an_acked_batch_is_severed_and_resumes() {
+    let cfg = attack_experiment("ferret", 3_000);
+    let offline = run_fireguard(&cfg);
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let events = capture_events(&cfg);
+    let hello = SessionConfig::from_experiment(&cfg, base)
+        .encode()
+        .expect("valid config");
+    let router = route(router_opts()).expect("router starts");
+    let addr = router.local_addr();
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let w = FrameWriter::new(BufWriter::new(stream.try_clone().expect("clone")));
+        (w, FrameReader::new(BufReader::new(stream)))
+    };
+    let mut alarms = Vec::new();
+    let mut ticket = proto::SessionTicket {
+        id: 41,
+        resume: false,
+        alarms_received: 0,
+    };
+
+    let (mut w, mut r) = connect();
+    w.write(SESSION, &ticket.encode()).expect("ticket");
+    w.write(proto::HELLO, &hello).expect("hello");
+    let batch = EventEncoder::new().encode_batch(&events[..512]);
+    w.write(EVENTS, &batch)
+        .and_then(|()| w.flush())
+        .expect("events");
+    loop {
+        match r.read().expect("frames until the ACK") {
+            Some((ALARMS, p)) => alarms.extend(proto::decode_alarms(&p).expect("alarms")),
+            Some((ACK, p)) => break assert_eq!(proto::decode_ack(&p).expect("ack"), 512),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    // The acked batch again, in a correctly checksummed frame: the
+    // router severs the connection, with no verdict.
+    w.write(EVENTS, &batch)
+        .and_then(|()| w.flush())
+        .expect("repeat");
+    while let Ok(Some((tag, p))) = r.read() {
+        match tag {
+            ALARMS => alarms.extend(proto::decode_alarms(&p).expect("alarms")),
+            ACK => {}
+            tag => panic!("a repeat draws a sever, not frame tag {tag}"),
+        }
+    }
+    drop((w, r));
+
+    ticket.resume = true;
+    ticket.alarms_received = alarms.len() as u64;
+    let (mut w, mut r) = connect();
+    w.write(SESSION, &ticket.encode())
+        .and_then(|()| w.flush())
+        .expect("resume ticket");
+    match r.read().expect("resume preamble") {
+        Some((ACK, p)) => assert_eq!(proto::decode_ack(&p).expect("ack"), 512),
+        other => panic!("expected ACK on resume, got {other:?}"),
+    }
+    for chunk in events[512..].chunks(512) {
+        w.write(EVENTS, &EventEncoder::new().encode_batch(chunk))
+            .expect("events");
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).expect("end");
+    let summary = loop {
+        match r.read().expect("frames until the verdict") {
+            Some((ALARMS, p)) => alarms.extend(proto::decode_alarms(&p).expect("alarms")),
+            Some((ACK, _)) => {}
+            Some((SUMMARY, p)) => break Summary::decode(&p).expect("summary decodes"),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    let _ = w.write(ACK, &[]).and_then(|()| w.flush());
+    assert_eq!(detection_keys(&alarms), detection_keys(&offline.detections));
+    assert_eq!(summary.committed, offline.committed);
+    assert_eq!(summary.slowdown.to_bits(), offline.slowdown.to_bits());
+    drop((w, r));
     router.shutdown();
 }
 

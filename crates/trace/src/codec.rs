@@ -33,15 +33,17 @@
 //! construction.
 //!
 //! Events travel in **length-prefixed batches** (`varint len ‖ varint
-//! count ‖ events`); the same batch payload is reused verbatim as the
-//! `EVENTS` frame body of the `fireguard-server` wire protocol, so a
-//! recorded file can be streamed to a live service without re-encoding.
+//! count ‖ events`). Every batch starts from a fresh prediction context,
+//! so a payload decodes on its own: a recorded batch is a valid `EVENTS`
+//! frame body of the `fireguard-server` wire protocol at any point of any
+//! connection, and a router can journal, forward and replay a client's
+//! batch exactly as it arrived.
 //!
 //! # Container layout (`.fgt` files)
 //!
 //! ```text
 //! magic  "FGT1"
-//! u8     container version (1)
+//! u8     container version (2)
 //! varint header length, then the header:
 //!          varint workload-name length ‖ UTF-8 name
 //!          varint seed ‖ varint insts ‖ varint baseline_cycles
@@ -61,8 +63,9 @@ use std::io::{self, Read, Write};
 
 /// File magic for `.fgt` trace containers.
 pub const MAGIC: [u8; 4] = *b"FGT1";
-/// Current container version.
-pub const VERSION: u8 = 1;
+/// Current container version. Version 1 carried the prediction context
+/// from one batch into the next, so its batches do not decode alone.
+pub const VERSION: u8 = 2;
 /// Events per batch written by [`write_trace`].
 pub const BATCH_EVENTS: usize = 4096;
 /// Upper bound on the event count any single batch may declare; decoders
@@ -349,11 +352,10 @@ fn attack_from_bits(bits: u8) -> Result<Option<AttackGroundTruth>, CodecError> {
     })
 }
 
-/// Stateful event encoder: holds the delta-prediction context (expected
-/// next sequence number, previous PC / memory address / heap base).
-///
-/// One encoder must pair with exactly one [`EventDecoder`] fed the same
-/// batches in the same order — the state *is* part of the wire format.
+/// Event encoder: holds the delta-prediction context (expected next
+/// sequence number, previous PC / memory address / heap base) within one
+/// batch. [`encode_batch`](Self::encode_batch) resets it first, so every
+/// payload decodes alone, with any [`EventDecoder`].
 #[derive(Debug, Clone, Default)]
 pub struct EventEncoder {
     next_seq: u64,
@@ -368,8 +370,7 @@ impl EventEncoder {
         Self::default()
     }
 
-    /// Appends one encoded event to `buf`.
-    pub fn encode_into(&mut self, buf: &mut Vec<u8>, t: &TraceInst) {
+    fn encode_into(&mut self, buf: &mut Vec<u8>, t: &TraceInst) {
         let mut flags = 0u8;
         if t.mem_addr.is_some() {
             flags |= F_MEM;
@@ -410,8 +411,10 @@ impl EventEncoder {
         }
     }
 
-    /// Encodes `events` as one batch payload (`varint count ‖ events`).
+    /// Encodes `events` as one self-contained batch payload (`varint
+    /// count ‖ events`), predicted from a fresh context.
     pub fn encode_batch(&mut self, events: &[TraceInst]) -> Vec<u8> {
+        *self = Self::default();
         let mut buf = Vec::with_capacity(events.len() * 12 + 4);
         put_uvarint(&mut buf, events.len() as u64);
         for t in events {
@@ -419,21 +422,10 @@ impl EventEncoder {
         }
         buf
     }
-
-    /// The sequence number the *next* encoded event is predicted to carry —
-    /// i.e. one past the last event encoded (0 on a fresh encoder).
-    ///
-    /// Session-resume peers use this to agree on where a replayed stream
-    /// picks up: an encoder that has emitted events `0..k` reports `k`, and
-    /// the resuming side restarts a fresh encoder at the event with
-    /// absolute seq `k`. Reading the state changes nothing on the wire —
-    /// v1 streams stay byte-identical.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
 }
 
-/// Stateful event decoder, the mirror of [`EventEncoder`].
+/// Event decoder, the mirror of [`EventEncoder`]: each batch decodes
+/// from a fresh context.
 #[derive(Debug, Clone, Default)]
 pub struct EventDecoder {
     next_seq: u64,
@@ -448,13 +440,7 @@ impl EventDecoder {
         Self::default()
     }
 
-    /// Decodes one event from `cur`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] on short input, [`CodecError::Corrupt`] on
-    /// impossible flag combinations or attack kinds.
-    pub fn decode_from(&mut self, cur: &mut Cursor<'_>) -> Result<TraceInst, CodecError> {
+    fn decode_from(&mut self, cur: &mut Cursor<'_>) -> Result<TraceInst, CodecError> {
         let flags = cur.u8("event flags")?;
         if flags & F_TAKEN != 0 && flags & F_CTRL == 0 {
             return Err(CodecError::Corrupt("taken bit without control flow"));
@@ -512,16 +498,19 @@ impl EventDecoder {
         })
     }
 
-    /// Decodes one batch payload produced by [`EventEncoder::encode_batch`].
+    /// Decodes one batch payload produced by [`EventEncoder::encode_batch`],
+    /// whatever batches came before it.
     ///
     /// # Errors
     ///
     /// [`CodecError::Oversized`] if the batch declares more than
     /// [`MAX_BATCH_EVENTS`] events; [`CodecError::Corrupt`] if the payload
     /// is too short to hold the declared count or bytes trail the declared
-    /// events; plus any per-event decode failure. Both count checks run
-    /// before the output is allocated.
+    /// events; [`CodecError::Truncated`] on short input or a
+    /// [`CodecError::Corrupt`] impossible flag combination or attack kind
+    /// in any event. Both count checks run before the output is allocated.
     pub fn decode_batch(&mut self, payload: &[u8]) -> Result<Vec<TraceInst>, CodecError> {
+        *self = Self::default();
         let mut cur = Cursor::new(payload);
         let count = cur.uvarint("batch count")?;
         if count > MAX_BATCH_EVENTS {
@@ -542,14 +531,6 @@ impl EventDecoder {
             return Err(CodecError::Corrupt("trailing bytes after batch events"));
         }
         Ok(out)
-    }
-
-    /// The sequence number the *next* decoded event is predicted to carry —
-    /// the mirror of [`EventEncoder::next_seq`]. On a contiguous stream
-    /// this is exactly the count of events decoded so far, which is what a
-    /// resume ACK reports back to the peer.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -827,11 +808,15 @@ mod tests {
             read_trace(&mut wrong.as_slice()),
             Err(CodecError::BadMagic)
         ));
-        bytes[4] = 99;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::UnsupportedVersion(99))
-        ));
+        // Version 1 chained the prediction context across batches: its
+        // later batches would decode wrongly, so the file is refused.
+        for version in [1, 99] {
+            bytes[4] = version;
+            assert!(matches!(
+                read_trace(&mut bytes.as_slice()),
+                Err(CodecError::UnsupportedVersion(v)) if v == u64::from(version)
+            ));
+        }
     }
 
     #[test]

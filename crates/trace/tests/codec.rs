@@ -62,6 +62,42 @@ proptest! {
         }
     }
 
+    /// Every batch stands alone: cut a stream into arbitrary batches, and
+    /// a long-lived encoder emits each one byte-identical to a fresh
+    /// encoder, while each payload decodes alone, in any order.
+    #[test]
+    fn every_batch_decodes_alone(
+        w in workload(),
+        seed in 0u64..1_000_000,
+        n in 64usize..4096,
+        cuts in proptest::collection::vec(1usize..700, 1..12),
+        attacks in any::<bool>(),
+    ) {
+        let events = stream(w, seed, n, attacks);
+        let mut batches = Vec::new();
+        let mut rest = events.as_slice();
+        for &c in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(c.min(rest.len()));
+            batches.push(head);
+            rest = tail;
+        }
+        let mut enc = EventEncoder::new();
+        let payloads: Vec<Vec<u8>> = batches.iter().map(|b| enc.encode_batch(b)).collect();
+        for (b, p) in batches.iter().zip(&payloads) {
+            prop_assert_eq!(p, &EventEncoder::new().encode_batch(b));
+        }
+        let mut dec = EventDecoder::new();
+        for (b, p) in batches.iter().zip(&payloads).rev() {
+            let back = dec.decode_batch(p);
+            prop_assert!(back.is_ok(), "decode failed: {:?}", back.err());
+            let back = back.unwrap();
+            prop_assert_eq!(back.as_slice(), *b);
+        }
+    }
+
     /// Container round-trip: a full `.fgt` write/read cycle preserves both
     /// metadata and every event exactly.
     #[test]
