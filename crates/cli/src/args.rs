@@ -6,15 +6,19 @@
 //! `--version` escapes.
 //!
 //! Every flag is declared once, as a row of [`FLAGS`]: its canonical
-//! name, aliases, value kind and *scope*, the subcommands it applies to.
-//! `parse` looks a flag up before it takes a value, checks the value by
-//! kind and keeps it under the canonical name; commands read it back
-//! through the typed getters ([`Parsed::switch`], [`Parsed::text`],
-//! [`Parsed::num`], [`Parsed::seconds`]). Out-of-scope flags are rejected
-//! with a message, never silently ignored. A new flag is one `FLAGS` row
-//! plus the getter call that reads it (and its line in `usage`).
+//! name, aliases and value kind. `parse` looks a flag up before it takes
+//! a value, checks the value by kind and keeps it under the canonical
+//! name; commands read it back through the typed getters
+//! ([`Parsed::switch`], [`Parsed::text`], [`Parsed::num`],
+//! [`Parsed::seconds`], [`Parsed::format`]), and each read marks the flag.
+//! A handler reads a flag only in the mode that uses it, then calls
+//! [`Parsed::finish`] before any side effect, which refuses every given
+//! flag that no getter read: a flag is never silently ignored. A new flag
+//! is one `FLAGS` row plus the getter call that reads it (and its line in
+//! `usage`).
 
 use fireguard_soc::Format;
+use std::cell::Cell;
 use std::time::Duration;
 use Kind::{Count, Positive, Seconds, Switch, Text};
 
@@ -46,92 +50,54 @@ pub enum Kind {
     Format,
 }
 
-/// One flag: canonical name, aliases, value kind, and the subcommands it
-/// applies to ([`FIG`] for every figure, [`ALL`] for every subcommand).
-pub type Flag = (
-    &'static str,
-    &'static [&'static str],
-    Kind,
-    &'static [&'static str],
-);
-
-/// Scope marker: every figure/table subcommand (any name that is not a
-/// [`crate::COMMANDS`] row).
-const FIG: &str = "<figure>";
-/// Scope marker: every subcommand.
-const ALL: &str = "<all>";
-
-/// The subcommands that analyse a `.fgt` recording.
-const SESSION: &[&str] = &["trace replay", "client", "loadgen"];
-/// The subcommands that deploy kernels on engines: a sweep and every
-/// [`SESSION`] command.
-const DEPLOY: &[&str] = &["sweep", "trace replay", "client", "loadgen"];
-/// The subcommands that take an attack campaign: a sweep runs it at every
-/// grid point, so silent configurations show in the detections column.
-const CAMPAIGN: &[&str] = &["trace record", "sweep"];
+/// One flag: canonical name, aliases and value kind.
+pub type Flag = (&'static str, &'static [&'static str], Kind);
 
 /// Every flag the CLI accepts.
 pub const FLAGS: &[Flag] = &[
-    ("--format", &[], Kind::Format, &[ALL]),
-    ("--insts", &[], Positive, &[FIG, "sweep", "trace record"]),
-    ("--quick", &[], Switch, &[FIG, "sweep", "trace record"]),
-    // loadgen: the routed session ids and the chaos kill schedule;
-    // chaos-net: the per-connection fault schedule.
-    (
-        "--seed",
-        &[],
-        Count,
-        &[FIG, "sweep", "trace record", "loadgen", "chaos-net"],
-    ),
-    ("--jobs", &[], Positive, &[FIG, "sweep", "loadgen"]),
-    ("--workloads", &[], Text, &["sweep"]),
-    ("--kernel", &["--kernels"], Text, DEPLOY),
-    ("--ucores", &[], Text, DEPLOY),
-    ("--ha", &[], Switch, DEPLOY),
-    ("--filter-width", &["--filter-widths"], Text, DEPLOY),
-    ("--model", &["--models"], Text, DEPLOY),
-    ("--mapper-width", &[], Positive, SESSION),
-    (
-        "--addr",
-        &[],
-        Text,
-        &["serve", "router", "client", "loadgen", "stats", "chaos-net"],
-    ),
-    ("--metrics-addr", &[], Text, &["serve", "router"]),
-    (
-        "--trace-out",
-        &[],
-        Text,
-        &["serve", "router", "client", "loadgen", "chaos-net"],
-    ),
-    ("--workers", &[], Positive, &["serve"]),
-    ("--max-sessions", &[], Count, &["serve", "router"]),
-    ("--idle-timeout", &[], Seconds, &["serve", "router"]),
-    ("--journal-dir", &[], Text, &["router"]),
-    ("--max-live-sessions", &[], Count, &["router"]),
-    ("--max-buffered-mb", &[], Positive, &["router"]),
-    ("--chaos-net", &[], Switch, &["loadgen"]),
-    ("--fault-every", &[], Count, &["loadgen", "chaos-net"]),
-    ("--max-delay-ms", &[], Count, &["loadgen", "chaos-net"]),
-    ("--upstream", &[], Text, &["chaos-net"]),
-    ("--sessions", &[], Positive, &["loadgen"]),
-    ("--duration", &[], Seconds, &["loadgen"]),
-    ("--bucket-ms", &[], Positive, &["loadgen"]),
-    ("--chaos", &[], Switch, &["loadgen"]),
-    ("--routed", &[], Switch, &["loadgen"]),
-    ("--backends", &[], Positive, &["router", "loadgen"]),
-    ("--backend-addrs", &[], Text, &["router"]),
-    ("--backend-workers", &[], Positive, &["router", "loadgen"]),
-    ("--kills", &[], Count, &["loadgen"]),
-    ("--out", &[], Text, &["trace record"]),
-    ("--trace", &[], Text, SESSION),
-    ("--workload", &[], Text, &["trace record"]),
-    ("--attacks", &[], Text, CAMPAIGN),
-    ("--attack-count", &[], Positive, CAMPAIGN),
-    ("--attack-start", &[], Count, CAMPAIGN),
-    ("--attack-end", &[], Count, CAMPAIGN),
-    ("--attack-seed", &[], Count, CAMPAIGN),
-    ("--batch", &[], Positive, &["client", "loadgen"]),
+    ("--format", &[], Kind::Format),
+    ("--insts", &[], Positive),
+    ("--quick", &[], Switch),
+    ("--seed", &[], Count),
+    ("--jobs", &[], Positive),
+    ("--workloads", &[], Text),
+    ("--kernel", &["--kernels"], Text),
+    ("--ucores", &[], Text),
+    ("--ha", &[], Switch),
+    ("--filter-width", &["--filter-widths"], Text),
+    ("--model", &["--models"], Text),
+    ("--mapper-width", &[], Positive),
+    ("--addr", &[], Text),
+    ("--metrics-addr", &[], Text),
+    ("--trace-out", &[], Text),
+    ("--workers", &[], Positive),
+    ("--max-sessions", &[], Count),
+    ("--idle-timeout", &[], Seconds),
+    ("--journal-dir", &[], Text),
+    ("--max-live-sessions", &[], Count),
+    ("--max-buffered-mb", &[], Positive),
+    ("--chaos-net", &[], Switch),
+    ("--fault-every", &[], Count),
+    ("--max-delay-ms", &[], Count),
+    ("--upstream", &[], Text),
+    ("--sessions", &[], Positive),
+    ("--duration", &[], Seconds),
+    ("--bucket-ms", &[], Positive),
+    ("--chaos", &[], Switch),
+    ("--routed", &[], Switch),
+    ("--backends", &[], Positive),
+    ("--backend-addrs", &[], Text),
+    ("--backend-workers", &[], Positive),
+    ("--kills", &[], Count),
+    ("--out", &[], Text),
+    ("--trace", &[], Text),
+    ("--workload", &[], Text),
+    ("--attacks", &[], Text),
+    ("--attack-count", &[], Positive),
+    ("--attack-start", &[], Count),
+    ("--attack-end", &[], Count),
+    ("--attack-seed", &[], Count),
+    ("--batch", &[], Positive),
 ];
 
 /// A flag's checked value.
@@ -150,25 +116,22 @@ pub struct Parsed {
     /// The subcommand: a figure name, a [`crate::COMMANDS`] name, or an
     /// unknown word that `run` refuses.
     pub command: String,
-    /// Every flag given, with its checked value; a repeated flag keeps its
-    /// first place and its last value.
-    values: Vec<(&'static Flag, Value)>,
+    /// Every flag given, with its checked value and whether a getter has
+    /// read it; a repeated flag keeps its first place and its last value.
+    values: Vec<(&'static Flag, Value, Cell<bool>)>,
 }
 
 impl Parsed {
     /// The value given for `name`, which must be a canonical `FLAGS` name
-    /// of one of `kinds` (any kind when `kinds` is empty).
+    /// of one of `kinds`; marks the flag read.
     fn get(&self, name: &str, kinds: &[Kind]) -> Option<&Value> {
         debug_assert!(
-            FLAGS
-                .iter()
-                .any(|f| f.0 == name && (kinds.is_empty() || kinds.contains(&f.2))),
+            FLAGS.iter().any(|f| f.0 == name && kinds.contains(&f.2)),
             "{name} is not a declared {kinds:?} flag"
         );
-        self.values
-            .iter()
-            .find(|(f, _)| f.0 == name)
-            .map(|(_, v)| v)
+        let (_, value, read) = self.values.iter().find(|(f, ..)| f.0 == name)?;
+        read.set(true);
+        Some(value)
     }
 
     /// Whether switch `name` was given.
@@ -210,32 +173,33 @@ impl Parsed {
         }
     }
 
-    /// Refuses the first of `flags` that was given, as requiring `needed`:
-    /// without that mode it would be silently ignored.
-    pub fn require(&self, flags: &[&str], needed: &str) -> Result<(), String> {
-        match flags.iter().find(|name| self.get(name, &[]).is_some()) {
-            Some(name) => Err(format!("{name} requires {needed}")),
-            None => Ok(()),
-        }
-    }
-
-    /// The given flags that do not apply to `self.command`, by name — so
-    /// commands can reject them instead of silently ignoring them.
-    pub fn out_of_scope_flags(&self) -> Vec<&'static str> {
-        let figure = !crate::COMMANDS.iter().any(|c| c.0 == self.command);
-        let applies = |s: &&str| *s == ALL || *s == self.command || (*s == FIG && figure);
-        self.values
+    /// Refuses every given flag that no getter has read: this run has no
+    /// use for it, and dropping it silently would hide that. A handler
+    /// calls it after its last read and before any side effect.
+    pub fn finish(&self) -> Result<(), String> {
+        let unread: Vec<&str> = self
+            .values
             .iter()
-            .filter(|(f, _)| !f.3.iter().any(applies))
-            .map(|(f, _)| f.0)
-            .collect()
+            .filter(|(.., read)| !read.get())
+            .map(|(f, ..)| f.0)
+            .collect();
+        let verb = match unread.len() {
+            0 => return Ok(()),
+            1 => "does",
+            _ => "do",
+        };
+        Err(format!(
+            "{} {verb} not apply to this {} run",
+            unread.join(", "),
+            self.command
+        ))
     }
 }
 
 /// Parses `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
     let bad = |msg: String| Err(ArgError::Bad(msg));
-    let mut values: Vec<(&'static Flag, Value)> = Vec::new();
+    let mut values: Vec<(&'static Flag, Value, Cell<bool>)> = Vec::new();
     let mut words: Vec<&str> = Vec::new();
     let mut it = argv.iter().map(String::as_str);
     while let Some(arg) = it.next() {
@@ -259,9 +223,9 @@ pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
                         None => return bad(format!("flag {arg} expects a value")),
                     },
                 };
-                match values.iter_mut().find(|(f, _)| f.0 == flag.0) {
+                match values.iter_mut().find(|(f, ..)| f.0 == flag.0) {
                     Some(slot) => slot.1 = value,
-                    None => values.push((flag, value)),
+                    None => values.push((flag, value, Cell::new(false))),
                 }
             }
         }
@@ -328,7 +292,6 @@ mod tests {
         assert_eq!(p.num("--insts"), Some(2000u64));
         assert_eq!(p.num("--jobs"), Some(4usize));
         assert_eq!(p.format(), Format::Csv);
-        assert!(p.out_of_scope_flags().is_empty());
     }
 
     #[test]
@@ -339,7 +302,6 @@ mod tests {
         assert_eq!(p.text("--ucores"), Some("2,4"));
         assert!(p.switch("--ha"));
         assert!(p.switch("--quick"));
-        assert!(p.out_of_scope_flags().is_empty());
     }
 
     #[test]
@@ -351,7 +313,6 @@ mod tests {
         assert_eq!(p.command, "trace record");
         assert_eq!(p.text("--workload"), Some("x264"));
         assert_eq!(p.text("--out"), Some("/tmp/x.fgt"));
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("trace replay --trace /tmp/x.fgt --kernel asan")).unwrap();
         assert_eq!(p.command, "trace replay");
@@ -371,7 +332,6 @@ mod tests {
         assert_eq!(p.text("--addr"), Some("127.0.0.1:4780"));
         assert_eq!(p.num("--sessions"), Some(4usize));
         assert_eq!(p.num("--batch"), Some(256usize));
-        assert!(p.out_of_scope_flags().is_empty());
     }
 
     #[test]
@@ -384,7 +344,6 @@ mod tests {
         assert_eq!(p.num("--backends"), Some(3usize));
         assert_eq!(p.num("--backend-workers"), Some(2usize));
         assert_eq!(p.num("--max-sessions"), Some(8u64));
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
             "loadgen --trace t.fgt --sessions 8 --chaos --kills 4 --duration 2.5 \
@@ -396,11 +355,9 @@ mod tests {
         assert_eq!(p.seconds("--duration"), Some(Duration::from_secs_f64(2.5)));
         assert_eq!(p.num("--bucket-ms"), Some(250u64));
         assert_eq!(p.num("--seed"), Some(11u64));
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("loadgen --trace t.fgt --routed --addr 127.0.0.1:9")).unwrap();
         assert!(p.switch("--routed"));
-        assert!(p.out_of_scope_flags().is_empty());
     }
 
     #[test]
@@ -411,31 +368,14 @@ mod tests {
         .unwrap();
         assert_eq!(p.text("--metrics-addr"), Some("127.0.0.1:9900"));
         assert_eq!(p.text("--trace-out"), Some("/tmp/s.jsonl"));
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args("stats --addr 127.0.0.1:9900,127.0.0.1:9901")).unwrap();
         assert_eq!(p.command, "stats");
-        assert!(p.out_of_scope_flags().is_empty());
-
-        // --metrics-addr is a serve/router flag.
-        let p = parse(&args("client --trace t.fgt --metrics-addr 127.0.0.1:9")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--metrics-addr"]);
-
-        // sweep accepts an attack campaign now; trace-out does not apply.
-        let p = parse(&args("sweep --attacks ret-hijack --attack-count 6")).unwrap();
-        assert!(p.out_of_scope_flags().is_empty());
-        let p = parse(&args("sweep --trace-out /tmp/x.jsonl")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--trace-out"]);
+        assert_eq!(p.text("--addr"), Some("127.0.0.1:9900,127.0.0.1:9901"));
     }
 
     #[test]
     fn router_flags_have_scopes() {
-        let p = parse(&args("serve --backends 2")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--backends"]);
-        let p = parse(&args("client --trace t.fgt --chaos")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--chaos"]);
-        let p = parse(&args("loadgen --trace t.fgt --backend-addrs a:1")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--backend-addrs"]);
         assert!(matches!(
             parse(&args("loadgen --duration 0")),
             Err(ArgError::Bad(_))
@@ -460,7 +400,6 @@ mod tests {
             p.seconds("--idle-timeout"),
             Some(Duration::from_secs_f64(2.5))
         );
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
             "chaos-net --upstream 127.0.0.1:4781 --addr 127.0.0.1:0 \
@@ -471,25 +410,13 @@ mod tests {
         assert_eq!(p.text("--upstream"), Some("127.0.0.1:4781"));
         assert_eq!(p.num("--fault-every"), Some(32u64));
         assert_eq!(p.num("--max-delay-ms"), Some(3u64));
-        assert!(p.out_of_scope_flags().is_empty());
 
         let p = parse(&args(
             "loadgen --trace t.fgt --chaos --chaos-net --fault-every 48",
         ))
         .unwrap();
         assert!(p.switch("--chaos") && p.switch("--chaos-net"));
-        assert!(p.out_of_scope_flags().is_empty());
-
-        // Journal/admission flags are router-only; --upstream is
-        // chaos-net-only; --chaos-net belongs to loadgen.
-        let p = parse(&args("serve --journal-dir /tmp/j")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--journal-dir"]);
-        let p = parse(&args("serve --max-live-sessions 4")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--max-live-sessions"]);
-        let p = parse(&args("loadgen --trace t.fgt --upstream a:1")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--upstream"]);
-        let p = parse(&args("client --trace t.fgt --chaos-net")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--chaos-net"]);
+        assert_eq!(p.num("--fault-every"), Some(48u64));
         assert!(matches!(
             parse(&args("serve --idle-timeout 0")),
             Err(ArgError::Bad(_))
@@ -502,14 +429,34 @@ mod tests {
 
     #[test]
     fn scope_violations_are_reported() {
+        // A figure reads its budget and `--jobs`, never `--ucores`.
         let p = parse(&args("fig10 --ucores 8,12 --insts 2000")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--ucores"]);
+        crate::fig_opts(&p).unwrap();
+        assert_eq!(
+            p.finish(),
+            Err("--ucores does not apply to this fig10 run".to_owned())
+        );
         let p = parse(&args("serve --sessions 4")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--sessions"]);
-        let p = parse(&args("trace replay --trace t.fgt --insts 5")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--insts"]);
-        let p = parse(&args("client --workloads all --trace t.fgt")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--workloads"]);
+        assert_eq!(
+            p.finish(),
+            Err("--sessions does not apply to this serve run".to_owned())
+        );
+        // A session command reads `--trace` and the deployment flags; the
+        // budget and the sweep grid belong to the recording.
+        for (cmd, text) in [
+            (
+                "trace replay --trace t.fgt --insts 5",
+                "--insts does not apply to this trace replay run",
+            ),
+            (
+                "client --workloads all --trace t.fgt",
+                "--workloads does not apply to this client run",
+            ),
+        ] {
+            let p = parse(&args(cmd)).unwrap();
+            assert_eq!(p.text("--trace"), Some("t.fgt"));
+            assert_eq!(p.finish(), Err(text.to_owned()), "{cmd}");
+        }
     }
 
     #[test]
@@ -561,9 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn every_flag_is_declared_once_with_a_known_scope() {
+    fn every_flag_is_declared_once() {
         let mut spellings: Vec<&str> = Vec::new();
-        for (name, aliases, _, scope) in FLAGS {
+        for (name, aliases, _) in FLAGS {
             for spelling in std::iter::once(name).chain(aliases.iter()) {
                 assert!(spelling.starts_with("--"), "{spelling}");
                 assert!(
@@ -571,10 +518,6 @@ mod tests {
                     "{spelling} is declared twice"
                 );
                 spellings.push(spelling);
-            }
-            for s in *scope {
-                let known = [FIG, ALL].contains(s) || crate::COMMANDS.iter().any(|c| c.0 == *s);
-                assert!(known, "{name} names an unknown subcommand {s:?}");
             }
         }
     }
@@ -620,11 +563,47 @@ mod tests {
     }
 
     #[test]
+    fn finish_passes_once_every_given_flag_is_read() {
+        let p = parse(&args("fig7a --insts 2000 --format csv")).unwrap();
+        assert_eq!(p.num("--insts"), Some(2000u64));
+        assert_eq!(p.format(), Format::Csv);
+        assert_eq!(p.finish(), Ok(()));
+        assert_eq!(parse(&args("list")).unwrap().finish(), Ok(()));
+    }
+
+    #[test]
+    fn finish_names_an_unread_flag_by_its_canonical_name() {
+        let p = parse(&args("trace replay --trace t.fgt --kernels asan")).unwrap();
+        assert_eq!(p.text("--trace"), Some("t.fgt"));
+        assert_eq!(
+            p.finish(),
+            Err("--kernel does not apply to this trace replay run".to_owned())
+        );
+    }
+
+    #[test]
     fn a_repeated_out_of_scope_flag_is_named_once() {
         let p = parse(&args("serve --insts 1 --insts 2")).unwrap();
-        assert_eq!(p.out_of_scope_flags(), vec!["--insts"]);
+        assert_eq!(
+            p.finish(),
+            Err("--insts does not apply to this serve run".to_owned())
+        );
         let p = parse(&args("fig7a --insts 1 --insts 2")).unwrap();
         assert_eq!(p.num("--insts"), Some(2u64), "the last value wins");
+        assert_eq!(p.finish(), Ok(()));
+    }
+
+    #[test]
+    fn finish_names_every_unread_flag_in_the_order_given() {
+        let p = parse(&args(
+            "client --workloads all --trace t.fgt --chaos --workloads x --ha",
+        ))
+        .unwrap();
+        assert_eq!(p.text("--trace"), Some("t.fgt"));
+        assert_eq!(
+            p.finish(),
+            Err("--workloads, --chaos, --ha do not apply to this client run".to_owned())
+        );
     }
 
     #[test]

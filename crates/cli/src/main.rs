@@ -48,17 +48,17 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     (
         "sweep",
         "ad-hoc grid over workloads × kernels × engines × widths",
-        |p| emit(p, sweep_report(p)),
+        |p| emit(p, sweep_report),
     ),
     (
         "trace record",
         "capture a workload×attack stream to a .fgt file",
-        |p| emit(p, service_cmds::record_report(p, &fig_opts(p))),
+        |p| emit(p, |p| service_cmds::record_report(p, &budget(p)?)),
     ),
     (
         "trace replay",
         "re-run a .fgt recording through FireGuard",
-        |p| emit(p, service_cmds::replay_report(p)),
+        |p| emit(p, service_cmds::replay_report),
     ),
     (
         "serve",
@@ -73,12 +73,12 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     (
         "client",
         "stream a .fgt recording to a running service",
-        |p| emit(p, service_cmds::client_report(p)),
+        |p| emit(p, service_cmds::client_report),
     ),
     (
         "loadgen",
         "open N concurrent sessions, report throughput/latency",
-        |p| emit(p, service_cmds::loadgen_report(p)),
+        |p| emit(p, service_cmds::loadgen_report),
     ),
     (
         "chaos-net",
@@ -88,12 +88,12 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     (
         "stats",
         "scrape live --metrics-addr endpoints, aggregate fleet counters",
-        |p| emit(p, service_cmds::stats_report(p)),
+        |p| emit(p, service_cmds::stats_report),
     ),
     (
         "list",
         "list subcommands as a table (--format jsonl for tooling)",
-        |p| emit(p, Ok(list_report(p.format()))),
+        |p| emit(p, |p| p.finish().map(|()| list_report(p.format()))),
     ),
 ];
 
@@ -115,22 +115,15 @@ fn run(argv: &[String]) -> i32 {
         }
     };
 
-    let stray = parsed.out_of_scope_flags();
-    if !stray.is_empty() {
-        eprintln!(
-            "fireguard: {} {} not apply to the {} subcommand",
-            stray.join(", "),
-            if stray.len() == 1 { "does" } else { "do" },
-            parsed.command
-        );
-        return 2;
-    }
-
     if let Some((.., handler)) = COMMANDS.iter().find(|c| c.0 == parsed.command) {
         return handler(&parsed);
     }
     match find(&parsed.command) {
-        Some(fig) => emit(&parsed, Ok((fig.run)(&fig_opts(&parsed)))),
+        Some(fig) => emit(&parsed, |p| {
+            let opts = fig_opts(p)?;
+            p.finish()?;
+            Ok((fig.run)(&opts))
+        }),
         None => {
             eprintln!("fireguard: unknown subcommand {:?}", parsed.command);
             eprintln!("run `fireguard list` to see the available subcommands");
@@ -139,16 +132,18 @@ fn run(argv: &[String]) -> i32 {
     }
 }
 
-/// Prints a report command's outcome; returns the exit code.
-fn emit(p: &Parsed, report: Result<Report, String>) -> i32 {
-    let report = match report {
+/// Runs a report command and prints its outcome in the `--format` given;
+/// returns the exit code.
+fn emit(p: &Parsed, report: impl FnOnce(&Parsed) -> Result<Report, String>) -> i32 {
+    let format = p.format();
+    let report = match report(p) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("fireguard: {msg}");
             return 2;
         }
     };
-    match render(&report, p.format(), &mut std::io::stdout().lock()) {
+    match render(&report, format, &mut std::io::stdout().lock()) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("fireguard: writing output failed: {e}");
@@ -157,15 +152,24 @@ fn emit(p: &Parsed, report: Result<Report, String>) -> i32 {
     }
 }
 
-/// Resolves figure options: flags beat environment variables.
-fn fig_opts(p: &Parsed) -> FigOpts {
+/// The size of a run that generates its trace: `--insts` or `--quick`,
+/// and `--seed`. Flags beat environment variables.
+fn budget(p: &Parsed) -> Result<FigOpts, String> {
     let env = FigOpts::from_env();
     let quick = p.switch("--quick").then_some(fireguard_bench::QUICK_INSTS);
-    FigOpts {
-        insts: p.num("--insts").or(quick).unwrap_or(env.insts),
-        seed: p.num("--seed").unwrap_or(env.seed),
-        workers: p.num("--jobs").unwrap_or(env.workers),
-    }
+    let insts = match (p.num("--insts"), quick) {
+        (Some(_), Some(_)) => return Err("--insts and --quick are mutually exclusive".to_owned()),
+        (insts, quick) => insts.or(quick).unwrap_or(env.insts),
+    };
+    let seed = p.num("--seed").unwrap_or(env.seed);
+    Ok(FigOpts { insts, seed, ..env })
+}
+
+/// Resolves figure options: [`budget`] and `--jobs`.
+fn fig_opts(p: &Parsed) -> Result<FigOpts, String> {
+    let opts = budget(p)?;
+    let workers = p.num("--jobs").unwrap_or(opts.workers);
+    Ok(FigOpts { workers, ..opts })
 }
 
 /// Every subcommand with its summary: the figures, then [`COMMANDS`].
@@ -231,7 +235,7 @@ fn list_report(format: Format) -> Report {
 }
 
 fn sweep_report(p: &Parsed) -> Result<Report, String> {
-    let opts = fig_opts(p);
+    let opts = fig_opts(p)?;
     let workloads: Vec<&str> = match p.text("--workloads") {
         None | Some("all") => fireguard_soc::experiments::workloads(),
         Some(csv) => csv
@@ -274,6 +278,7 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
     // detections column shows which configurations actually catch it —
     // silent points are visible in the grid instead of only in loadgen.
     let attacked = service_cmds::attack_plan(p, opts.insts)?;
+    p.finish()?;
     if let Some(plan) = &attacked {
         for (_, job) in &mut expanded {
             if let fireguard_soc::JobSpec::FireGuard(cfg) = job {
@@ -427,7 +432,7 @@ fn usage() -> String {
          \x20   --trace <file>          .fgt recording (replay/client/loadgen)\n\
          \x20   --addr <host:port>      service address (default 127.0.0.1:4780)\n\
          \x20   --workers <N>           serve: concurrent session workers\n\
-         \x20   --max-sessions <N>      serve: exit after N sessions (CI)\n\
+         \x20   --max-sessions <N>      serve/router: exit after N sessions (CI)\n\
          \x20   --sessions <N>          loadgen: total sessions (default 4)\n\
          \x20   --batch <N>             events per frame (default 512)\n\
          \x20   --mapper-width <N>      replay/client/loadgen mapper width\n\
@@ -454,7 +459,7 @@ fn usage() -> String {
          \n\
          TELEMETRY FLAGS:\n\
          \x20   --metrics-addr <h:p>    serve/router: live metrics endpoint (Prometheus text over HTTP)\n\
-         \x20   --trace-out <file>      serve/router/client/loadgen: span-event jsonl sink\n\
+         \x20   --trace-out <file>      serve/router/client/loadgen/chaos-net: span-event jsonl sink\n\
          \x20   stats --addr <csv>      scrape endpoints, aggregate per-kernel fleet counters\n\
          \n\
          Replay/client/loadgen take --kernel <csv|all> with --ucores <N> or --ha\n\

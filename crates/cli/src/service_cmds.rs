@@ -10,8 +10,8 @@ use crate::args::Parsed;
 use fireguard_bench::figures::FigOpts;
 use fireguard_server::chaos::detection_keys;
 use fireguard_server::{
-    netem, run_chaos, run_loadgen, run_session, ChaosOptions, LoadgenOptions, NetemOptions, Sample,
-    SessionConfig, TraceSink, WireFaults,
+    netem, run_chaos, run_loadgen, run_session, BackendMode, ChaosOptions, LoadgenOptions,
+    NetemOptions, Sample, SessionConfig, TraceSink, WireFaults,
 };
 use fireguard_soc::report::percentile;
 use fireguard_soc::{
@@ -72,13 +72,6 @@ fn parse_attack_kind(s: &str) -> Result<AttackKind, String> {
 /// by `trace record` and `sweep`. `None` when `--attacks` was not given.
 pub(crate) fn attack_plan(p: &Parsed, insts: u64) -> Result<Option<AttackPlan>, String> {
     let Some(csv) = p.text("--attacks") else {
-        let campaign = [
-            "--attack-count",
-            "--attack-start",
-            "--attack-end",
-            "--attack-seed",
-        ];
-        p.require(&campaign, "--attacks")?;
         return Ok(None);
     };
     let kinds = csv
@@ -191,9 +184,9 @@ fn read_trace_file(path: &str) -> Result<(TraceMeta, Vec<TraceInst>), String> {
     codec::read_trace(&mut BufReader::new(f)).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Opens the `--trace-out` span sink, if the flag was given.
-fn trace_sink(p: &Parsed) -> Result<Option<Arc<TraceSink>>, String> {
-    match p.text("--trace-out") {
+/// Opens the span sink at the `--trace-out` path, if one was given.
+fn trace_sink(path: Option<&str>) -> Result<Option<Arc<TraceSink>>, String> {
+    match path {
         None => Ok(None),
         Some(path) => TraceSink::to_file(path)
             .map(Some)
@@ -287,6 +280,7 @@ pub fn record_report(p: &Parsed, opts: &FigOpts) -> Result<Report, String> {
     if let Some(plan) = attack_plan(p, insts)? {
         cfg = cfg.attacks(plan);
     }
+    p.finish()?;
 
     let base = baseline_cycles(workload, seed, insts);
     let events = capture_events(&cfg);
@@ -338,6 +332,7 @@ pub fn replay_report(p: &Parsed) -> Result<Report, String> {
         .ok_or("trace replay requires --trace <file>")?;
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
+    p.finish()?;
     let result = run_fireguard_events(&cfg, events, meta.baseline_cycles);
 
     let mut r = Report::new();
@@ -359,7 +354,9 @@ pub fn client_report(p: &Parsed) -> Result<Report, String> {
     let cfg = session_experiment(p, &meta)?;
     let session = SessionConfig::from_experiment(&cfg, meta.baseline_cycles);
     let batch = p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH);
-    let trace = trace_sink(p)?;
+    let trace_out = p.text("--trace-out");
+    p.finish()?;
+    let trace = trace_sink(trace_out)?;
     let out = run_session(addr, &session, Arc::new(events), batch)
         .map_err(|e| format!("session against {addr} failed: {e}"))?;
     // The client-side timeline entry: one span summarising the session as
@@ -413,28 +410,7 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
     // --chaos-net layers the seeded wire-fault proxy onto the chaos
     // fleet, so the gate asserts parity while the network lies too.
     if p.switch("--chaos") || p.switch("--chaos-net") {
-        if p.text("--addr").is_some() {
-            return Err("--chaos spawns its own router fleet; --addr does not apply".to_owned());
-        }
-        if p.switch("--routed") {
-            return Err("--routed is implied by --chaos".to_owned());
-        }
-        if p.num::<u64>("--bucket-ms").is_some() {
-            return Err("--chaos has no latency histogram; --bucket-ms does not apply".to_owned());
-        }
         return chaos_report(p, path);
-    }
-    let fleet = [
-        "--backends",
-        "--backend-workers",
-        "--kills",
-        "--fault-every",
-        "--max-delay-ms",
-    ];
-    p.require(&fleet, "--chaos (the spawned-fleet mode)")?;
-    // Only resumable sessions draw ids from the seed.
-    if !p.switch("--routed") {
-        p.require(&["--seed"], "--routed or --chaos")?;
     }
     let addr = p.text("--addr").unwrap_or(DEFAULT_ADDR);
     let sessions = p.num("--sessions").unwrap_or(4);
@@ -447,15 +423,19 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
     // Whether the recording carries ground-truth attacks, for the
     // zero-alarm warning below (a benign trace is *expected* to be silent).
     let has_attacks = events.iter().any(|e| e.attack.is_some());
-    let opts = LoadgenOptions {
+    let mut opts = LoadgenOptions {
         sessions,
         concurrency,
         batch: p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH),
         duration: p.seconds("--duration"),
         bucket: Duration::from_millis(p.num("--bucket-ms").unwrap_or(1000)),
+        // Only resumable sessions draw ids from the seed.
         routed: p.switch("--routed").then(|| p.num("--seed").unwrap_or(42)),
-        trace: trace_sink(p)?,
+        trace: None,
     };
+    let trace_out = p.text("--trace-out");
+    p.finish()?;
+    opts.trace = trace_sink(trace_out)?;
     let agg = run_loadgen(addr, &session, Arc::new(events), &opts);
     if agg.ok_sessions == 0 {
         return Err(format!(
@@ -631,22 +611,17 @@ fn bucket_table(buckets: &[fireguard_server::LatencyBucket]) -> Table {
 /// assertion is a command error (non-zero exit), because this subcommand
 /// doubles as the CI chaos gate.
 fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
-    let (fault_every, max_delay_ms) = (p.num("--fault-every"), p.num("--max-delay-ms"));
-    let chaos_net = p.switch("--chaos-net");
-    if !chaos_net && (fault_every.is_some() || max_delay_ms.is_some()) {
-        return Err("--fault-every / --max-delay-ms require --chaos-net".to_owned());
-    }
-    let wire_faults = chaos_net.then(|| {
+    let wire_faults = p.switch("--chaos-net").then(|| {
         let d = WireFaults::default();
         WireFaults {
-            fault_every: fault_every.unwrap_or(d.fault_every),
-            max_delay_ms: max_delay_ms.unwrap_or(d.max_delay_ms),
+            fault_every: p.num("--fault-every").unwrap_or(d.fault_every),
+            max_delay_ms: p.num("--max-delay-ms").unwrap_or(d.max_delay_ms),
         }
     });
     let (meta, events) = read_trace_file(path)?;
     let cfg = session_experiment(p, &meta)?;
     let session = SessionConfig::from_experiment(&cfg, meta.baseline_cycles);
-    let opts = ChaosOptions {
+    let mut opts = ChaosOptions {
         sessions: p.num("--sessions").unwrap_or(8),
         concurrency: p.num("--jobs").unwrap_or(8),
         batch: p.num("--batch").unwrap_or(fireguard_server::DEFAULT_BATCH),
@@ -657,8 +632,11 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
         seed: p.num("--seed").unwrap_or(7),
         drop_client_after_acks: None,
         wire_faults,
-        trace: trace_sink(p)?,
+        trace: None,
     };
+    let trace_out = p.text("--trace-out");
+    p.finish()?;
+    opts.trace = trace_sink(trace_out)?;
 
     // The parity reference: the identical recording through the offline
     // engine (loopback tests pin offline == direct serve, so this is
@@ -753,37 +731,31 @@ fn chaos_report(p: &Parsed, path: &str) -> Result<Report, String> {
 type Started = (Vec<String>, Box<dyn FnOnce()>);
 
 /// The foreground contract serve, router and chaos-net share; returns the
-/// process exit code. `args` carries the command's own flag checks (exit
-/// 2), made before the `--trace-out` sink opens; `start` gets the sink
-/// and starts the service, or names the exit code and message it failed
+/// process exit code. `opts` is the command's options read from its
+/// flags, or its usage error (exit 2). [`Parsed::finish`] runs before the
+/// `--trace-out` sink opens; `start` gets the options and the sink and
+/// starts the service, or names the exit code and message it failed
 /// with. The announcement goes to stdout, flushed, so scripts that start
 /// on port 0 discover the real port.
-fn run_foreground<A>(
+fn run_foreground<O>(
     p: &Parsed,
-    name: &str,
-    args: Result<A, String>,
-    start: impl FnOnce(A, Option<Arc<TraceSink>>) -> Result<Started, (i32, String)>,
+    opts: Result<O, String>,
+    start: impl FnOnce(O, Option<Arc<TraceSink>>) -> Result<Started, (i32, String)>,
 ) -> i32 {
-    if p.format() != fireguard_soc::Format::Human {
-        // These commands print plain announcement lines, not a Report;
-        // honoring the never-silently-ignore contract beats accepting the
-        // flag.
-        eprintln!("fireguard: {name} has no report output; --format does not apply");
-        return 2;
-    }
     let fail = |code: i32, msg: String| {
         eprintln!("fireguard: {msg}");
         code
     };
-    let args = match args {
-        Ok(a) => a,
+    let trace_out = p.text("--trace-out");
+    let opts = match opts.and_then(|o| p.finish().map(|()| o)) {
+        Ok(o) => o,
         Err(e) => return fail(2, e),
     };
-    let trace = match trace_sink(p) {
+    let trace = match trace_sink(trace_out) {
         Ok(t) => t,
         Err(e) => return fail(1, e),
     };
-    let (lines, join) = match start(args, trace) {
+    let (lines, join) = match start(opts, trace) {
         Ok(started) => started,
         Err((code, e)) => return fail(code, e),
     };
@@ -798,17 +770,18 @@ fn run_foreground<A>(
 
 /// Runs the service in the foreground; returns the process exit code.
 pub fn serve_cmd(p: &Parsed) -> i32 {
-    run_foreground(p, "serve", Ok(()), |(), trace| {
-        let opts = fireguard_server::ServeOptions {
-            addr: p.text("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
-            workers: p
-                .num("--workers")
-                .unwrap_or_else(fireguard_soc::default_workers),
-            max_sessions: p.num("--max-sessions"),
-            metrics_addr: p.text("--metrics-addr").map(str::to_owned),
-            idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
-            trace,
-        };
+    let opts = fireguard_server::ServeOptions {
+        addr: p.text("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+        workers: p
+            .num("--workers")
+            .unwrap_or_else(fireguard_soc::default_workers),
+        max_sessions: p.num("--max-sessions"),
+        metrics_addr: p.text("--metrics-addr").map(str::to_owned),
+        idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
+        trace: None,
+    };
+    run_foreground(p, Ok(opts), |mut opts, trace| {
+        opts.trace = trace;
         let workers = opts.workers;
         let handle = fireguard_server::serve(opts).map_err(|e| (1, format!("cannot bind: {e}")))?;
         let mut lines = vec![format!(
@@ -831,38 +804,36 @@ pub const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:4781";
 
 /// Runs the router tier in the foreground; returns the process exit code.
 pub fn router_cmd(p: &Parsed) -> i32 {
-    let backends = match (p.num("--backends"), p.text("--backend-addrs")) {
+    let fleet = match (p.num("--backends"), p.text("--backend-addrs")) {
         (Some(_), Some(_)) => {
             Err("--backends (spawn) and --backend-addrs (extern) are mutually exclusive".to_owned())
         }
+        // Extern backends are never spawned: there are no workers to size.
         (_, Some(csv)) => {
-            // Extern backends are never spawned: there are no workers to
-            // size.
             let addrs = csv.split(',').map(|s| s.trim().to_owned()).collect();
-            p.require(
-                &["--backend-workers"],
-                "spawned backends, not --backend-addrs",
-            )
-            .map(|()| fireguard_server::BackendMode::Extern(addrs))
+            Ok((BackendMode::Extern(addrs), None))
         }
-        (n, None) => Ok(fireguard_server::BackendMode::Spawn(n.unwrap_or(2))),
+        (n, None) => Ok((
+            BackendMode::Spawn(n.unwrap_or(2)),
+            p.num("--backend-workers"),
+        )),
     };
-    run_foreground(p, "router", backends, |backends, trace| {
-        let opts = fireguard_server::RouterOptions {
-            addr: p.text("--addr").unwrap_or(DEFAULT_ROUTER_ADDR).to_owned(),
-            backends,
-            backend_workers: p.num("--backend-workers").unwrap_or(2),
-            max_sessions: p.num("--max-sessions"),
-            metrics_addr: p.text("--metrics-addr").map(str::to_owned),
-            idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
-            max_live_sessions: p.num("--max-live-sessions"),
-            max_buffered_bytes: p
-                .num("--max-buffered-mb")
-                .map(|mb: u64| mb.saturating_mul(1 << 20)),
-            journal_dir: p.text("--journal-dir").map(std::path::PathBuf::from),
-            trace,
-            ..fireguard_server::RouterOptions::default()
-        };
+    let opts = fleet.map(|(backends, workers)| fireguard_server::RouterOptions {
+        addr: p.text("--addr").unwrap_or(DEFAULT_ROUTER_ADDR).to_owned(),
+        backends,
+        backend_workers: workers.unwrap_or(2),
+        max_sessions: p.num("--max-sessions"),
+        metrics_addr: p.text("--metrics-addr").map(str::to_owned),
+        idle_timeout: p.seconds("--idle-timeout").unwrap_or(IDLE_TIMEOUT),
+        max_live_sessions: p.num("--max-live-sessions"),
+        max_buffered_bytes: p
+            .num("--max-buffered-mb")
+            .map(|mb: u64| mb.saturating_mul(1 << 20)),
+        journal_dir: p.text("--journal-dir").map(std::path::PathBuf::from),
+        ..fireguard_server::RouterOptions::default()
+    });
+    run_foreground(p, opts, |mut opts, trace| {
+        opts.trace = trace;
         let handle =
             fireguard_server::route(opts).map_err(|e| (1, format!("cannot start router: {e}")))?;
         let mut lines = vec![format!(
@@ -897,17 +868,20 @@ pub fn chaos_net_cmd(p: &Parsed) -> i32 {
     let upstream = p
         .text("--upstream")
         .ok_or_else(|| "chaos-net requires --upstream <host:port> (the honest address)".to_owned());
-    run_foreground(p, "chaos-net", upstream, |upstream, trace| {
+    let opts = upstream.map(|upstream| {
         let defaults = NetemOptions::default();
-        let opts = NetemOptions {
+        NetemOptions {
             listen: p.text("--addr").unwrap_or(DEFAULT_NETEM_ADDR).to_owned(),
             upstream: upstream.to_owned(),
             seed: p.num("--seed").unwrap_or(defaults.seed),
             fault_every: p.num("--fault-every").unwrap_or(defaults.fault_every),
             max_delay_ms: p.num("--max-delay-ms").unwrap_or(defaults.max_delay_ms),
-            trace,
-        };
-        let (seed, fault_every) = (opts.seed, opts.fault_every);
+            trace: None,
+        }
+    });
+    run_foreground(p, opts, |mut opts, trace| {
+        opts.trace = trace;
+        let (seed, fault_every, upstream) = (opts.seed, opts.fault_every, opts.upstream.clone());
         let handle = netem(opts).map_err(|e| (1, format!("cannot bind chaos-net proxy: {e}")))?;
         let line = format!(
             "fireguard-chaos-net: listening on {} -> {upstream} \
@@ -952,6 +926,7 @@ pub fn stats_report(p: &Parsed) -> Result<Report, String> {
     if targets.is_empty() {
         return Err("stats: --addr named no endpoints".to_owned());
     }
+    p.finish()?;
     let mut scrapes: Vec<(&str, Vec<Sample>)> = Vec::new();
     for t in &targets {
         let samples =

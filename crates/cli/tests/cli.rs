@@ -493,16 +493,55 @@ fn trace_subcommand_errors_are_actionable() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
 }
 
-/// A flag whose mode is off would be silently ignored, so it is refused
-/// instead: campaign flags need `--attacks`, fleet flags need `--chaos`,
-/// and plain loadgen has no use for `--seed`.
+/// A flag that this run does not read would be silently ignored, so it is
+/// refused before the run starts anything: a flag of another subcommand,
+/// a flag whose mode is off (campaign flags without `--attacks`, fleet
+/// flags without `--chaos`, `--seed` on plain `loadgen`), `--format` on a
+/// service with no report, or a budget given twice. Each refusal names
+/// the flags by their canonical names, prints nothing on stdout and
+/// writes no file.
 #[test]
 fn flags_without_their_mode_are_refused() {
     let dir = std::env::temp_dir().join(format!("fgt-mode-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let fgt = dir.join("dedup.fgt");
-    let fgt_s = fgt.to_str().unwrap();
-    for (args, message) in [
+    let input = dir.join("dedup.fgt");
+    let refused = dir.join("refused.fgt");
+    let spans = dir.join("spans.jsonl");
+    let (fgt, out, spans_s) = (
+        input.to_str().unwrap(),
+        refused.to_str().unwrap(),
+        spans.to_str().unwrap(),
+    );
+    let dir_s = dir.to_str().unwrap();
+    stdout_of(&fireguard(&[
+        "trace",
+        "record",
+        "--workload",
+        "dedup",
+        "--insts",
+        "2000",
+        "--out",
+        fgt,
+    ]));
+    // `--max-sessions 0` ends a service that took every flag at once, and
+    // the chaos rows are one short session, so a regression shows as a
+    // wrong exit code, not a hang.
+    let serve = ["serve", "--addr", "127.0.0.1:0", "--max-sessions", "0"];
+    let chaos = [
+        "loadgen",
+        "--trace",
+        fgt,
+        "--chaos",
+        "--sessions",
+        "1",
+        "--jobs",
+        "1",
+        "--kills",
+        "0",
+        "--backends",
+        "1",
+    ];
+    let rows: &[(&[&str], &str)] = &[
         (
             &[
                 "sweep",
@@ -512,8 +551,8 @@ fn flags_without_their_mode_are_refused() {
                 "pmc",
                 "--attack-count",
                 "5",
-            ][..],
-            "--attack-count requires --attacks",
+            ],
+            "--attack-count does not apply to this sweep run",
         ),
         (
             &[
@@ -524,27 +563,25 @@ fn flags_without_their_mode_are_refused() {
                 "--insts",
                 "2000",
                 "--out",
-                fgt_s,
+                out,
                 "--attack-start",
                 "100",
             ],
-            "--attack-start requires --attacks",
+            "--attack-start does not apply to this trace record run",
         ),
         (
-            &["loadgen", "--trace", fgt_s, "--seed", "5"],
-            "--seed requires --routed or --chaos",
+            &["loadgen", "--trace", fgt, "--seed", "5"],
+            "--seed does not apply to this loadgen run",
         ),
         (
-            &["loadgen", "--trace", fgt_s, "--kills", "2"],
-            "--kills requires --chaos (the spawned-fleet mode)",
+            &["loadgen", "--trace", fgt, "--kills", "2"],
+            "--kills does not apply to this loadgen run",
         ),
         (
-            &["loadgen", "--trace", fgt_s, "--chaos", "--bucket-ms", "5"],
-            "--chaos has no latency histogram; --bucket-ms does not apply",
+            &["loadgen", "--trace", fgt, "--chaos", "--bucket-ms", "5"],
+            "--bucket-ms does not apply to this loadgen run",
         ),
         (
-            // `--max-sessions 0`: a router that took the flag would exit
-            // at once instead of serving forever.
             &[
                 "router",
                 "--addr",
@@ -556,16 +593,158 @@ fn flags_without_their_mode_are_refused() {
                 "--max-sessions",
                 "0",
             ],
-            "--backend-workers requires spawned backends, not --backend-addrs",
+            "--backend-workers does not apply to this router run",
         ),
-    ] {
+        (
+            &[&chaos[..], &["--addr", "127.0.0.1:9"]].concat(),
+            "--addr does not apply to this loadgen run",
+        ),
+        (
+            &[&chaos[..], &["--routed"]].concat(),
+            "--routed does not apply to this loadgen run",
+        ),
+        (
+            &[&chaos[..], &["--fault-every", "3"]].concat(),
+            "--fault-every does not apply to this loadgen run",
+        ),
+        (
+            &[&serve[..], &["--format", "jsonl"]].concat(),
+            "--format does not apply to this serve run",
+        ),
+        (
+            &[
+                "trace",
+                "record",
+                "--workload",
+                "dedup",
+                "--insts",
+                "2000",
+                "--out",
+                out,
+                "--jobs",
+                "2",
+            ],
+            "--jobs does not apply to this trace record run",
+        ),
+        (
+            &["fig7a", "--insts", "2000", "--quick"],
+            "--insts and --quick are mutually exclusive",
+        ),
+        (
+            &[
+                "client",
+                "--addr",
+                "127.0.0.1:9",
+                "--trace",
+                fgt,
+                "--metrics-addr",
+                "127.0.0.1:9",
+            ],
+            "--metrics-addr does not apply to this client run",
+        ),
+        (
+            &[
+                "sweep",
+                "--workloads",
+                "dedup",
+                "--kernel",
+                "pmc",
+                "--insts",
+                "2000",
+                "--trace-out",
+                spans_s,
+            ],
+            "--trace-out does not apply to this sweep run",
+        ),
+        (
+            &[&serve[..], &["--backends", "2"]].concat(),
+            "--backends does not apply to this serve run",
+        ),
+        (
+            &["client", "--addr", "127.0.0.1:9", "--trace", fgt, "--chaos"],
+            "--chaos does not apply to this client run",
+        ),
+        (
+            &[
+                "loadgen",
+                "--addr",
+                "127.0.0.1:9",
+                "--trace",
+                fgt,
+                "--backend-addrs",
+                "a:1",
+            ],
+            "--backend-addrs does not apply to this loadgen run",
+        ),
+        (
+            &[&serve[..], &["--journal-dir", dir_s]].concat(),
+            "--journal-dir does not apply to this serve run",
+        ),
+        (
+            &[&serve[..], &["--max-live-sessions", "4"]].concat(),
+            "--max-live-sessions does not apply to this serve run",
+        ),
+        (
+            &[
+                "loadgen",
+                "--addr",
+                "127.0.0.1:9",
+                "--trace",
+                fgt,
+                "--upstream",
+                "a:1",
+            ],
+            "--upstream does not apply to this loadgen run",
+        ),
+        (
+            &[
+                "client",
+                "--addr",
+                "127.0.0.1:9",
+                "--trace",
+                fgt,
+                "--chaos-net",
+            ],
+            "--chaos-net does not apply to this client run",
+        ),
+        (
+            &["fig10", "--ucores", "8,12", "--insts", "2000"],
+            "--ucores does not apply to this fig10 run",
+        ),
+        (
+            &[&serve[..], &["--sessions", "4"]].concat(),
+            "--sessions does not apply to this serve run",
+        ),
+        (
+            &["trace", "replay", "--trace", fgt, "--insts", "5"],
+            "--insts does not apply to this trace replay run",
+        ),
+        (
+            &[
+                "client",
+                "--addr",
+                "127.0.0.1:9",
+                "--workloads",
+                "all",
+                "--trace",
+                fgt,
+            ],
+            "--workloads does not apply to this client run",
+        ),
+        (
+            &[&serve[..], &["--insts", "1", "--insts", "2"]].concat(),
+            "--insts does not apply to this serve run",
+        ),
+    ];
+    for (args, message) in rows {
         let out = fireguard(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(err, format!("fireguard: {message}\n"), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
-    assert!(!fgt.exists(), "a refused recording must not be written");
+    assert!(!refused.exists(), "a refused recording must not be written");
+    assert!(!spans.exists(), "a refused sweep opens no span sink");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1034,8 +1034,8 @@ enum Exit {
     /// The client left an anonymous session: forget it quietly.
     Release,
     /// The verdict is journaled and sent — just now from the backend, or
-    /// from the journal on a resume: half-close, drain the client, and
-    /// forget a ticketed session only once its terminal ACK arrived.
+    /// from the journal on a resume: half-close, wait for the client's
+    /// terminal ACK, and forget a ticketed session only once it arrived.
     Finish,
 }
 
@@ -1592,12 +1592,8 @@ impl<'a> Driver<'a> {
             }
         }
         lock(&self.session).detached = Some(Instant::now());
-        if !finish {
-            shutdown_both(&self.client);
-        }
-        // On Finish the reader drains the client's remaining frames until
-        // EOF and exits; anything it queued — including the terminal ACK
-        // racing our entry into close — is visible after the join.
+        let acked = finish && self.await_ack();
+        shutdown_both(&self.client);
         let _ = self.client_reader.join();
         if finish {
             // A write that succeeded only proves the frames left this
@@ -1605,16 +1601,33 @@ impl<'a> Driver<'a> {
             // ticketed verdict counts as delivered only once the client's
             // terminal ACK arrived; otherwise the entry stays, so the
             // next resume collects the verdict from the buffer instead of
-            // drawing "unknown session id".
-            let acked = self
-                .rx
-                .try_iter()
-                .any(|m| matches!(m, Msg::Frame(Leg::Client, ACK, _)));
-            if acked || !self.ticketed {
+            // drawing "unknown session id". The reader has ended, so an
+            // ACK it queued after the wait is in the inbox.
+            let ack = |m: Msg| matches!(m, Msg::Frame(Leg::Client, ACK, _));
+            if !self.ticketed || acked || self.rx.try_iter().any(ack) {
                 self.shared.table.forget(&self.session);
             }
-            shutdown_both(&self.client);
         }
+    }
+
+    /// Waits, in 25 ms steps, for the client's terminal ACK after a
+    /// verdict while the client reader runs. The wait ends at the ACK,
+    /// when the client leaves, when the router stops accepting, or after
+    /// `idle_timeout`, so a client that holds its socket open cannot hold
+    /// the router's shutdown. Returns whether the ACK came.
+    fn await_ack(&self) -> bool {
+        let since = Instant::now();
+        while !self.client_reader.is_finished()
+            && self.shared.accepting.load(Ordering::SeqCst)
+            && since.elapsed() < self.shared.idle_timeout
+        {
+            match self.rx.recv_timeout(Duration::from_millis(25)) {
+                Ok(Msg::Frame(Leg::Client, ACK, _)) => return true,
+                Ok(Msg::Gone(Leg::Client, _)) => return false,
+                _ => {}
+            }
+        }
+        false
     }
 }
 

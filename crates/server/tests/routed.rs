@@ -325,6 +325,55 @@ fn shutdown_parks_a_ghost_session_at_once() {
     );
 }
 
+/// A client that reads its verdict but keeps its socket open without the
+/// terminal ACK does not hold the router's shutdown: the driver stops
+/// waiting for the ACK once the router stops accepting, long before the
+/// 30 s idle timeout would end the client's leg.
+#[test]
+fn shutdown_does_not_wait_on_a_client_that_holds_its_socket_open() {
+    let router = route(router_opts()).expect("router starts");
+    let cfg = attack_experiment("ferret", 3_000);
+    let base = baseline_cycles(&cfg.workload, cfg.seed, cfg.insts);
+    let hello = SessionConfig::from_experiment(&cfg, base)
+        .encode()
+        .expect("valid config");
+    let stream = TcpStream::connect(router.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let ticket = proto::SessionTicket {
+        id: 31,
+        resume: false,
+        alarms_received: 0,
+    };
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    proto::write_frame(&mut w, SESSION, &ticket.encode()).expect("ticket");
+    proto::write_frame(&mut w, proto::HELLO, &hello).expect("hello");
+    let mut w = FrameWriter::new(w);
+    let mut enc = EventEncoder::new();
+    for chunk in capture_events(&cfg).chunks(512) {
+        w.write(EVENTS, &enc.encode_batch(chunk)).expect("events");
+    }
+    w.write(END, &[]).and_then(|()| w.flush()).expect("end");
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone().expect("clone")));
+    loop {
+        match reader.read().expect("frames until the verdict") {
+            Some((SUMMARY, _)) => break,
+            Some(_) => continue,
+            None => panic!("session closed before its SUMMARY"),
+        }
+    }
+
+    let started = Instant::now();
+    router.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "shutdown waited {took:?} on a client that kept its socket open"
+    );
+    drop((stream, w, reader));
+}
+
 /// Resumes session `id` on a fresh connection and reads the verdict the
 /// router serves from its buffer: the ACK, every alarm past zero, the
 /// summary, then EOF. Sends the terminal delivery ACK when `confirm`.
@@ -697,7 +746,6 @@ fn events_are_forwarded_and_replayed_byte_for_byte() {
     }
     w.write(END, &[]).and_then(|()| w.flush()).expect("end");
     let (_, verdicts) = read_to_eof(&mut FrameReader::new(BufReader::new(&stream)));
-    // Hang up, or the router's drain waits out its idle timeout.
     drop((w, stream));
     assert_eq!(
         verdicts,
