@@ -32,19 +32,17 @@ pub struct FigOpts {
     pub insts: u64,
     /// Trace seed.
     pub seed: u64,
-    /// Worker threads for the sweep engine.
-    pub workers: usize,
+    /// Worker threads for the sweep engine; `None` leaves the count to
+    /// [`fireguard_soc::default_workers`].
+    pub workers: Option<usize>,
 }
 
 impl FigOpts {
-    /// Reads the environment configuration (`FG_INSTS`, `FG_QUICK`,
-    /// `FG_JOBS`); the CLI's flags override it.
-    pub fn from_env() -> FigOpts {
-        FigOpts {
-            insts: crate::insts(),
-            seed: crate::SEED,
-            workers: fireguard_soc::default_workers(),
-        }
+    /// The sweep engine's worker count. The default (`FG_JOBS`, else the
+    /// available parallelism) is read only here, when a driver runs its
+    /// jobs, so a figure that runs none never reads `FG_JOBS`.
+    pub fn workers(&self) -> usize {
+        self.workers.unwrap_or_else(fireguard_soc::default_workers)
     }
 }
 
@@ -181,7 +179,7 @@ fn fig7a(o: &FigOpts) -> Report {
             sw(o, w, SoftwareScheme::DangSanX86),
         ]);
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("Figure 7(a): slowdown running PARSEC with each safeguard");
@@ -252,7 +250,7 @@ fn fig7b(o: &FigOpts) -> Report {
             jobs.push(JobSpec::FireGuard(cfg));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("Figure 7(b): slowdown with combined safeguards (geomean over PARSEC)");
@@ -293,7 +291,7 @@ fn fig8(o: &FigOpts) -> Report {
             ));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("Figure 8: detection latency distribution, 4 ucores per kernel (ns)");
@@ -355,7 +353,7 @@ fn fig9(o: &FigOpts) -> Report {
             ));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
     let runs: Vec<RunResult> = outs.into_iter().map(JobOutput::into_run).collect();
 
     let mut r = Report::new();
@@ -441,7 +439,7 @@ fn fig10(o: &FigOpts) -> Report {
             }
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     for (pi, (_, title, counts)) in PANELS.iter().enumerate() {
@@ -486,7 +484,7 @@ fn fig11(o: &FigOpts) -> Report {
             ));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("Figure 11: slowdown of programming models (4-ucore PMC)");
@@ -662,7 +660,7 @@ fn isax_ablation(o: &FigOpts) -> Report {
             ));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("ISAX placement ablation (Sanitizer, 4 ucores)");
@@ -695,7 +693,7 @@ fn mapper_ablation(o: &FigOpts) -> Report {
             ));
         }
     }
-    let outs = run_jobs(jobs, o.workers);
+    let outs = run_jobs(jobs, o.workers());
 
     let mut r = Report::new();
     r.text("Mapper-width ablation (PMC on 1 HA — isolates the transport)");
@@ -730,7 +728,7 @@ mod tests {
         FigOpts {
             insts: 2_000,
             seed: crate::SEED,
-            workers: 4,
+            workers: Some(4),
         }
     }
 
@@ -756,14 +754,14 @@ mod tests {
     fn fig7a_worker_count_does_not_change_bytes() {
         let seq = render_to_string(
             &fig7a(&FigOpts {
-                workers: 1,
+                workers: Some(1),
                 ..quick()
             }),
             Format::Human,
         );
         let par = render_to_string(
             &fig7a(&FigOpts {
-                workers: 4,
+                workers: Some(4),
                 ..quick()
             }),
             Format::Human,

@@ -11,10 +11,14 @@
 //! * `FG_JOBS` — worker threads for the sweep engine (default: available
 //!   parallelism; see [`fireguard_soc::sweep::default_workers`]).
 //!
-//! The CLI's `--insts`, `--quick`, and `--jobs` flags override all three.
+//! The CLI's `--insts`, `--quick`, and `--jobs` flags override all three,
+//! and a variable is read only where its flag is absent and the run uses
+//! it: `FG_INSTS` / `FG_QUICK` when neither `--insts` nor `--quick` is
+//! given, `FG_JOBS` when a figure or sweep runs its workers without
+//! `--jobs` ([`figures::FigOpts::workers`]).
 //!
 //! The crate's `tests/alloc_contract.rs` enforces the simulator's
-//! zero-allocation cycle loop.
+//! zero-allocation cycle loop and bounds a served session's heap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

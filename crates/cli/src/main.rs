@@ -16,7 +16,8 @@
 //! ```
 //!
 //! Flags override the `FG_INSTS` / `FG_QUICK` / `FG_JOBS` environment
-//! variables. Output is byte-identical across `--jobs` values: the sweep
+//! variables, which are read only where the flag is absent and the run
+//! uses them. Output is byte-identical across `--jobs` values: the sweep
 //! engine re-orders results by job index before anything is printed.
 
 #![forbid(unsafe_code)]
@@ -153,23 +154,29 @@ fn emit(p: &Parsed, report: impl FnOnce(&Parsed) -> Result<Report, String>) -> i
 }
 
 /// The size of a run that generates its trace: `--insts` or `--quick`,
-/// and `--seed`. Flags beat environment variables.
+/// else `FG_INSTS` / `FG_QUICK` (read only then), and `--seed`.
 fn budget(p: &Parsed) -> Result<FigOpts, String> {
-    let env = FigOpts::from_env();
-    let quick = p.switch("--quick").then_some(fireguard_bench::QUICK_INSTS);
-    let insts = match (p.num("--insts"), quick) {
-        (Some(_), Some(_)) => return Err("--insts and --quick are mutually exclusive".to_owned()),
-        (insts, quick) => insts.or(quick).unwrap_or(env.insts),
+    let insts = match (p.num("--insts"), p.switch("--quick")) {
+        (Some(_), true) => return Err("--insts and --quick are mutually exclusive".to_owned()),
+        (Some(insts), false) => insts,
+        (None, true) => fireguard_bench::QUICK_INSTS,
+        (None, false) => fireguard_bench::insts(),
     };
-    let seed = p.num("--seed").unwrap_or(env.seed);
-    Ok(FigOpts { insts, seed, ..env })
+    let seed = p.num("--seed").unwrap_or(fireguard_bench::SEED);
+    Ok(FigOpts {
+        insts,
+        seed,
+        workers: None,
+    })
 }
 
-/// Resolves figure options: [`budget`] and `--jobs`.
+/// Resolves figure options: [`budget`] and `--jobs` (without it, the
+/// driver reads `FG_JOBS` if it runs sweep workers).
 fn fig_opts(p: &Parsed) -> Result<FigOpts, String> {
-    let opts = budget(p)?;
-    let workers = p.num("--jobs").unwrap_or(opts.workers);
-    Ok(FigOpts { workers, ..opts })
+    Ok(FigOpts {
+        workers: p.num("--jobs"),
+        ..budget(p)?
+    })
 }
 
 /// Every subcommand with its summary: the figures, then [`COMMANDS`].
@@ -300,7 +307,8 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
         }
     }
     let (points, jobs): (Vec<_>, Vec<_>) = expanded.into_iter().unzip();
-    let outs = run_jobs(jobs, opts.workers);
+    let workers = opts.workers();
+    let outs = run_jobs(jobs, workers);
 
     let mut r = Report::new();
     r.text(format!(
@@ -314,7 +322,7 @@ fn sweep_report(p: &Parsed) -> Result<Report, String> {
         // (FG_JOBS / --jobs / available parallelism) so a 1-CPU container
         // showing no --jobs speedup is self-documenting. Human/CSV output
         // stays byte-identical across worker counts by design.
-        r.text(format!("workers={}", opts.workers));
+        r.text(format!("workers={workers}"));
     }
     r.blank();
     // A combined deployment's label is the `+`-join of every kernel name,

@@ -14,11 +14,17 @@ use std::process::{Command, Output};
 const SMOKE_INSTS: u64 = 2000;
 
 fn fireguard(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fireguard"))
-        .args(args)
-        .env_remove("FG_INSTS")
-        .env_remove("FG_QUICK")
-        .env_remove("FG_JOBS")
+    fireguard_with(&[], args)
+}
+
+/// `fireguard` with exactly the `FG_*` variables in `env` set.
+fn fireguard_with(env: &[(&str, &str)], args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fireguard"));
+    for unset in ["FG_INSTS", "FG_QUICK", "FG_JOBS"] {
+        cmd.env_remove(unset);
+    }
+    cmd.args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("failed to spawn the fireguard binary")
 }
@@ -65,7 +71,7 @@ fn figure_subcommand_matches_registry_driver() {
     let opts = FigOpts {
         insts: SMOKE_INSTS,
         seed: SEED,
-        workers: 2,
+        workers: Some(2),
     };
     let expected = render_to_string(&(find("fig7a").unwrap().run)(&opts), Format::Human);
     assert_eq!(out, expected, "CLI fig7a diverged from the figure driver");
@@ -788,17 +794,40 @@ fn help_and_version_exit_0() {
 #[test]
 fn unparseable_fg_insts_warns_on_stderr() {
     // The PR-1 PROPTEST_SEED convention: never silently ignore a bad knob.
-    let out = Command::new(env!("CARGO_BIN_EXE_fireguard"))
-        .args(["table2"])
-        .env("FG_INSTS", "banana")
-        .env_remove("FG_QUICK")
-        .env_remove("FG_JOBS")
-        .output()
-        .expect("failed to spawn the fireguard binary");
+    let out = fireguard_with(&[("FG_INSTS", "banana")], &["table2"]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("FG_INSTS") && stderr.contains("banana"),
         "expected an FG_INSTS warning on stderr, got:\n{stderr}"
     );
+}
+
+#[test]
+fn a_variable_the_run_does_not_read_is_not_warned_about() {
+    let dir = std::env::temp_dir().join(format!("fgt-env-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fgt = dir.join("dedup.fgt");
+    let record = [
+        "trace",
+        "record",
+        "--workload",
+        "dedup",
+        "--insts",
+        "2000",
+        "--out",
+        fgt.to_str().unwrap(),
+    ];
+    // `--insts` overrides FG_INSTS, and trace record runs no sweep
+    // workers, so neither variable is read.
+    for (var, args) in [
+        ("FG_INSTS", &["table2", "--insts", "2000"][..]),
+        ("FG_JOBS", &record[..]),
+    ] {
+        let out = fireguard_with(&[(var, "banana")], args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{var} {args:?} failed:\n{stderr}");
+        assert_eq!(stderr, "", "{var} {args:?} wrote to stderr");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -45,7 +45,7 @@ fn smoke(alias: &str) {
     let opts = FigOpts {
         insts: SMOKE_INSTS,
         seed: SEED,
-        workers: 4,
+        workers: Some(4),
     };
     let expected = render_to_string(&(fig.run)(&opts), Format::Human);
     assert_eq!(
